@@ -8,7 +8,7 @@ The public API is organised in layers:
 * :mod:`repro.baselines` — linear scan and index-based baselines;
 * :mod:`repro.core` — OCTOPUS, OCTOPUS-CON, the surface index, the cost model,
   and the strategy-wrapper composition surface;
-* :mod:`repro.kernels` — swappable compute backends for the batched hot loops;
+* :mod:`repro.kernels` — the NumPy kernels of the fused crawl, walk and probe;
 * :mod:`repro.cache` — the delta-invalidated query-result cache;
 * :mod:`repro.standing` — standing continuous queries over the delta stream;
 * :mod:`repro.service` — mesh partitioning and the sharded query service;

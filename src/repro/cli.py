@@ -161,21 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="issue queries one by one instead of through the batched "
         "query_many path (sets REPRO_SEQUENTIAL_QUERIES for the run)",
     )
-    parser.add_argument(
-        "--layout",
-        default=None,
-        choices=["native", "hilbert", "random"],
-        help="vertex layout pass applied before strategies prepare "
-        "(sets REPRO_LAYOUT for the run; default: native)",
-    )
-    parser.add_argument(
-        "--kernels",
-        default=None,
-        metavar="SPEC",
-        help="kernel backend spec for the batched hot loops, e.g. 'numba' or "
-        "'numpy:float32' (sets REPRO_KERNEL_BACKEND for the run; numba "
-        "falls back to numpy when not installed)",
-    )
     return parser
 
 
@@ -205,10 +190,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     overrides: dict[str, str] = {}
     if args.no_batch:
         overrides["REPRO_SEQUENTIAL_QUERIES"] = "1"
-    if args.layout is not None:
-        overrides["REPRO_LAYOUT"] = args.layout
-    if args.kernels is not None:
-        overrides["REPRO_KERNEL_BACKEND"] = args.kernels
     previous = {key: os.environ.get(key) for key in overrides}
     os.environ.update(overrides)
     try:

@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..kernels import KernelBackend, get_backend
+from ..kernels import KERNELS
 from ..mesh import (
     Box3D,
     PolyhedralMesh,
@@ -341,7 +341,6 @@ def _crawl_fused(
     scratch: CrawlScratch,
     n_vertices: int,
     budgets: "Sequence[BudgetTracker | None] | None" = None,
-    kernels: KernelBackend | None = None,
 ) -> tuple[list[CrawlOutcome], int, int, int]:
     """Fused shared-frontier BFS over the whole batch (any number of queries).
 
@@ -350,13 +349,7 @@ def _crawl_fused(
     level-synchronised: level ``k`` of every query runs in the same iteration,
     so each query's stamp/visit/expand sequence is exactly the one its
     independent crawl would have executed.
-
-    ``kernels`` selects the stamp-and-test implementation (see
-    :mod:`repro.kernels`); the default is the NumPy reference backend, and
-    every float64 backend is bit-identical to it.
     """
-    if kernels is None:
-        kernels = get_backend("numpy")
     n_queries = len(start_lists)
     bits = _OwnershipBits(n_queries)
     zero = np.uint64(0)
@@ -409,17 +402,15 @@ def _crawl_fused(
         """Stamp newly reached (vertex, query) pairs, count them, test positions.
 
         Returns the next union frontier (vertices inside at least one owning
-        box) and its ownership rows.  The loop itself lives in the kernel
-        backend (:meth:`repro.kernels.KernelBackend.crawl_stamp_and_test`);
-        the NumPy reference runs the per-query attribution and the position
-        tests in candidate-axis chunks so the expanded
-        ``(candidates, n_queries)`` boolean transients stay under
-        ``_ATTRIBUTION_BUDGET`` however large the batch is, while compiled
-        backends fuse the whole level into one pass — either way the
-        accumulated counters and the resulting frontier are identical.
+        box) and its ownership rows.  The loop itself is
+        :meth:`repro.kernels.KernelBackend.crawl_stamp_and_test`, which runs
+        the per-query attribution and the position tests in candidate-axis
+        chunks so the expanded ``(candidates, n_queries)`` boolean
+        transients stay under ``_ATTRIBUTION_BUDGET`` however large the
+        batch is.
         """
         nonlocal unique_visited
-        frontier, frontier_bits, n_fresh = kernels.crawl_stamp_and_test(
+        frontier, frontier_bits, n_fresh = KERNELS.crawl_stamp_and_test(
             candidates,
             reach_bits,
             stamps,
@@ -503,7 +494,6 @@ def crawl_many(
     counters_list: Sequence[QueryCounters | None] | None = None,
     scratch: CrawlScratch | None = None,
     budgets: "Sequence[BudgetTracker | None] | None" = None,
-    kernels: KernelBackend | None = None,
 ) -> BatchCrawlOutcome:
     """Fused breadth-first crawl of a whole batch of range queries.
 
@@ -535,11 +525,6 @@ def crawl_many(
         records (entries may be ``None``); each query truncates (or raises)
         at exactly the BFS level its sequential :func:`crawl` would, while
         the remaining queries keep crawling.
-    kernels:
-        Optional :class:`repro.kernels.KernelBackend` (or ``None`` for the
-        NumPy reference) running the stamp-and-test hot loop; float64
-        backends are bit-identical, the float32 mode trades boundary
-        exactness for bandwidth (see ``docs/performance.md``).
     """
     box_list = list(boxes)
     if len(start_lists) != len(box_list):
@@ -566,8 +551,7 @@ def crawl_many(
 
     los, his = boxes_to_arrays(box_list)
     outcomes, unique_visited, unique_edges, n_words = _crawl_fused(
-        positions, indptr, indices, los, his, start_lists, scratch, mesh.n_vertices, budgets,
-        kernels=kernels,
+        positions, indptr, indices, los, his, start_lists, scratch, mesh.n_vertices, budgets
     )
     batch.outcomes.extend(outcomes)
     batch.n_unique_vertices_visited += unique_visited

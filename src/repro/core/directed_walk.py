@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..kernels import KernelBackend, get_backend
+from ..kernels import KERNELS
 from ..mesh import Box3D, PolyhedralMesh, boxes_to_arrays, csr_gather, points_box_distance
 from .crawler import BatchCrawlOutcome, _gather_neighbors
 from .result import QueryCounters
@@ -253,34 +253,6 @@ def directed_walk(
     return WalkOutcome(found, n_steps, path, complete=found is not None or not truncated)
 
 
-def _pair_distances(
-    positions: np.ndarray,
-    pair_vertices: np.ndarray,
-    pair_owners: np.ndarray,
-    los: np.ndarray,
-    his: np.ndarray,
-) -> tuple[np.ndarray, int]:
-    """Box distances of (query, vertex) pairs, gathering each vertex once.
-
-    Evaluates, for every pair, the distance from ``positions[vertex]`` to the
-    owner query's box with the exact arithmetic of
-    :func:`~repro.mesh.points_box_distance` (so results are bit-identical to
-    the sequential walk).  Positions are gathered per *distinct* vertex and
-    fanned back out, which is the fused walk's shared memory work; the count
-    of distinct vertices is returned for the unique-work accounting.
-    """
-    unique_vertices, inverse = np.unique(pair_vertices, return_inverse=True)
-    points = positions[unique_vertices][inverse]
-    delta = np.maximum(los[pair_owners] - points, 0.0) + np.maximum(points - his[pair_owners], 0.0)
-    return np.linalg.norm(delta, axis=1), int(unique_vertices.size)
-
-
-# The fused walk dispatches its distance evaluations through a kernel backend
-# (:meth:`repro.kernels.KernelBackend.pair_box_distances`); the NumPy
-# reference backend computes exactly what :func:`_pair_distances` computes,
-# which is kept above as the readable specification of the kernel.
-
-
 def directed_walk_many(
     mesh: PolyhedralMesh,
     boxes: Sequence[Box3D],
@@ -290,7 +262,6 @@ def directed_walk_many(
     beam_width: int = 1,
     scratch: CrawlScratch | None = None,
     budgets: "Sequence[BudgetTracker | None] | None" = None,
-    kernels: KernelBackend | None = None,
 ) -> BatchWalkOutcome:
     """Fused greedy beam walks for a whole batch of query boxes.
 
@@ -322,11 +293,6 @@ def directed_walk_many(
         Optional per-query :class:`~repro.core.resilience.BudgetTracker`
         records (entries may be ``None``); each query truncates (or raises)
         on exactly the round its sequential :func:`directed_walk` would.
-    kernels:
-        Optional :class:`repro.kernels.KernelBackend` (or ``None`` for the
-        NumPy reference) running the pair-distance hot loop; float64
-        backends are bit-identical, the float32 mode computes distances in
-        float32 (see ``docs/performance.md``).
     """
     if beam_width < 1:
         raise ValueError("beam_width must be at least 1")
@@ -348,8 +314,6 @@ def directed_walk_many(
         return batch
     if scratch is None:
         scratch = CrawlScratch()
-    if kernels is None:
-        kernels = get_backend("numpy")
 
     adjacency = mesh.adjacency
     positions = mesh.vertices
@@ -428,7 +392,7 @@ def directed_walk_many(
     if seed_ids:
         pair_vertices = np.concatenate(seed_ids)
         pair_owners = np.concatenate(seed_owners)
-        distances, unique_rows = kernels.pair_box_distances(
+        distances, unique_rows = KERNELS.pair_box_distances(
             positions, pair_vertices, pair_owners, los, his
         )
         batch.n_unique_distance_computations += unique_rows
@@ -477,7 +441,7 @@ def directed_walk_many(
         keys = np.unique(neighbor_owners * np.int64(n_vertices) + neighbors)
         pair_owners = keys // n_vertices
         pair_vertices = keys - pair_owners * n_vertices
-        distances, unique_rows = kernels.pair_box_distances(
+        distances, unique_rows = KERNELS.pair_box_distances(
             positions, pair_vertices, pair_owners, los, his
         )
         batch.n_unique_distance_computations += unique_rows
@@ -528,7 +492,6 @@ def fused_walk_phase(
     counters_list: Sequence[QueryCounters],
     scratch: CrawlScratch,
     budgets: "Sequence[BudgetTracker | None] | None" = None,
-    kernels: KernelBackend | None = None,
 ) -> tuple[list[float], dict[int, np.ndarray], BatchWalkOutcome | None]:
     """The batched executors' walk phase: one fused walk over selected boxes.
 
@@ -552,7 +515,6 @@ def fused_walk_phase(
         [counters_list[i] for i in walk_indices],
         scratch=scratch,
         budgets=[budgets[i] for i in walk_indices] if budgets is not None else None,
-        kernels=kernels,
     )
     shared_time = (time.perf_counter() - walk_start) / len(walk_indices)
     crawl_starts: dict[int, np.ndarray] = {}

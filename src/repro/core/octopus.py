@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import QueryError
-from ..kernels import KernelBackend, get_backend
+from ..kernels import KERNELS
 from ..mesh import (
     Box3D,
     box_batch_chunk,
@@ -57,12 +57,6 @@ class OctopusExecutor(ExecutionStrategy):
         exact results (Section IV-H2 / Figure 12 trade accuracy for speed).
     seed:
         Seed for the approximation sample.
-    kernels:
-        Kernel backend for the batched hot loops — a
-        :class:`~repro.kernels.KernelBackend`, a spec string such as
-        ``"numba"`` or ``"numpy:float32"``, or ``None`` to consult the
-        ``REPRO_KERNEL_BACKEND`` environment variable (default NumPy).
-        Sequential :meth:`query` calls always use the NumPy float64 path.
     """
 
     name = "octopus"
@@ -71,14 +65,12 @@ class OctopusExecutor(ExecutionStrategy):
         self,
         surface_sample_fraction: float | None = None,
         seed: int = 0,
-        kernels: KernelBackend | str | None = None,
     ) -> None:
         super().__init__()
         if surface_sample_fraction is not None and not 0.0 < surface_sample_fraction <= 1.0:
             raise QueryError("surface_sample_fraction must lie in (0, 1]")
         self.surface_sample_fraction = surface_sample_fraction
         self.seed = seed
-        self.kernels = get_backend(kernels)
         self._surface_index: SurfaceIndex | None = None
         self._probe_ids: np.ndarray | None = None
         #: per-thread crawl arenas (epoch-stamped visited + buffers); one
@@ -295,9 +287,7 @@ class OctopusExecutor(ExecutionStrategy):
         closest_ids: list[int | None] = []
         for lo_index in range(0, len(box_list), chunk):
             hi_index = min(lo_index + chunk, len(box_list))
-            inside = self.kernels.points_in_boxes(
-                positions, los[lo_index:hi_index], his[lo_index:hi_index]
-            )
+            inside = KERNELS.points_in_boxes(positions, los[lo_index:hi_index], his[lo_index:hi_index])
             hits = inside.any(axis=1)
             misses = np.nonzero(~hits)[0]
             closest_of_miss: dict[int, int] = {}
@@ -349,7 +339,6 @@ class OctopusExecutor(ExecutionStrategy):
             counters_list,
             self.scratch,
             budgets,
-            kernels=self.kernels,
         )
         for index, start_vertices in walk_starts.items():
             crawl_starts[index] = start_vertices
@@ -366,7 +355,6 @@ class OctopusExecutor(ExecutionStrategy):
             counters_list,
             scratch=self.scratch,
             budgets=budgets,
-            kernels=self.kernels,
         )
         crawl_time = (time.perf_counter() - crawl_start) / len(box_list)
         if walk_batch is not None:

@@ -19,7 +19,6 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import QueryError
-from ..kernels import KernelBackend, get_backend
 from ..mesh import Box3D
 from .crawler import BatchCrawlOutcome, crawl, crawl_many
 from .delta import DeformationDelta, TopologyDelta
@@ -60,12 +59,6 @@ class OctopusConExecutor(ExecutionStrategy):
         bounds (positions drifting outside clamp to border cells), so the
         incremental path never has to re-derive bounds; freshness only
         shortens the directed walks, correctness never depends on it.
-    kernels:
-        Kernel backend for the batched hot loops — a
-        :class:`~repro.kernels.KernelBackend`, a spec string such as
-        ``"numba"`` or ``"numpy:float32"``, or ``None`` to consult the
-        ``REPRO_KERNEL_BACKEND`` environment variable (default NumPy).
-        Sequential :meth:`query` calls always use the NumPy float64 path.
 
     Notes
     -----
@@ -82,7 +75,6 @@ class OctopusConExecutor(ExecutionStrategy):
         self,
         grid_resolution: int = 10,
         grid_maintenance: str = "stale",
-        kernels: KernelBackend | str | None = None,
     ) -> None:
         super().__init__()
         if grid_resolution < 1:
@@ -94,7 +86,6 @@ class OctopusConExecutor(ExecutionStrategy):
             )
         self.grid_resolution = grid_resolution
         self.grid_maintenance = grid_maintenance
-        self.kernels = get_backend(kernels)
         self._grid: UniformGrid | None = None
         #: per-thread crawl arenas (epoch-stamped visited + buffers); one
         #: CrawlScratch per thread keeps concurrent queries off each other's
@@ -349,7 +340,6 @@ class OctopusConExecutor(ExecutionStrategy):
             counters_list,
             self.scratch,
             budgets,
-            kernels=self.kernels,
         )
         crawl_starts = [
             walk_starts.get(index, np.empty(0, dtype=np.int64))
@@ -368,7 +358,6 @@ class OctopusConExecutor(ExecutionStrategy):
             counters_list,
             scratch=self.scratch,
             budgets=budgets,
-            kernels=self.kernels,
         )
         crawl_time = (time.perf_counter() - crawl_start) / len(box_list)
         if walk_batch is not None:

@@ -12,7 +12,7 @@ Four size profiles are provided:
 * ``tiny``   — for unit tests and smoke runs (seconds);
 * ``small``  — the default benchmark profile (a few minutes for the full suite);
 * ``medium`` — closer to the paper's relative spreads, for longer runs;
-* ``large``  — the raw-speed tier, topping out above one million vertices
+* ``large``  — the scale profile, topping out above one million vertices
   (mesh generation alone takes minutes; meant for the scale benchmarks).
 """
 
@@ -55,7 +55,7 @@ PROFILES: dict[str, dict] = {
         "earthquake_resolutions": (14, 26),
         "animation_scale": 1.0,
     },
-    # The raw-speed tier: the top resolution carves a neuron mesh of
+    # The scale profile: the top resolution carves a neuron mesh of
     # ~1.12M vertices (≥ the paper's production scale in vertex count).
     # Generation alone takes minutes — reserve this profile for the
     # scale benchmarks, not the figure sweeps.

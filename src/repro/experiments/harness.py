@@ -171,8 +171,6 @@ def comparison_rows(report: SimulationReport, baseline: str = "linear-scan") -> 
                 "speedup_vs_baseline_work": strategy_report.speedup_against(reference, use_work=True),
                 "crawl_work_sharing": strategy_report.crawl_work_sharing(),
                 "walk_work_sharing": strategy_report.walk_work_sharing(),
-                "layout": strategy_report.layout,
-                "layout_locality": strategy_report.layout_locality,
             }
         )
     return rows

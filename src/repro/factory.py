@@ -35,7 +35,7 @@ from .core.executor import ExecutionStrategy
 from .errors import ExperimentError
 from .standing import StandingQueryRegistry, StandingStrategy
 
-__all__ = ["KERNEL_AWARE_STRATEGIES", "STRATEGY_FACTORIES", "build_strategy", "make_strategy"]
+__all__ = ["STRATEGY_FACTORIES", "build_strategy", "make_strategy"]
 
 #: report name -> constructor, the paper's comparison set (Section V-A)
 STRATEGY_FACTORIES: dict[str, Callable[..., ExecutionStrategy]] = {
@@ -49,11 +49,6 @@ STRATEGY_FACTORIES: dict[str, Callable[..., ExecutionStrategy]] = {
     "qu-trade": QUTradeExecutor,
     "rum-tree": RUMTreeExecutor,
 }
-
-#: strategies whose constructors take a ``kernels=`` backend; for every other
-#: name build_strategy() silently drops the argument so callers can pass one
-#: spec uniformly across the whole comparison set
-KERNEL_AWARE_STRATEGIES = frozenset({"octopus", "octopus-con"})
 
 
 def make_strategy(name: str, **kwargs) -> ExecutionStrategy:
@@ -74,7 +69,6 @@ def build_strategy(
     resilience: bool | str | None = None,
     budget: QueryBudget | None = None,
     standing: bool | Sequence | StandingQueryRegistry | None = None,
-    kernels=None,
     **kwargs,
 ) -> ExecutionStrategy:
     """Build a strategy by name with the standard wrapper stack.
@@ -104,19 +98,9 @@ def build_strategy(
         Standing goes outermost so the registry's narrowed re-queries flow
         through the cache below; paranoid resilience propagates (the wrapper
         then validates deltas before trusting them incrementally).
-    kernels:
-        Kernel backend for the batched hot loops — a
-        :class:`~repro.kernels.KernelBackend`, a spec string (``"numba"``,
-        ``"numpy:float32"``), or ``None`` for the ``REPRO_KERNEL_BACKEND``
-        environment default.  Forwarded only to the strategies in
-        :data:`KERNEL_AWARE_STRATEGIES`; silently ignored for the baselines
-        (which have no batched kernels), so one spec can be passed uniformly
-        across the whole comparison set.
     kwargs:
         Forwarded to the bare strategy's constructor (``fanout=16``, ...).
     """
-    if kernels is not None and name in KERNEL_AWARE_STRATEGIES:
-        kwargs["kernels"] = kernels
     strategy = make_strategy(name, **kwargs)
     if budget is not None:
         strategy.set_query_budget(budget)

@@ -1,4 +1,4 @@
-"""Pluggable compute kernels for the three hot loops of the query engine.
+"""The three hot loops of the fused query engine, as one NumPy kernel object.
 
 The fused query paths spend almost all of their time in three loops: the
 fused-crawl frontier expansion (stamp newly reached (vertex, query) pairs,
@@ -6,126 +6,24 @@ count them, test positions against the owning boxes — see
 :func:`repro.core.crawler._crawl_fused`), the fused directed walk's
 (query, vertex) box-distance kernel
 (:func:`repro.core.directed_walk.directed_walk_many`), and the batched
-box-membership test (:func:`repro.mesh.points_in_boxes`, which also powers
-the surface probe).  This package isolates those loops behind a small
-backend interface so they can be swapped for compiled implementations
-without touching the engine logic:
-
-* :class:`KernelBackend` — the NumPy reference implementation and the base
-  class of every backend.  It is the default and is always available.
-* ``"numba"`` — loop-level kernels compiled with ``numba.njit`` when numba
-  is importable (see :mod:`repro.kernels.numba_backend`).  When numba is
-  absent the registry **falls back cleanly to NumPy**: the returned backend
-  records ``requested="numba"`` / ``compiled=False`` and behaves exactly
-  like the default, so code written against the numba spec runs anywhere.
-
-Backends are selected by a spec string ``"<name>[:<dtype>]"``:
-
-* ``"numpy"`` / ``"numba"`` — backend name (float64 positions);
-* ``"numpy:float32"`` / ``"numba:float32"`` — the optional float32 position
-  mode: candidate positions and box corners are cast to float32 inside the
-  kernels, distances are computed in float32 and upcast to float64 on
-  return.
-
-Resolution order of :func:`get_backend`: an explicit spec (or an already
-constructed backend) wins, then the ``REPRO_KERNEL_BACKEND`` environment
-variable, then the ``"numpy"`` default.  Executors resolve their backend
-once at construction (``build_strategy(kernels=...)`` threads a spec to
-OCTOPUS and OCTOPUS-CON; the baselines always run the NumPy path).
-
-Exactness contract
-------------------
-For float64 specs every backend is **bit-identical** to the NumPy reference:
-same result ids, same counters, same frontier order.  The float32 mode is
-*not* bit-identical — positions within one float32 ulp of a box face can
-flip membership, and walk distances lose precision — so it trades a
-documented tolerance for bandwidth; see the "Raw-speed tier" section of
-``docs/performance.md`` for the semantics and when the trade is safe.
+box-membership test of the OCTOPUS surface probe.  :class:`KernelBackend`
+holds those loops as three methods so each is one named entry point that a
+profiler can wrap and time; :data:`KERNELS` is the instance the engine
+calls.  Every method computes in float64 with the arithmetic of the
+sequential code paths, so batched and sequential queries agree bit for bit.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from ..errors import QueryError
-from ..mesh.geometry import box_batch_chunk, points_in_boxes as _points_in_boxes_f64
+from ..mesh.geometry import box_batch_chunk, offset_norms, points_in_boxes as _points_in_boxes
 
-__all__ = [
-    "KernelBackend",
-    "available_backends",
-    "get_backend",
-    "numba_available",
-]
-
-#: accepted dtype suffixes of a backend spec string
-_DTYPE_SPECS = {
-    "": np.float64,
-    "float64": np.float64,
-    "f64": np.float64,
-    "float32": np.float32,
-    "f32": np.float32,
-}
+__all__ = ["KERNELS", "KernelBackend"]
 
 
 class KernelBackend:
-    """The NumPy reference kernels (and the base class of every backend).
-
-    A backend owns the three hot loops of the fused query paths.  Float64
-    instances of this class *are* the historical NumPy code paths —
-    executors constructed without a spec lose nothing.  Subclasses override
-    the three kernel methods; everything else (dtype plumbing, spec
-    formatting, registry behaviour) is shared.
-
-    Attributes
-    ----------
-    name:
-        The backend's implementation name (``"numpy"`` here).
-    requested:
-        The name that was asked for.  Differs from ``name`` only when a
-        ``"numba"`` request fell back to NumPy because numba is absent.
-    compiled:
-        Whether the kernel bodies are machine-compiled (always ``False``
-        for the NumPy reference).
-    dtype:
-        ``np.float64`` or ``np.float32`` — the precision positions and box
-        corners are cast to inside the kernels.
-    """
-
-    name = "numpy"
-    compiled = False
-
-    def __init__(self, dtype=np.float64, requested: str | None = None) -> None:
-        dtype = np.dtype(dtype)
-        if dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
-            raise QueryError(
-                f"kernel backends support float64 and float32 positions, got {dtype}"
-            )
-        self.dtype = dtype
-        self.requested = requested if requested is not None else self.name
-
-    # ------------------------------------------------------------------
-    # identity
-    # ------------------------------------------------------------------
-    @property
-    def spec(self) -> str:
-        """The canonical spec string this backend answers to."""
-        suffix = ":float32" if self.dtype == np.dtype(np.float32) else ""
-        return f"{self.name}{suffix}"
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"<{type(self).__name__} spec={self.spec!r} requested={self.requested!r} "
-            f"compiled={self.compiled}>"
-        )
-
-    # ------------------------------------------------------------------
-    # dtype plumbing
-    # ------------------------------------------------------------------
-    def _cast(self, array: np.ndarray) -> np.ndarray:
-        """``array`` in the backend dtype (no copy when already float64)."""
-        return np.ascontiguousarray(array, dtype=self.dtype)
+    """The fused query engine's three hot loops (NumPy, float64)."""
 
     # ------------------------------------------------------------------
     # kernel 1: batched box membership
@@ -134,18 +32,9 @@ class KernelBackend:
         """Membership of ``(n, 3)`` points in each of ``(m, 3)`` lo/hi boxes.
 
         Returns an ``(m, n)`` boolean mask, exactly like
-        :func:`repro.mesh.points_in_boxes`; the float32 mode compares
-        float32-cast coordinates against float32-cast corners.
+        :func:`repro.mesh.points_in_boxes`.
         """
-        if self.dtype == np.dtype(np.float64):
-            return _points_in_boxes_f64(points, los, his)
-        pts = self._cast(points)
-        los32, his32 = self._cast(los), self._cast(his)
-        xs, ys, zs = pts[:, 0], pts[:, 1], pts[:, 2]
-        inside = (xs >= los32[:, 0, None]) & (xs <= his32[:, 0, None])
-        inside &= (ys >= los32[:, 1, None]) & (ys <= his32[:, 1, None])
-        inside &= (zs >= los32[:, 2, None]) & (zs <= his32[:, 2, None])
-        return inside
+        return _points_in_boxes(points, los, his)
 
     # ------------------------------------------------------------------
     # kernel 2: fused-walk pair distances
@@ -163,22 +52,14 @@ class KernelBackend:
         The fused walk's distance kernel: for every pair, the Euclidean
         distance from ``positions[vertex]`` to the owner query's box, with
         the exact arithmetic of :func:`repro.mesh.points_box_distance`.
-        Distances are always returned as float64 (float32 backends compute
-        in float32 and upcast); the distinct-vertex count is returned for
-        the unique-work accounting.
+        Positions are gathered per *distinct* vertex and fanned back out;
+        the distinct-vertex count is returned for the unique-work accounting.
         """
         unique_vertices, inverse = np.unique(pair_vertices, return_inverse=True)
         points = positions[unique_vertices][inverse]
-        if self.dtype == np.dtype(np.float64):
-            delta = np.maximum(los[pair_owners] - points, 0.0)
-            delta += np.maximum(points - his[pair_owners], 0.0)
-            return np.linalg.norm(delta, axis=1), int(unique_vertices.size)
-        points = points.astype(np.float32, copy=False)
-        lo32 = los[pair_owners].astype(np.float32)
-        hi32 = his[pair_owners].astype(np.float32)
-        delta = np.maximum(lo32 - points, 0.0) + np.maximum(points - hi32, 0.0)
-        distances = np.linalg.norm(delta, axis=1)
-        return distances.astype(np.float64, copy=False), int(unique_vertices.size)
+        delta = np.maximum(los[pair_owners] - points, 0.0)
+        delta += np.maximum(points - his[pair_owners], 0.0)
+        return offset_norms(delta), int(unique_vertices.size)
 
     # ------------------------------------------------------------------
     # kernel 3: fused-crawl stamp-and-test
@@ -264,65 +145,5 @@ class KernelBackend:
         return out
 
 
-#: constructed backends, keyed by (name, dtype, compiled) so repeated
-#: get_backend() calls share instances (and their JIT caches)
-_BACKENDS: dict[tuple[str, str], KernelBackend] = {}
-
-
-def numba_available() -> bool:
-    """Whether the optional numba dependency is importable."""
-    from .numba_backend import NUMBA_AVAILABLE
-
-    return NUMBA_AVAILABLE
-
-
-def available_backends() -> tuple[str, ...]:
-    """Names of the backends that would run compiled in this environment."""
-    return ("numpy", "numba") if numba_available() else ("numpy",)
-
-
-def get_backend(spec: "KernelBackend | str | None" = None) -> KernelBackend:
-    """Resolve a backend spec to a (cached) :class:`KernelBackend` instance.
-
-    ``spec`` may be an already constructed backend (returned unchanged), a
-    spec string (``"numpy"``, ``"numba"``, ``"numpy:float32"``,
-    ``"numba:float32"``), or ``None`` — which consults the
-    ``REPRO_KERNEL_BACKEND`` environment variable and falls back to
-    ``"numpy"``.  Requesting ``"numba"`` without numba installed is **not**
-    an error: the NumPy backend is returned with ``requested="numba"`` and
-    ``compiled=False``, so deployments can pin the spec unconditionally.
-    """
-    if isinstance(spec, KernelBackend):
-        return spec
-    if spec is None:
-        spec = os.environ.get("REPRO_KERNEL_BACKEND", "").strip() or "numpy"
-    base, _, dtype_suffix = str(spec).partition(":")
-    base = base.strip().lower() or "numpy"
-    dtype_suffix = dtype_suffix.strip().lower()
-    try:
-        dtype = _DTYPE_SPECS[dtype_suffix]
-    except KeyError:
-        raise QueryError(
-            f"unknown kernel dtype suffix {dtype_suffix!r} in spec {spec!r}; "
-            f"expected one of {sorted(s for s in _DTYPE_SPECS if s)}"
-        ) from None
-    if base not in ("numpy", "numba"):
-        raise QueryError(
-            f"unknown kernel backend {base!r} in spec {spec!r}; expected 'numpy' or 'numba'"
-        )
-    key = (base, np.dtype(dtype).name)
-    backend = _BACKENDS.get(key)
-    if backend is None:
-        if base == "numba":
-            from .numba_backend import NUMBA_AVAILABLE, NumbaKernels
-
-            if NUMBA_AVAILABLE:
-                backend = NumbaKernels(dtype=dtype)
-            else:
-                # Clean fallback: numba requested but absent — run NumPy and
-                # say so, instead of failing environments without the JIT.
-                backend = KernelBackend(dtype=dtype, requested="numba")
-        else:
-            backend = KernelBackend(dtype=dtype)
-        _BACKENDS[key] = backend
-    return backend
+#: the kernel instance the fused crawl, the fused walk and the surface probe call
+KERNELS = KernelBackend()

@@ -18,14 +18,7 @@ from .geometry import (
 from .hexahedral import HexahedralMesh
 from .hilbert import hilbert_distances, hilbert_sort_order
 from .io import load_mesh, load_sequence, save_mesh, save_sequence
-from .layout import (
-    LAYOUTS,
-    apply_layout,
-    hilbert_layout,
-    hilbert_relabel,
-    layout_locality_score,
-    random_layout,
-)
+from .layout import hilbert_layout, layout_locality_score, random_layout
 from .surface import SurfaceExtraction, cell_faces, extract_surface
 from .tetrahedral import TetrahedralMesh
 from .triangle import TriangleMesh
@@ -40,13 +33,11 @@ __all__ = [
     "AdjacencyList",
     "Box3D",
     "HexahedralMesh",
-    "LAYOUTS",
     "MeshValidationReport",
     "PolyhedralMesh",
     "SurfaceExtraction",
     "TetrahedralMesh",
     "TriangleMesh",
-    "apply_layout",
     "bounding_box",
     "box_batch_chunk",
     "boxes_overlap_volume",
@@ -59,7 +50,6 @@ __all__ = [
     "extract_surface",
     "hilbert_distances",
     "hilbert_layout",
-    "hilbert_relabel",
     "hilbert_sort_order",
     "is_convex_point_set",
     "layout_locality_score",

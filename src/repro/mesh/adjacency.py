@@ -123,9 +123,9 @@ class AdjacencyList:
         else:
             src = np.empty(0, dtype=np.int64)
             dst = np.empty(0, dtype=np.int64)
-        # Canonical CSR form: rows sorted ascending.  ``relabeled`` emits the
-        # same form, so a permuted cache is indistinguishable from a rebuild
-        # (identical downstream tie-breaking either way).
+        # Canonical CSR form: each row's neighbours sorted ascending, so the
+        # CSR is a function of the edge set alone and every build of the same
+        # connectivity (and its downstream tie-breaking) is identical.
         order = np.lexsort((dst, src))
         src = src[order]
         dst = dst[order]
@@ -187,37 +187,6 @@ class AdjacencyList:
     def __iter__(self) -> Iterator[np.ndarray]:
         for v in range(self.n_vertices):
             yield self.neighbors(v)
-
-    # ------------------------------------------------------------------
-    # transforms
-    # ------------------------------------------------------------------
-    def relabeled(self, new_ids: np.ndarray) -> "AdjacencyList":
-        """Return a new adjacency where old vertex ``v`` becomes ``new_ids[v]``.
-
-        ``new_ids`` must be a permutation of ``0..n_vertices-1``.  Used by the
-        Hilbert layout optimisation, which renames vertices so that spatially
-        close vertices get nearby ids.
-        """
-        new_ids = np.asarray(new_ids, dtype=np.int64)
-        if new_ids.shape != (self.n_vertices,) or not np.array_equal(
-            np.sort(new_ids), np.arange(self.n_vertices)
-        ):
-            raise MeshConnectivityError("new_ids must be a permutation of vertex ids")
-        old_of_new = np.empty(self.n_vertices, dtype=np.int64)
-        old_of_new[new_ids] = np.arange(self.n_vertices)
-        counts = np.diff(self.indptr)[old_of_new]
-        indptr = np.concatenate([[0], np.cumsum(counts)])
-        # Pure CSR permutation, no per-vertex loop: build flat gather offsets
-        # into the old indices array (row start of each new row repeated over
-        # its degree, plus a within-row ramp), then rename the endpoints.
-        total = int(indptr[-1])
-        row_of_entry = np.repeat(np.arange(self.n_vertices), counts)
-        within_row = np.arange(total) - np.repeat(indptr[:-1], counts)
-        flat_src = self.indptr[old_of_new][row_of_entry] + within_row
-        indices = new_ids[self.indices[flat_src]]
-        # Sort neighbours within each row in one pass by keying on the row.
-        order = np.argsort(row_of_entry * np.int64(self.n_vertices) + indices, kind="stable")
-        return AdjacencyList(indptr, indices[order])
 
     def memory_bytes(self) -> int:
         """Approximate memory footprint of the CSR arrays in bytes."""

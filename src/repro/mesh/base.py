@@ -308,19 +308,3 @@ class PolyhedralMesh:
         new_vertices[new_ids] = self._vertices
         new_cells = new_ids[self._cells]
         return type(self)(new_vertices, new_cells, name=self.name)
-
-    def relabeled(self, new_ids: np.ndarray) -> "PolyhedralMesh":
-        """Like :meth:`with_vertex_order`, but carrying connectivity caches.
-
-        The adjacency CSR and the surface extraction are permuted through the
-        same relabel map instead of being rebuilt from the cells — everything
-        a strategy reads (positions, cells, adjacency, surface) moves through
-        one permutation, which is the paper's Section IV-H1 layout pass.  Only
-        caches that were already built are carried; absent ones stay lazy.
-        """
-        clone = self.with_vertex_order(new_ids)
-        if self._adjacency is not None:
-            clone._adjacency = self._adjacency.relabeled(new_ids)
-        if self._surface is not None:
-            clone._surface = self._surface.relabeled(new_ids)
-        return clone

@@ -192,11 +192,30 @@ def points_in_box(points: np.ndarray, box: Box3D) -> np.ndarray:
     return np.all((pts >= box.lo) & (pts <= box.hi), axis=1)
 
 
+def offset_norms(delta: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of an ``(n, 3)`` point-to-box offset array.
+
+    ``np.linalg.norm`` squares before it sums, so an offset below about
+    1e-154 underflows to a norm of 0, which every caller reads as "inside
+    the box".  Only rows whose norm came out 0 although their offset is
+    non-zero are recomputed, scaled by their largest component; every other
+    row keeps the bits ``np.linalg.norm`` gave it.
+    """
+    norms = np.linalg.norm(delta, axis=1)
+    lost = np.flatnonzero(norms == 0.0)
+    lost = lost[delta[lost].any(axis=1)]
+    if lost.size:
+        rows = delta[lost]
+        scale = np.abs(rows).max(axis=1, keepdims=True)
+        norms[lost] = scale[:, 0] * np.linalg.norm(rows / scale, axis=1)
+    return norms
+
+
 def point_box_distance(point: np.ndarray, box: Box3D) -> float:
     """Euclidean distance from a single point to a box (0 inside the box)."""
-    p = np.asarray(point, dtype=np.float64).reshape(3)
+    p = np.asarray(point, dtype=np.float64).reshape(1, 3)
     delta = np.maximum(box.lo - p, 0.0) + np.maximum(p - box.hi, 0.0)
-    return float(np.linalg.norm(delta))
+    return float(offset_norms(delta)[0])
 
 
 def points_box_distance(points: np.ndarray, box: Box3D) -> np.ndarray:
@@ -205,7 +224,7 @@ def points_box_distance(points: np.ndarray, box: Box3D) -> np.ndarray:
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise GeometryError("points_box_distance expects an (n, 3) array")
     delta = np.maximum(box.lo - pts, 0.0) + np.maximum(pts - box.hi, 0.0)
-    return np.linalg.norm(delta, axis=1)
+    return offset_norms(delta)
 
 
 def boxes_to_arrays(boxes: "Iterable[Box3D]") -> tuple[np.ndarray, np.ndarray]:

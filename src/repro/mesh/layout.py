@@ -18,21 +18,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import MeshError
 from .base import PolyhedralMesh
 from .hilbert import hilbert_sort_order
 
 __all__ = [
-    "LAYOUTS",
-    "apply_layout",
     "hilbert_layout",
-    "hilbert_relabel",
     "layout_locality_score",
     "random_layout",
 ]
-
-#: layout names accepted by :func:`apply_layout` (and the CLI's ``--layout``)
-LAYOUTS = ("native", "hilbert", "random")
 
 
 def hilbert_layout(mesh: PolyhedralMesh, bits: int = 10) -> PolyhedralMesh:
@@ -40,50 +33,13 @@ def hilbert_layout(mesh: PolyhedralMesh, bits: int = 10) -> PolyhedralMesh:
 
     Vertex ``v`` of the input becomes vertex ``new_ids[v]`` of the output; the
     cell array is rewritten accordingly so the output describes the same
-    geometry with a cache-friendlier vertex ordering.
+    geometry with a cache-friendlier vertex ordering.  Apply it once to a
+    badly ordered import, before any strategy prepares on the mesh.
     """
     order = hilbert_sort_order(mesh.vertices, bits=bits)
     new_ids = np.empty(mesh.n_vertices, dtype=np.int64)
     new_ids[order] = np.arange(mesh.n_vertices)
     return mesh.with_vertex_order(new_ids)
-
-
-def hilbert_relabel(mesh: PolyhedralMesh, bits: int = 10) -> PolyhedralMesh:
-    """Physically permute the whole mesh into Hilbert order via one relabel map.
-
-    The end-to-end locality pass (Section IV-H1): vertex positions, cell
-    connectivity, the adjacency CSR and the surface extraction all move
-    through the same permutation (:meth:`~repro.mesh.PolyhedralMesh.
-    relabeled`), so already-built connectivity caches are carried instead of
-    recomputed.  Apply it *before* strategies ``prepare()`` and before any
-    delta is issued — afterwards the new ids are canonical and the delta
-    pipeline's id contracts (stable pre-existing ids, appended tails) hold
-    unchanged.  Unlike :func:`hilbert_layout` (the cache-dropping primitive
-    this wraps), the result is ready for querying without re-deriving
-    connectivity.
-    """
-    order = hilbert_sort_order(mesh.vertices, bits=bits)
-    new_ids = np.empty(mesh.n_vertices, dtype=np.int64)
-    new_ids[order] = np.arange(mesh.n_vertices)
-    return mesh.relabeled(new_ids)
-
-
-def apply_layout(mesh: PolyhedralMesh, layout: str, seed: int = 0) -> PolyhedralMesh:
-    """Apply a named vertex layout: ``"native"``, ``"hilbert"`` or ``"random"``.
-
-    ``"native"`` returns the mesh unchanged (the generator's order);
-    ``"hilbert"`` runs :func:`hilbert_relabel`; ``"random"`` shuffles via
-    :func:`random_layout` (the adversarial baseline).  This is the single
-    dispatch point behind ``MeshSimulation(layout=...)`` and the CLI's
-    ``--layout`` flag.
-    """
-    if layout == "native":
-        return mesh
-    if layout == "hilbert":
-        return hilbert_relabel(mesh)
-    if layout == "random":
-        return random_layout(mesh, seed=seed)
-    raise MeshError(f"unknown layout {layout!r}; expected one of {LAYOUTS}")
 
 
 def random_layout(mesh: PolyhedralMesh, seed: int = 0) -> PolyhedralMesh:

@@ -73,21 +73,6 @@ class SurfaceExtraction:
             raise MeshConnectivityError("n_vertices must be positive")
         return self.n_surface_vertices / n_vertices
 
-    def relabeled(self, new_ids: np.ndarray) -> "SurfaceExtraction":
-        """Return the extraction after renaming old vertex ``v`` to ``new_ids[v]``.
-
-        Surface membership is purely combinatorial, so a vertex relabel maps
-        the extraction through the same permutation instead of re-running the
-        global face list — the Hilbert layout pass uses this to carry the
-        surface cache across :meth:`repro.mesh.PolyhedralMesh.relabeled`.
-        """
-        new_ids = np.asarray(new_ids, dtype=np.int64)
-        return SurfaceExtraction(
-            surface_vertices=np.sort(new_ids[self.surface_vertices]),
-            surface_faces=new_ids[self.surface_faces],
-            n_faces_total=self.n_faces_total,
-        )
-
 
 def cell_faces(cells: np.ndarray) -> np.ndarray:
     """Return the global face list of a cell array (duplicates included).

@@ -28,7 +28,7 @@ from ..core.delta import DeformationDelta, TopologyDelta
 from ..core.executor import ExecutionStrategy
 from ..core.result import QueryCounters
 from ..errors import SimulationError
-from ..mesh import Box3D, PolyhedralMesh, apply_layout, layout_locality_score
+from ..mesh import Box3D, PolyhedralMesh
 from .deformation import DeformationModel
 from .faults import FaultPlan
 from .restructuring import RestructuringSchedule
@@ -147,11 +147,6 @@ class StrategyReport:
     #: whether any layer of this strategy reported standing statistics
     #: (distinguishes "no registry" from "registry, zero traffic")
     standing: bool = False
-    #: vertex layout the simulation ran under ("native", "hilbert", "random")
-    layout: str = "native"
-    #: mean |id gap| across mesh edges / n_vertices under that layout
-    #: (:func:`~repro.mesh.layout_locality_score`; lower = cache-friendlier)
-    layout_locality: float = 0.0
 
     @property
     def total_response_time(self) -> float:
@@ -273,17 +268,6 @@ class MeshSimulation:
         default) batches unless the ``REPRO_SEQUENTIAL_QUERIES`` environment
         variable is set (the CLI's ``--no-batch`` escape hatch).  Either way
         results and counters are identical (see ``tests/test_batch_parity.py``).
-    layout:
-        Optional vertex layout pass (``"native"``, ``"hilbert"`` or
-        ``"random"``; see :func:`~repro.mesh.apply_layout`) applied to the
-        mesh *before* the deformation model binds and any strategy prepares —
-        the new ids are canonical from the first delta on, so the delta
-        pipeline's id contracts are untouched.  Non-native layouts work on a
-        relabeled copy, so the caller's mesh object is not the one deformed.
-        ``None`` (the default) reads the ``REPRO_LAYOUT`` environment
-        variable (the CLI's ``--layout`` flag), falling back to ``"native"``.
-        The resulting :func:`~repro.mesh.layout_locality_score` is recorded
-        on every :class:`StrategyReport`.
     """
 
     def __init__(
@@ -296,18 +280,15 @@ class MeshSimulation:
         validate_results: bool = False,
         batch_queries: bool | None = None,
         fault_plan: FaultPlan | None = None,
-        layout: str | None = None,
     ) -> None:
         if not strategies:
             raise SimulationError("need at least one execution strategy")
         names = [s.name for s in strategies]
         if len(set(names)) != len(names):
             raise SimulationError("strategy names must be unique")
-        if layout is None:
-            layout = os.environ.get("REPRO_LAYOUT", "").strip().lower() or "native"
-        mesh = apply_layout(mesh, layout)
-        self.layout = layout
-        self.layout_locality = layout_locality_score(mesh)
+        # Build the CSR adjacency up front, so no strategy's preprocessing or
+        # first-step time includes this one-time cost shared by all of them.
+        mesh.adjacency
         self.mesh = mesh
         self.deformation = deformation
         self.strategies = list(strategies)
@@ -325,12 +306,7 @@ class MeshSimulation:
         self._reports: dict[str, StrategyReport] = {}
         for strategy in self.strategies:
             preprocessing = strategy.prepare(mesh)
-            self._reports[strategy.name] = StrategyReport(
-                name=strategy.name,
-                preprocessing_time=preprocessing,
-                layout=self.layout,
-                layout_locality=self.layout_locality,
-            )
+            self._reports[strategy.name] = StrategyReport(name=strategy.name, preprocessing_time=preprocessing)
 
     # ------------------------------------------------------------------
     # running

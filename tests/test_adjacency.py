@@ -100,19 +100,3 @@ class TestAdjacencyAccess:
     def test_memory_bytes_positive(self):
         adj = AdjacencyList.from_cells(5, simple_tet_cells())
         assert adj.memory_bytes() > 0
-
-
-class TestRelabel:
-    def test_relabeled_preserves_structure(self):
-        adj = AdjacencyList.from_edges(4, np.array([[0, 1], [1, 2], [2, 3]]))
-        new_ids = np.array([3, 2, 1, 0])
-        relabeled = adj.relabeled(new_ids)
-        # old edge (0,1) becomes (3,2), etc.
-        assert set(relabeled.neighbors(2).tolist()) == {1, 3}
-        assert set(relabeled.neighbors(3).tolist()) == {2}
-        assert relabeled.n_edges == adj.n_edges
-
-    def test_relabeled_requires_permutation(self):
-        adj = AdjacencyList.from_edges(3, np.array([[0, 1]]))
-        with pytest.raises(MeshConnectivityError):
-            adj.relabeled(np.array([0, 0, 1]))

@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 from repro.core import CrawlScratch, OctopusExecutor, QueryCounters, crawl, crawl_many
-from repro.core.crawler import GROUP_SIZE
+from repro.core.crawler import GROUP_SIZE, _OwnershipBits
+from repro.kernels import KERNELS
 from repro.mesh import Box3D, points_in_box
 from repro.workloads import random_query_workload
 
@@ -270,3 +271,28 @@ class TestAttributionChunking:
 
         assert _attribution_chunk(0) >= 1
         assert _attribution_chunk(10**9) == 1
+
+
+class TestStampAndTestKernel:
+    def test_crawl_stamp_and_test_empty_candidates(self):
+        bits = _OwnershipBits(3)
+        scratch = CrawlScratch()
+        stamps, words, epoch = scratch.acquire_batch(10, bits.n_words)
+        visited = np.zeros(3, dtype=np.int64)
+        frontier, frontier_bits, n_fresh = KERNELS.crawl_stamp_and_test(
+            np.empty(0, dtype=np.int64),
+            np.empty((0, 1), dtype=np.uint64),
+            stamps,
+            words[:, :1],
+            epoch,
+            np.zeros((10, 3)),
+            np.zeros((3, 3)),
+            np.ones((3, 3)),
+            bits,
+            visited,
+            1024,
+        )
+        assert frontier.size == 0
+        assert frontier_bits.shape == (0, 1)
+        assert n_fresh == 0
+        assert visited.sum() == 0

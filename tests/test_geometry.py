@@ -157,6 +157,23 @@ class TestPointFunctions:
         scalar = np.array([point_box_distance(p, box) for p in pts])
         assert np.allclose(vector, scalar)
 
+    def test_underflowing_offsets_stay_positive(self):
+        # Squaring these offsets underflows to 0; the distance must not.
+        box = Box3D((0, 0, 0), (1, 1, 1))
+        pts = np.array([[0.5, 0.5, -1e-300], [0.5, -5e-324, 0.5], [0.5, 0.5, 0.5]])
+        distances = points_box_distance(pts, box)
+        assert distances[0] == 1e-300
+        assert distances[1] > 0.0
+        assert distances[2] == 0.0
+        assert point_box_distance(pts[0], box) == 1e-300
+        assert box.distance_to_point(pts[1]) > 0.0
+
+    def test_other_distances_keep_the_norm_bits(self, rng):
+        box = Box3D((0, 0, 0), (1, 2, 3))
+        pts = rng.uniform(-2, 4, size=(200, 3))
+        delta = np.maximum(box.lo - pts, 0.0) + np.maximum(pts - box.hi, 0.0)
+        assert np.array_equal(points_box_distance(pts, box), np.linalg.norm(delta, axis=1))
+
     def test_bounding_box_helper(self, rng):
         pts = rng.uniform(-1, 1, size=(20, 3))
         box = bounding_box(pts)

@@ -3,14 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.errors import GeometryError, MeshError
+from repro.errors import GeometryError
 from repro.mesh import (
     AdjacencyList,
-    apply_layout,
-    extract_surface,
     hilbert_distances,
     hilbert_layout,
-    hilbert_relabel,
     hilbert_sort_order,
     layout_locality_score,
     random_layout,
@@ -166,66 +163,19 @@ class TestLayouts:
         assert layout_locality_score(mesh) == 0.0
 
 
-class TestHilbertRelabel:
-    """The end-to-end locality pass: one relabel map moves everything."""
-
-    def test_matches_hilbert_layout(self, grid_mesh):
-        relabeled = hilbert_relabel(grid_mesh)
-        reference = hilbert_layout(grid_mesh)
-        assert np.array_equal(relabeled.vertices, reference.vertices)
-        assert np.array_equal(relabeled.cells, reference.cells)
-
-    def test_carries_adjacency_and_surface_caches(self, grid_mesh):
-        mesh = grid_mesh.copy()
-        # Build the caches first so the relabel must permute, not rebuild.
-        carried_adjacency = mesh.adjacency
-        carried_surface = mesh.surface
-        relabeled = hilbert_relabel(mesh)
-        assert relabeled._adjacency is not None
-        assert relabeled._surface is not None
-        rebuilt = AdjacencyList.from_cells(relabeled.n_vertices, relabeled.cells)
-        assert np.array_equal(relabeled.adjacency.indptr, rebuilt.indptr)
-        assert np.array_equal(relabeled.adjacency.indices, rebuilt.indices)
-        resurfaced = extract_surface(relabeled.cells)
-        assert np.array_equal(
-            relabeled.surface.surface_vertices, resurfaced.surface_vertices
-        )
-        assert relabeled.surface.n_faces_total == resurfaced.n_faces_total
-        # The source mesh's caches are untouched.
-        assert mesh._adjacency is carried_adjacency
-        assert mesh._surface is carried_surface
-
-    def test_cold_caches_stay_lazy(self, grid_mesh):
-        # copy() drops caches; the relabel must not force-build them either.
-        relabeled = hilbert_relabel(grid_mesh.copy())
-        assert relabeled._adjacency is None
-        assert relabeled._surface is None
-
-    def test_apply_layout_dispatch(self, grid_mesh):
-        assert apply_layout(grid_mesh, "native") is grid_mesh
-        hilbert = apply_layout(grid_mesh, "hilbert")
-        assert np.array_equal(hilbert.vertices, hilbert_relabel(grid_mesh).vertices)
-        shuffled = apply_layout(grid_mesh, "random", seed=3)
-        assert np.array_equal(shuffled.vertices, random_layout(grid_mesh, seed=3).vertices)
-        with pytest.raises(MeshError):
-            apply_layout(grid_mesh, "zorder")
-
-
 class TestRelabelWithRestructuring:
-    """Regression: hilbert_relabel composed with split_cells tail-splices.
+    """Regression: a vertex layout composed with split_cells tail-splices.
 
     The append-only topology contract says restructuring appends new vertices
-    after the existing ids.  A layout pass renames every id up front, so the
-    relabeled ids must be just as canonical: splits append their centroids
-    after the *relabeled* ids, connectivity caches rebuild correctly, and
-    ``AdjacencyList.relabeled`` agrees with a from-scratch rebuild whichever
-    side of the splice it runs on.
+    after the existing ids.  A layout renames every id up front, so the
+    renamed ids must be just as canonical: splits append their centroids
+    after the *renamed* ids and connectivity caches rebuild correctly.
     """
 
     def test_split_after_relabel_appends_canonical_tail(self, grid_mesh):
         from repro.simulation import split_cells_inplace
 
-        mesh = hilbert_relabel(grid_mesh.copy())
+        mesh = hilbert_layout(grid_mesh.copy())
         _ = (mesh.adjacency, mesh.surface)  # warm the caches the split must drop
         n_before = mesh.n_vertices
         event = split_cells_inplace(mesh, np.array([0, 5, 17]))
@@ -237,21 +187,6 @@ class TestRelabelWithRestructuring:
         assert np.array_equal(mesh.adjacency.indptr, rebuilt.indptr)
         assert np.array_equal(mesh.adjacency.indices, rebuilt.indices)
 
-    def test_relabel_after_split_matches_rebuild(self, grid_mesh):
-        from repro.simulation import split_cells_inplace
-
-        mesh = grid_mesh.copy()
-        split_cells_inplace(mesh, np.array([2, 9]))
-        _ = (mesh.adjacency, mesh.surface)  # warm the caches so relabeled() carries them
-        relabeled = hilbert_relabel(mesh)
-        rebuilt = AdjacencyList.from_cells(relabeled.n_vertices, relabeled.cells)
-        assert np.array_equal(relabeled.adjacency.indptr, rebuilt.indptr)
-        assert np.array_equal(relabeled.adjacency.indices, rebuilt.indices)
-        resurfaced = extract_surface(relabeled.cells)
-        assert np.array_equal(
-            relabeled.surface.surface_vertices, resurfaced.surface_vertices
-        )
-
     def test_queries_agree_across_layouts_under_restructuring(self, grid_mesh):
         """Same geometry in, same geometry out, whatever the layout."""
         from repro.factory import build_strategy
@@ -260,8 +195,7 @@ class TestRelabelWithRestructuring:
 
         box = Box3D((0.11, 0.11, 0.11), (0.72, 0.72, 0.72))
         result_positions = []
-        for layout in ("native", "hilbert", "random"):
-            mesh = apply_layout(grid_mesh.copy(), layout, seed=5)
+        for mesh in (grid_mesh.copy(), hilbert_layout(grid_mesh), random_layout(grid_mesh, seed=5)):
             strategy = build_strategy("octopus")
             strategy.prepare(mesh)
             event = split_cells_inplace(mesh, np.array([3, 11, 40]))
@@ -270,64 +204,3 @@ class TestRelabelWithRestructuring:
             result_positions.append(np.sort(mesh.vertices[ids].ravel()))
         assert np.allclose(result_positions[0], result_positions[1])
         assert np.allclose(result_positions[0], result_positions[2])
-
-
-class TestSimulationLayout:
-    def test_simulation_records_layout_and_locality(self, grid_mesh):
-        from repro.factory import build_strategy
-        from repro.mesh import Box3D
-        from repro.simulation import AffineDeformation, MeshSimulation
-
-        def provider(mesh, step):
-            return [Box3D((0.11, 0.11, 0.11), (0.52, 0.52, 0.52))]
-
-        scores = {}
-        results = {}
-        for layout in ("hilbert", "random"):
-            simulation = MeshSimulation(
-                grid_mesh.copy(),
-                AffineDeformation(),
-                [build_strategy("octopus")],
-                provider,
-                layout=layout,
-            )
-            report = simulation.run(2)["octopus"]
-            assert report.layout == layout
-            scores[layout] = report.layout_locality
-            results[layout] = report.total_results
-        # The locality pass must beat the adversarial shuffle, visibly, in
-        # the report every experiment reads — not just in fig13.
-        assert scores["hilbert"] < scores["random"]
-        assert results["hilbert"] == results["random"]
-
-    def test_comparison_rows_surface_the_locality_columns(self, grid_mesh):
-        from repro.experiments.harness import comparison_rows
-        from repro.factory import build_strategy
-        from repro.mesh import Box3D
-        from repro.simulation import AffineDeformation, MeshSimulation
-
-        simulation = MeshSimulation(
-            grid_mesh.copy(),
-            AffineDeformation(),
-            [build_strategy("octopus"), build_strategy("linear-scan")],
-            lambda mesh, step: [Box3D((0.11, 0.11, 0.11), (0.52, 0.52, 0.52))],
-            layout="hilbert",
-        )
-        rows = comparison_rows(simulation.run(1))
-        for row in rows:
-            assert row["layout"] == "hilbert"
-            assert row["layout_locality"] > 0.0
-
-    def test_environment_variable_selects_the_layout(self, grid_mesh, monkeypatch):
-        from repro.factory import build_strategy
-        from repro.mesh import Box3D
-        from repro.simulation import AffineDeformation, MeshSimulation
-
-        monkeypatch.setenv("REPRO_LAYOUT", "random")
-        simulation = MeshSimulation(
-            grid_mesh.copy(),
-            AffineDeformation(),
-            [build_strategy("octopus")],
-            lambda mesh, step: [Box3D((0.11, 0.11, 0.11), (0.52, 0.52, 0.52))],
-        )
-        assert simulation.layout == "random"

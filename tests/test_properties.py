@@ -1,7 +1,7 @@
 """Property-based tests (hypothesis) on the core data structures and invariants."""
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -21,6 +21,14 @@ GRID_OCTOPUS = OctopusExecutor()
 GRID_OCTOPUS.prepare(GRID)
 GRID_LINEAR = LinearScanExecutor()
 GRID_LINEAR.prepare(GRID)
+
+# Degenerate boxes whose lower z lies just above the z = 0 surface vertex
+# (0.5, 0.5, 0), by an offset whose square underflows to 0: a norm that squares
+# first reads that vertex as inside, and the walk then stops outside the box.
+UNDERFLOW_BOXES = [
+    Box3D((0.5, 0.5, 1.1125369292536007e-308), (0.5, 0.5, 0.5)),
+    Box3D((0.5, 0.5, 6.641315869431249e-287), (0.5, 0.5, 0.5)),
+]
 
 
 finite_coord = st.floats(min_value=-2.0, max_value=3.0, allow_nan=False, allow_infinity=False)
@@ -101,12 +109,22 @@ class TestGeometryProperties:
 
 class TestQueryExecutionProperties:
     @given(boxes())
+    @example(UNDERFLOW_BOXES[0])
+    @example(UNDERFLOW_BOXES[1])
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_octopus_always_matches_linear_scan_on_convex_mesh(self, box):
         """For every axis-aligned box, OCTOPUS returns exactly the scan result."""
         expected = GRID_LINEAR.query(box)
         got = GRID_OCTOPUS.query(box)
         assert got.same_vertices_as(expected)
+
+    def test_batched_octopus_matches_linear_scan_on_underflowing_boxes(self):
+        """The fused walk of query_many must not stop outside the box either."""
+        expected = GRID_LINEAR.query_many(UNDERFLOW_BOXES)
+        got = GRID_OCTOPUS.query_many(UNDERFLOW_BOXES)
+        for got_result, expected_result in zip(got, expected):
+            assert expected_result.vertex_ids.size == 2
+            assert got_result.same_vertices_as(expected_result)
 
     @given(boxes())
     @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -7,8 +7,8 @@ Covers the performance layer added around the crawl:
   mesh restructuring epochs);
 * the batched ``query_many`` API (equality with sequential ``query`` for
   OCTOPUS, OCTOPUS-CON and baselines, counter parity, harness wiring);
-* the vectorised hot paths (``AdjacencyList.relabeled``, the beam
-  ``directed_walk``, the grid's ``locate_batch``).
+* the vectorised hot paths (the beam ``directed_walk``, the grid's
+  ``locate_batch``).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from repro.core import (
     crawl,
     directed_walk,
 )
-from repro.mesh import AdjacencyList, Box3D, points_in_box
+from repro.mesh import Box3D, points_in_box
 from repro.simulation import DeformationDelta, remove_cells
 from repro.workloads import random_query_workload
 
@@ -304,36 +304,6 @@ class TestQueryMany:
 
 
 class TestVectorisedHotPaths:
-    def test_relabeled_matches_per_vertex_reference(self, rng):
-        """The CSR-permutation relabel equals the per-vertex reference."""
-        n = 40
-        edges = rng.integers(0, n, size=(150, 2))
-        adjacency = AdjacencyList.from_edges(n, edges)
-        new_ids = rng.permutation(n)
-        got = adjacency.relabeled(new_ids)
-
-        # Per-vertex reference implementation (the old Python loop).
-        old_of_new = np.empty(n, dtype=np.int64)
-        old_of_new[new_ids] = np.arange(n)
-        expected_rows = [np.sort(new_ids[adjacency.neighbors(old_of_new[v])]) for v in range(n)]
-        for v in range(n):
-            assert np.array_equal(got.neighbors(v), expected_rows[v]), f"row {v}"
-
-    def test_relabeled_identity_permutation(self, grid_mesh):
-        adjacency = grid_mesh.adjacency
-        identity = np.arange(adjacency.n_vertices)
-        relabeled = adjacency.relabeled(identity)
-        assert np.array_equal(relabeled.indptr, adjacency.indptr)
-        # Rows come out sorted; sort the original rows for comparison.
-        for v in range(0, adjacency.n_vertices, 17):
-            assert np.array_equal(relabeled.neighbors(v), np.sort(adjacency.neighbors(v)))
-
-    def test_relabeled_empty_adjacency(self):
-        adjacency = AdjacencyList(np.array([0, 0, 0]), np.empty(0, dtype=np.int64))
-        relabeled = adjacency.relabeled(np.array([1, 0]))
-        assert relabeled.n_vertices == 2
-        assert relabeled.indices.size == 0
-
     def test_directed_walk_multi_source(self, grid_mesh):
         box = Box3D.cube((0.5, 0.5, 0.5), 0.3)
         outcome = directed_walk(grid_mesh, box, np.array([0, 124]))

@@ -130,6 +130,14 @@ class TestSimulationRun:
         with pytest.raises(SimulationError):
             simulation.run(n_steps=0)
 
+    def test_adjacency_is_built_before_strategies_run(self, neuron_small):
+        # The linear scan never reads the adjacency, so only the simulation
+        # itself can have built it.
+        mesh = neuron_small.copy()
+        assert mesh._adjacency is None
+        MeshSimulation(mesh, RandomWalkDeformation(), [LinearScanExecutor()], fixed_provider([]))
+        assert mesh._adjacency is not None
+
 
 class TestMotionLedger:
     def test_step_records_carry_moved_counts_and_entries(self, neuron_small):
