@@ -9,31 +9,28 @@ invalidation certificates: an entry whose box is disjoint from every dirty
 region since it was stored is still the exact answer, and a repeated query
 becomes a hash lookup instead of a probe/walk/crawl.
 
-**Invalidation contract** (why a surviving entry is still exact):
+**Invalidation contract** (why a surviving entry is still exact): the entry
+boxes live in a :class:`~repro.core.delta.BoxSet`, and
+:meth:`~repro.core.delta.BoxSet.affected` decides which entries a delta
+drops, the same decision the standing registry ticks on:
 
 * deformation — a vertex's membership in a closed box can only change if the
   vertex moved, and every moved vertex's old *and* new position lie inside
   the delta's dirty AABB (audited by
   :func:`~repro.core.resilience.validate_delta`).  An entry box disjoint from
-  the dirty AABB therefore gained no vertex and lost none.  The optional
-  ``membership="exact"`` mode tightens this per entry: instead of the AABB
-  intersection alone, it drops an intersecting entry only if some moved old
-  or new position actually lies inside the entry's box — still exact, and it
-  keeps entries alive when the dirty AABB is large but the motion misses them;
+  the dirty AABB therefore gained no vertex and lost none;
 * topology — restructuring never moves pre-existing vertices and appended
   vertices lie inside the dirty AABB (the appended-tail contract), so box
-  membership can only change inside that AABB; the conservative intersection
-  test is used (no exact mode: connectivity changes alter crawl reachability
-  in ways a per-vertex test cannot bound);
+  membership can only change inside that AABB;
 * ``full()`` deltas and deltas without a dirty AABB flush the whole cache —
   there is no certificate to key off.
 
-Keys quantize the query box's six coordinates onto a ``quantum`` grid, but a
-hit additionally verifies the stored corners bit-for-bit, so two distinct
-boxes that collide in one quantum cell are a *miss*, never a wrong answer.
-All public methods are thread-safe (the sharded service answers queries from
-a pool while maintenance is excluded by its write lock, but the cache does
-not rely on that).
+Keys quantize the query box's six coordinates onto a :data:`QUANTUM` grid,
+but a hit additionally verifies the stored corners bit-for-bit, so two
+distinct boxes that collide in one quantum cell are a *miss*, never a wrong
+answer.  All public methods are thread-safe: the sharded service answers
+queries from several client threads while maintenance is excluded by its
+write lock, but the cache does not rely on that.
 """
 
 from __future__ import annotations
@@ -45,8 +42,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..core.delta import BoxSet
 from ..errors import QueryError
-from ..mesh import Box3D, points_in_boxes
+from ..mesh import Box3D
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.delta import DeformationDelta, TopologyDelta
@@ -54,7 +52,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["CacheStats", "QueryResultCache"]
 
-MEMBERSHIP_MODES = ("aabb", "exact")
+#: grid pitch of the lookup key; corners are stored exactly and verified on
+#: every hit, so the pitch only decides which boxes share a hash bucket
+QUANTUM = 1e-9
+#: LRU capacity when the caller names none
+DEFAULT_MAX_ENTRIES = 2048
 
 
 @dataclass
@@ -107,13 +109,13 @@ class CacheStats:
 
 
 class _Entry:
-    """One cached answer: the exact box corners plus the result vertex ids."""
+    """One cached answer: its key, the BoxSet row of its corners, the ids."""
 
-    __slots__ = ("lo", "hi", "vertex_ids")
+    __slots__ = ("key", "row", "vertex_ids")
 
-    def __init__(self, lo: np.ndarray, hi: np.ndarray, vertex_ids: np.ndarray) -> None:
-        self.lo = lo
-        self.hi = hi
+    def __init__(self, key: tuple, row: int, vertex_ids: np.ndarray) -> None:
+        self.key = key
+        self.row = row
         self.vertex_ids = vertex_ids
 
 
@@ -124,43 +126,24 @@ class QueryResultCache:
     ----------
     max_entries:
         LRU capacity bound; the least-recently-used entry is evicted first.
-    quantum:
-        Grid pitch for the lookup key.  Corners are stored exactly and
-        verified on every hit, so the quantum only controls which boxes land
-        in the same hash bucket — it can never cause a wrong answer.
-    membership:
-        Deformation invalidation mode: ``"aabb"`` drops every entry whose box
-        intersects the delta's dirty AABB; ``"exact"`` additionally requires
-        a moved vertex's old or new position inside the entry's box (tighter,
-        still exact, costs O(entries x moved) vectorised).
     """
 
-    def __init__(
-        self,
-        max_entries: int = 2048,
-        quantum: float = 1e-9,
-        membership: str = "aabb",
-    ) -> None:
+    def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES) -> None:
         if max_entries <= 0:
             raise QueryError("max_entries must be positive")
-        if not (quantum > 0.0 and np.isfinite(quantum)):
-            raise QueryError("quantum must be positive and finite")
-        if membership not in MEMBERSHIP_MODES:
-            raise QueryError(
-                f"membership must be one of {MEMBERSHIP_MODES}, got {membership!r}"
-            )
         self.max_entries = max_entries
-        self.quantum = quantum
-        self.membership = membership
         self._entries: OrderedDict[tuple, _Entry] = OrderedDict()
+        self._by_row: dict[int, _Entry] = {}
+        self._boxes = BoxSet()
         self._lock = threading.Lock()
         self._stats = CacheStats()
 
     # ------------------------------------------------------------------
     # lookup / store
     # ------------------------------------------------------------------
-    def _key(self, box: Box3D) -> tuple:
-        q = self.quantum
+    @staticmethod
+    def _key(box: Box3D) -> tuple:
+        q = QUANTUM
         lo, hi = box.lo, box.hi
         return (
             int(round(lo[0] / q)), int(round(lo[1] / q)), int(round(lo[2] / q)),
@@ -177,14 +160,12 @@ class QueryResultCache:
         key = self._key(box)
         with self._lock:
             entry = self._entries.get(key)
-            if (
-                entry is not None
-                and np.array_equal(entry.lo, box.lo)
-                and np.array_equal(entry.hi, box.hi)
-            ):
-                self._entries.move_to_end(key)
-                self._stats.hits += 1
-                return entry.vertex_ids
+            if entry is not None:
+                lo, hi = self._boxes.corners(entry.row)
+                if np.array_equal(lo, box.lo) and np.array_equal(hi, box.hi):
+                    self._entries.move_to_end(key)
+                    self._stats.hits += 1
+                    return entry.vertex_ids
             self._stats.misses += 1
             return None
 
@@ -193,34 +174,38 @@ class QueryResultCache:
         cacheable and are silently ignored."""
         if not result.complete:
             return
-        entry = _Entry(
-            box.lo.copy(), box.hi.copy(), np.asarray(result.vertex_ids, dtype=np.int64)
-        )
         key = self._key(box)
+        vertex_ids = np.asarray(result.vertex_ids, dtype=np.int64)
         with self._lock:
-            self._entries[key] = entry
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
+            stale = self._entries.pop(key, None)
+            if stale is not None:
+                self._forget(stale)
+            while len(self._entries) >= self.max_entries:
+                self._forget(self._entries.popitem(last=False)[1])
                 self._stats.evictions += 1
+            entry = _Entry(key, self._boxes.add(box), vertex_ids)
+            self._entries[key] = entry
+            self._by_row[entry.row] = entry
+
+    def _forget(self, entry: _Entry) -> None:
+        """Release an entry already popped from the LRU map."""
+        del self._by_row[entry.row]
+        self._boxes.discard(entry.row)
 
     # ------------------------------------------------------------------
     # invalidation
     # ------------------------------------------------------------------
-    def _corner_arrays(self) -> tuple[list, np.ndarray, np.ndarray]:
-        keys = list(self._entries)
-        los = np.stack([self._entries[k].lo for k in keys])
-        his = np.stack([self._entries[k].hi for k in keys])
-        return keys, los, his
-
-    def _drop(self, keys: list, mask: np.ndarray) -> int:
-        dropped = 0
-        for key, hit in zip(keys, mask):
-            if hit:
-                del self._entries[key]
-                dropped += 1
-        self._stats.invalidations += dropped
-        return dropped
+    def _invalidate(self, delta: "DeformationDelta | TopologyDelta") -> int:
+        with self._lock:
+            rows, whole = self._boxes.affected(delta)
+            if whole:
+                return self._flush_locked()
+            for row in rows.tolist():
+                entry = self._by_row[row]
+                del self._entries[entry.key]
+                self._forget(entry)
+            self._stats.invalidations += rows.size
+            return int(rows.size)
 
     def invalidate_deformation(self, delta: "DeformationDelta") -> int:
         """Drop entries a deformation step may have changed; returns the count.
@@ -228,62 +213,28 @@ class QueryResultCache:
         Zero-moved rest steps keep every entry live; ``full()`` deltas (and
         sparse deltas missing their dirty AABB) flush everything.
         """
-        if delta.is_full:
-            return self.flush()
-        if delta.n_moved == 0:
-            return 0
-        if delta.dirty_box is None:
-            return self.flush()
-        with self._lock:
-            if not self._entries:
-                return 0
-            keys, los, his = self._corner_arrays()
-            stale = np.all(los <= delta.dirty_box.hi, axis=1) & np.all(
-                his >= delta.dirty_box.lo, axis=1
-            )
-            if self.membership == "exact" and np.any(stale):
-                moved = [
-                    np.asarray(pts, dtype=np.float64)
-                    for pts in (delta.old_positions, delta.new_positions)
-                    if pts is not None and np.asarray(pts).size
-                ]
-                if moved:
-                    points = np.concatenate(moved, axis=0)
-                    candidates = np.nonzero(stale)[0]
-                    touched = points_in_boxes(
-                        points, los[candidates], his[candidates]
-                    ).any(axis=1)
-                    stale[candidates] = touched
-            return self._drop(keys, stale)
+        return self._invalidate(delta)
 
     def invalidate_topology(self, delta: "TopologyDelta") -> int:
         """Drop entries a restructuring step may have changed; returns the count.
 
-        Conservative dirty-AABB intersection only: connectivity changes alter
-        crawl reachability inside the dirty region, which a per-vertex
-        membership test cannot bound, so there is no ``"exact"`` tightening
-        on this path.
+        Connectivity changes alter crawl reachability inside the dirty
+        region, so every entry whose box meets the dirty AABB drops.
         """
-        if delta.is_empty:
-            return 0
-        if delta.is_full or delta.dirty_box is None:
-            return self.flush()
-        with self._lock:
-            if not self._entries:
-                return 0
-            keys, los, his = self._corner_arrays()
-            stale = np.all(los <= delta.dirty_box.hi, axis=1) & np.all(
-                his >= delta.dirty_box.lo, axis=1
-            )
-            return self._drop(keys, stale)
+        return self._invalidate(delta)
 
     def flush(self) -> int:
         """Drop every entry (full deltas, repartitions, prepare)."""
         with self._lock:
-            dropped = len(self._entries)
-            self._entries.clear()
-            self._stats.flushes += 1
-            return dropped
+            return self._flush_locked()
+
+    def _flush_locked(self) -> int:
+        dropped = len(self._entries)
+        self._entries.clear()
+        self._by_row.clear()
+        self._boxes.clear()
+        self._stats.flushes += 1
+        return dropped
 
     # ------------------------------------------------------------------
     # accounting
@@ -305,18 +256,12 @@ class QueryResultCache:
             return stats
 
     def memory_bytes(self) -> int:
-        """Bytes held by cached corner arrays and result ids."""
+        """Bytes held by cached corner rows and result ids."""
         with self._lock:
-            return sum(
-                e.lo.nbytes + e.hi.nbytes + e.vertex_ids.nbytes
-                for e in self._entries.values()
+            return self._boxes.memory_bytes() + sum(
+                e.vertex_ids.nbytes for e in self._entries.values()
             )
 
     def describe(self) -> dict:
         with self._lock:
-            return {
-                "entries": len(self._entries),
-                "max_entries": self.max_entries,
-                "quantum": self.quantum,
-                "membership": self.membership,
-            }
+            return {"entries": len(self._entries), "max_entries": self.max_entries}

@@ -30,10 +30,32 @@ from ..core.delta import DeformationDelta, TopologyDelta
 from ..core.executor import ExecutionStrategy, StrategyWrapper
 from ..core.resilience import check_query_box, check_query_boxes
 from ..core.result import QueryResult
+from ..errors import ReproError
 from ..mesh import Box3D, PolyhedralMesh
-from .result_cache import CacheStats, QueryResultCache
+from .result_cache import DEFAULT_MAX_ENTRIES, CacheStats, QueryResultCache
 
-__all__ = ["CachingStrategy"]
+__all__ = ["CachingStrategy", "cache_capacity"]
+
+
+def cache_capacity(caching: bool | int | None, error: type[ReproError]) -> int | None:
+    """The ``max_entries`` a ``caching=`` option asks for; ``None`` means no cache.
+
+    ``True`` takes the default capacity and an ``int`` names it.  Anything
+    else raises ``error``: ``build_strategy`` adopts a ready
+    :class:`QueryResultCache` before asking, but the sharded service cannot,
+    because its per-shard caches hold shard-local ids.
+    """
+    if caching is None or caching is False:
+        return None
+    if caching is True:
+        return DEFAULT_MAX_ENTRIES
+    if isinstance(caching, int):
+        return caching
+    shared = isinstance(caching, QueryResultCache)
+    raise error(
+        f"caching must be True or an int (max_entries), got {caching!r}"
+        + (" (per-shard caches cannot share one QueryResultCache)" if shared else "")
+    )
 
 
 class CachingStrategy(StrategyWrapper):
@@ -45,10 +67,9 @@ class CachingStrategy(StrategyWrapper):
         The strategy (or wrapper stack) that answers cache misses.
     cache:
         An existing :class:`~repro.cache.QueryResultCache` to adopt;
-        ``None`` builds one from the keyword arguments below.
-    max_entries / quantum / membership:
-        Forwarded to :class:`~repro.cache.QueryResultCache` when ``cache``
-        is ``None``.
+        ``None`` builds one holding ``max_entries`` answers.
+    max_entries:
+        Capacity of the cache built when ``cache`` is ``None``.
 
     The wrapper registers under ``cached-<inner name>`` so a simulation can
     run the cached and fresh variants of one strategy side by side (the
@@ -61,14 +82,10 @@ class CachingStrategy(StrategyWrapper):
         inner: ExecutionStrategy,
         cache: QueryResultCache | None = None,
         *,
-        max_entries: int = 2048,
-        quantum: float = 1e-9,
-        membership: str = "aabb",
+        max_entries: int = DEFAULT_MAX_ENTRIES,
     ) -> None:
         super().__init__(inner)
-        self.cache = cache if cache is not None else QueryResultCache(
-            max_entries=max_entries, quantum=quantum, membership=membership
-        )
+        self.cache = cache if cache is not None else QueryResultCache(max_entries)
         self.name = f"cached-{inner.name}"
 
     # -- lifecycle ------------------------------------------------------

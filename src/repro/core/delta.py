@@ -40,6 +40,11 @@ The two contracts the sparse fast paths rely on:
 * new vertices are only ever **appended** — a split's centroids occupy the id
   range ``[n_before, n_after)``, so position indexes can treat additions as a
   tail splice.
+
+Consumers that key answers on query boxes (the result cache, the standing
+registry) ask one question of every delta: which of my boxes can its change
+have reached?  :class:`BoxSet` holds such boxes and answers it with
+:meth:`BoxSet.affected`, the one decision table over both delta kinds.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ import numpy as np
 from ..errors import SimulationError
 from ..mesh import Box3D
 
-__all__ = ["DeformationDelta", "TopologyDelta"]
+__all__ = ["BoxSet", "DeformationDelta", "TopologyDelta"]
 
 
 class DeformationDelta:
@@ -142,6 +147,11 @@ class DeformationDelta:
     def is_full(self) -> bool:
         """True on the whole-mesh fast path (no explicit moved set)."""
         return self.moved_ids is None
+
+    @property
+    def is_empty(self) -> bool:
+        """True when no vertex moved (maintenance can be skipped)."""
+        return self.moved_ids is not None and self.moved_ids.size == 0
 
     @property
     def n_moved(self) -> int:
@@ -315,3 +325,101 @@ class TopologyDelta:
                 f"+{self.n_cells_added}/-{self.n_cells_removed}c]"
             )
         return f"TopologyDelta({shape}, n_vertices={self.n_vertices})"
+
+
+class BoxSet:
+    """Closed axis-aligned boxes as growable corner rows with stable handles.
+
+    :meth:`add` returns a row number that names its box until
+    :meth:`discard` frees it; freed rows are handed out again by later adds,
+    and :meth:`clear` frees every row.  :meth:`overlap` is the one
+    closed-box overlap test over the live rows and :meth:`affected` the one
+    answer to "which boxes can this delta have changed?".  Not thread-safe:
+    owners serialise access under their own lock.
+    """
+
+    __slots__ = ("_los", "_his", "_live", "_size", "_free")
+
+    def __init__(self) -> None:
+        self._los = np.empty((0, 3), dtype=np.float64)
+        self._his = np.empty((0, 3), dtype=np.float64)
+        self._live = np.zeros(0, dtype=bool)
+        self._size = 0  # rows ever handed out since the last clear
+        self._free: list[int] = []
+
+    def __len__(self) -> int:
+        return self._size - len(self._free)
+
+    def add(self, box: Box3D) -> int:
+        """Store ``box``; returns its row."""
+        if self._free:
+            row = self._free.pop()
+        else:
+            row = self._size
+            if row == self._live.size:
+                grow = max(8, row)
+                self._los = np.concatenate([self._los, np.empty((grow, 3))])
+                self._his = np.concatenate([self._his, np.empty((grow, 3))])
+                self._live = np.concatenate([self._live, np.zeros(grow, dtype=bool)])
+            self._size += 1
+        self._los[row] = box.lo
+        self._his[row] = box.hi
+        self._live[row] = True
+        return row
+
+    def discard(self, row: int) -> None:
+        """Free ``row`` for reuse by a later :meth:`add`."""
+        self._live[row] = False
+        self._free.append(row)
+
+    def clear(self) -> None:
+        """Free every row; the next add returns row 0 again."""
+        self._live[: self._size] = False
+        self._size = 0
+        self._free.clear()
+
+    def corners(self, rows: np.ndarray | int) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(lo, hi)`` corners of ``rows``."""
+        return self._los[rows], self._his[rows]
+
+    def rows(self) -> np.ndarray:
+        """Every live row, ascending."""
+        return np.nonzero(self._live[: self._size])[0]
+
+    def overlap(self, los: np.ndarray, his: np.ndarray) -> np.ndarray:
+        """``(n_boxes, n_rows)`` bool: closed box ``i`` meets the box of row ``j``.
+
+        Touching counts: a point on a shared face lies in both closed boxes.
+        Columns run over every row handed out; freed rows never overlap.
+        """
+        size = self._size
+        meets = np.all(
+            (los[:, None, :] <= self._his[None, :size])
+            & (his[:, None, :] >= self._los[None, :size]),
+            axis=2,
+        )
+        return meets & self._live[:size]
+
+    def affected(self, delta: DeformationDelta | TopologyDelta) -> tuple[np.ndarray, bool]:
+        """The rows whose box ``delta`` can have changed, and whether that is all.
+
+        * an empty delta changed nothing: no rows;
+        * a full delta, or one without a dirty AABB, gives no region to narrow
+          by: every live row, and ``True``;
+        * otherwise the rows whose box meets the dirty AABB, an abutting box
+          included.  The AABB covers every position a moved or dirty vertex
+          had before and after the step, so a box that misses it gained no
+          vertex and lost none.
+        """
+        if delta.is_full:
+            return self.rows(), True
+        if delta.is_empty:
+            return np.empty(0, dtype=np.int64), False
+        if delta.dirty_box is None:
+            return self.rows(), True
+        dirty = delta.dirty_box
+        return np.nonzero(self.overlap(dirty.lo[None], dirty.hi[None])[0])[0], False
+
+    def memory_bytes(self) -> int:
+        """Bytes held by the corner rows and the live mask."""
+        return int(self._los.nbytes + self._his.nbytes + self._live.nbytes)

@@ -41,7 +41,7 @@ loops re-check the arena epoch every round and raise
 mid-query (the signature of a second thread sharing the arena), and
 executors route concurrent callers onto distinct arenas through
 :class:`ThreadLocalScratch`, which lazily grows one :class:`CrawlScratch`
-per worker thread.
+per calling thread.
 """
 
 from __future__ import annotations
@@ -363,8 +363,8 @@ class ThreadLocalScratch:
 
     A :class:`CrawlScratch` is strictly single-owner — its epoch trick is a
     read-modify-write on shared arrays — so an executor that may be queried
-    from several threads (the sharded query service fans work out across a
-    pool) must hand each thread its own arena.  This holder does exactly
+    from several threads (the sharded query service serves concurrent client
+    threads) must hand each thread its own arena.  This holder does exactly
     that: :meth:`get` returns the calling thread's scratch, creating it on
     first use, and keeps a registry of every arena created so memory
     accounting still sees the whole footprint.

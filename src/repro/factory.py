@@ -30,6 +30,7 @@ from .baselines import (
     ThrowawayOctreeExecutor,
 )
 from .cache import CachingStrategy, QueryResultCache
+from .cache.strategy import cache_capacity
 from .core import OctopusConExecutor, OctopusExecutor, QueryBudget, ResilientStrategy
 from .core.executor import ExecutionStrategy
 from .errors import ExperimentError
@@ -65,7 +66,7 @@ def make_strategy(name: str, **kwargs) -> ExecutionStrategy:
 def build_strategy(
     name: str,
     *,
-    caching: bool | int | dict | QueryResultCache | None = None,
+    caching: bool | int | QueryResultCache | None = None,
     resilience: bool | str | None = None,
     budget: QueryBudget | None = None,
     standing: bool | Sequence | StandingQueryRegistry | None = None,
@@ -79,9 +80,7 @@ def build_strategy(
         A report name from :data:`STRATEGY_FACTORIES`.
     caching:
         ``True`` wraps in a :class:`~repro.cache.CachingStrategy` with
-        defaults; an ``int`` sets the cache's ``max_entries``; a ``dict`` is
-        forwarded as :class:`~repro.cache.QueryResultCache` keyword arguments
-        (``max_entries``/``quantum``/``membership``); an existing
+        defaults; an ``int`` sets the cache's ``max_entries``; an existing
         :class:`~repro.cache.QueryResultCache` is adopted as-is.
     resilience:
         ``True`` wraps in a :class:`~repro.core.ResilientStrategy`;
@@ -110,20 +109,12 @@ def build_strategy(
                 f"resilience must be True or 'paranoid', got {resilience!r}"
             )
         strategy = ResilientStrategy(strategy, paranoid=resilience == "paranoid")
-    if caching is not None and caching is not False:
-        if isinstance(caching, QueryResultCache):
-            strategy = CachingStrategy(strategy, cache=caching)
-        elif isinstance(caching, dict):
-            strategy = CachingStrategy(strategy, **caching)
-        elif caching is True:
-            strategy = CachingStrategy(strategy)
-        elif isinstance(caching, int):
-            strategy = CachingStrategy(strategy, max_entries=caching)
-        else:
-            raise ExperimentError(
-                "caching must be True, an int (max_entries), a kwargs dict or "
-                f"a QueryResultCache, got {caching!r}"
-            )
+    if isinstance(caching, QueryResultCache):
+        strategy = CachingStrategy(strategy, cache=caching)
+    else:
+        max_entries = cache_capacity(caching, ExperimentError)
+        if max_entries is not None:
+            strategy = CachingStrategy(strategy, max_entries=max_entries)
     if standing is not None and standing is not False:
         paranoid = resilience == "paranoid"
         if isinstance(standing, StandingQueryRegistry):

@@ -144,14 +144,28 @@ class PolyhedralMesh:
     # ------------------------------------------------------------------
     # geometry updates (deformation)
     # ------------------------------------------------------------------
-    def set_positions(self, positions: np.ndarray) -> None:
-        """Overwrite all vertex positions in place (mesh deformation)."""
+    def set_positions(
+        self, positions: np.ndarray, vertex_ids: np.ndarray | None = None
+    ) -> None:
+        """Overwrite vertex positions in place (mesh deformation).
+
+        Without ``vertex_ids`` every position is replaced; with them only
+        those vertices move, to the aligned ``(k, 3)`` rows of ``positions``.
+        """
         pos = np.asarray(positions, dtype=np.float64)
-        if pos.shape != self._vertices.shape:
-            raise MeshError(
-                f"positions shape {pos.shape} does not match mesh {self._vertices.shape}"
-            )
-        self._vertices[...] = pos
+        if vertex_ids is None:
+            if pos.shape != self._vertices.shape:
+                raise MeshError(
+                    f"positions shape {pos.shape} does not match mesh {self._vertices.shape}"
+                )
+            self._vertices[...] = pos
+        else:
+            ids = np.asarray(vertex_ids, dtype=np.int64)
+            if ids.ndim != 1 or pos.shape != (ids.size, 3):
+                raise MeshError("set_positions needs (k,) vertex ids and (k, 3) positions")
+            if ids.size and (ids.min() < 0 or ids.max() >= self.n_vertices):
+                raise MeshError("set_positions vertex ids out of range")
+            self._vertices[ids] = pos
         self.geometry_version += 1
 
     def displace(self, displacement: np.ndarray) -> None:

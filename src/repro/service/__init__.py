@@ -2,9 +2,10 @@
 
 The production-shaped layer over the single-threaded query engine: the mesh
 is cut into Hilbert-contiguous shards (:mod:`repro.service.partition`),
-each served by its own execution strategy on a worker-thread pool, behind a
-front-end that routes boxes to overlapping shards and merges per-shard
-results (:mod:`repro.service.service`).  A seeded mixed
+each served by its own execution strategy, behind a front-end that routes
+boxes to the shards that can hold results, runs each shard's sub-batch on
+the caller's thread and merges per-shard results
+(:mod:`repro.service.service`).  A seeded mixed
 query/deformation load generator (:mod:`repro.service.traffic`) drives it
 for the throughput/latency benchmarks.  See ``docs/service.md``.
 """

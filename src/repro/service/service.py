@@ -4,11 +4,11 @@
 to: it cuts the mesh into K Hilbert-contiguous shards
 (:func:`~repro.service.partition.partition_mesh`), runs one
 :class:`~repro.core.executor.ExecutionStrategy` per shard, routes each
-query box to the shards whose bounding box it overlaps, fans the routed
-work out across a worker-thread pool through each shard's fused
-``query_many`` path (the NumPy crawl/walk/gather kernels release the GIL,
-so shards genuinely overlap), and merges the per-shard results back into
-ordinary :class:`~repro.core.result.QueryResult`\\ s.
+query box to the shards that can hold vertices inside it, hands every
+routed shard its boxes as one fused ``query_many`` sub-batch on the
+caller's thread, and merges the per-shard results back into ordinary
+:class:`~repro.core.result.QueryResult`\\ s.  Single queries, standing
+subscriptions and their re-queries take the same path.
 
 Merge semantics
 ---------------
@@ -22,7 +22,7 @@ of "work this query caused", which now includes the overlap band being
 visited once per owning shard; per-phase times are summed the same way,
 and ``complete`` is the conjunction.  Merged output is a pure function of
 the per-shard results, which are pure functions of mesh state — so results
-are bit-identical however many threads carry the work.
+are bit-identical however many client threads ask.
 
 Concurrency contract
 --------------------
@@ -39,14 +39,15 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from typing import Callable, Sequence
 
 import numpy as np
 
 from ..cache import CacheStats, CachingStrategy
+from ..cache.strategy import cache_capacity
 from ..core import DeformationDelta, OctopusExecutor, QueryCounters, QueryResult, TopologyDelta
+from ..core.delta import BoxSet
 from ..core.executor import ExecutionStrategy
 from ..core.resilience import check_query_box, check_query_boxes
 from ..errors import SimulationError
@@ -55,29 +56,6 @@ from ..standing import MembershipUpdate, StandingQueryRegistry, StandingStats
 from .partition import MeshShard, partition_mesh
 
 __all__ = ["ShardedQueryService"]
-
-
-def _normalize_caching(caching: bool | int | dict | None) -> dict | None:
-    """Per-shard cache configuration -> CachingStrategy keyword arguments.
-
-    ``None``/``False`` disables caching; ``True`` uses the defaults; an
-    ``int`` bounds each shard cache's entries; a ``dict`` is forwarded
-    verbatim.  A shared :class:`~repro.cache.QueryResultCache` instance is
-    rejected: shard caches hold shard-*local* vertex ids, so one store
-    cannot serve several shards.
-    """
-    if caching is None or caching is False:
-        return None
-    if caching is True:
-        return {}
-    if isinstance(caching, dict):
-        return dict(caching)
-    if isinstance(caching, int):
-        return {"max_entries": caching}
-    raise SimulationError(
-        "caching must be True, an int (max_entries) or a kwargs dict; "
-        f"got {caching!r} (per-shard caches cannot share one QueryResultCache)"
-    )
 
 
 class _RoutingGrid:
@@ -212,27 +190,23 @@ class ShardedQueryService(ExecutionStrategy):
         shard).  Defaults to :class:`~repro.core.OctopusExecutor`.
     n_shards:
         Target shard count (clamped to the cell count at prepare time).
-    max_workers:
-        Worker threads in the fan-out pool (default: the shard count).
     hilbert_bits:
         Curve resolution handed to the partitioner.
     caching:
         Wrap every shard strategy in a
         :class:`~repro.cache.CachingStrategy`: ``True`` with defaults, an
-        ``int`` for ``max_entries``, a ``dict`` of
-        :class:`~repro.cache.QueryResultCache` keyword arguments.  Each
-        shard owns a private cache holding *local* vertex ids, so sliced
-        deltas invalidate only the owning shard's entries and a repartition
-        flushes every cache (shard strategies are re-prepared).
+        ``int`` for ``max_entries``.  Each shard owns a private cache
+        holding *local* vertex ids, so sliced deltas invalidate only the
+        owning shard's entries and a repartition flushes every cache (shard
+        strategies are re-prepared).
     """
 
     def __init__(
         self,
         strategy_factory: Callable[[], ExecutionStrategy] | None = None,
         n_shards: int = 4,
-        max_workers: int | None = None,
         hilbert_bits: int = 10,
-        caching: bool | int | dict | None = None,
+        caching: bool | int | None = None,
     ) -> None:
         if n_shards < 1:
             raise SimulationError(f"n_shards must be at least 1, got {n_shards}")
@@ -240,14 +214,12 @@ class ShardedQueryService(ExecutionStrategy):
         self.strategy_factory = strategy_factory or OctopusExecutor
         self.requested_shards = n_shards
         self.hilbert_bits = hilbert_bits
-        self._max_workers = max_workers
-        self._cache_kwargs = _normalize_caching(caching)
+        self._cache_entries = cache_capacity(caching, SimulationError)
         self._shards: list[MeshShard] = []
         self._strategies: list[ExecutionStrategy] = []
-        self._shard_los = np.empty((0, 3), dtype=np.float64)
-        self._shard_his = np.empty((0, 3), dtype=np.float64)
+        #: shard bounds, row k for shard k: the AABB term of the routing
+        self._shard_bounds = BoxSet()
         self._routing_grid = _RoutingGrid()
-        self._pool: ThreadPoolExecutor | None = None
         self._lock = _ReadWriteLock()
         #: number of full repartitions forced by restructuring events
         self.n_repartitions = 0
@@ -262,8 +234,8 @@ class ShardedQueryService(ExecutionStrategy):
     # ------------------------------------------------------------------
     def _make_shard_strategy(self) -> ExecutionStrategy:
         strategy = self.strategy_factory()
-        if self._cache_kwargs is not None:
-            strategy = CachingStrategy(strategy, **self._cache_kwargs)
+        if self._cache_entries is not None:
+            strategy = CachingStrategy(strategy, max_entries=self._cache_entries)
         return strategy
 
     @property
@@ -297,15 +269,10 @@ class ShardedQueryService(ExecutionStrategy):
         return len(self._shards)
 
     def prepare(self, mesh: PolyhedralMesh) -> float:
-        """Partition the mesh, build one strategy per shard, start the pool."""
+        """Partition the mesh and build one prepared strategy per shard."""
         start = time.perf_counter()
         self._mesh = mesh
         self._build_shards()
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self._max_workers or max(1, len(self._shards)),
-                thread_name_prefix="repro-shard",
-            )
         self.preprocessing_time = time.perf_counter() - start
         return self.preprocessing_time
 
@@ -324,32 +291,31 @@ class ShardedQueryService(ExecutionStrategy):
         self._refresh_routing()
 
     def _refresh_routing(self) -> None:
-        self._shard_los = np.stack([shard.bounds.lo for shard in self._shards])
-        self._shard_his = np.stack([shard.bounds.hi for shard in self._shards])
+        self._shard_bounds.clear()
+        for shard in self._shards:
+            self._shard_bounds.add(shard.bounds)
         self._routing_grid.rebuild(self._shards)
 
     def warm(self) -> float:
-        """Force every shard's lazily built structures now, in parallel.
+        """Force every shard's lazily built structures now.
 
         The crawl builds a shard's CSR adjacency on first use; in a serving
         context that cost belongs in preprocessing, not in some unlucky
         first request's latency.  Charged to :attr:`preprocessing_time`.
         """
         start = time.perf_counter()
-        if self._pool is not None and len(self._shards) > 1:
-            list(self._pool.map(lambda shard: shard.mesh.adjacency, self._shards))
-        else:
-            for shard in self._shards:
-                shard.mesh.adjacency  # noqa: B018 - building the lazy CSR is the point
+        for shard in self._shards:
+            shard.mesh.adjacency  # noqa: B018 - building the lazy CSR is the point
         elapsed = time.perf_counter() - start
         self.preprocessing_time += elapsed
         return elapsed
 
     def close(self) -> None:
-        """Shut down the worker pool (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        """Release the service; a no-op, since it holds no threads or handles.
+
+        Kept, with the context manager, so callers may scope a service
+        without knowing what it owns.
+        """
 
     def __enter__(self) -> "ShardedQueryService":
         return self
@@ -369,12 +335,9 @@ class ShardedQueryService(ExecutionStrategy):
         cannot contain results.  The AABB term handles boxes that clip to
         border grid cells from far outside the mesh.
         """
-        aabb = np.all(
-            (los[:, None, :] <= self._shard_his[None, :, :])
-            & (his[:, None, :] >= self._shard_los[None, :, :]),
-            axis=2,
+        return self._shard_bounds.overlap(los, his) & self._routing_grid.overlap_matrix(
+            los, his
         )
-        return aabb & self._routing_grid.overlap_matrix(los, his)
 
     def route(self, box: Box3D) -> np.ndarray:
         """Indices of the shards that can hold vertices inside ``box``."""
@@ -440,81 +403,47 @@ class ShardedQueryService(ExecutionStrategy):
         """Answer one range query (safe to call from any thread)."""
         check_query_box(box)
         with self._lock.read():
-            return self._query_unlocked(box)
-
-    def _query_unlocked(self, box: Box3D) -> QueryResult:
-        """Route/fan-out/merge with the service lock already held.
-
-        Shared by :meth:`query` (reader side) and the standing-registry
-        evaluation inside the maintenance hooks (writer side — the
-        readers-writer lock is not reentrant, so the registry's re-queries
-        must not reacquire it).
-        """
-        routed = self.route(box)
-        if routed.size <= 1 or self._pool is None:
-            pieces = [
-                (self._shards[k], self._strategies[k].query(box)) for k in routed
-            ]
-        else:
-            futures = [
-                (k, self._pool.submit(self._strategies[k].query, box)) for k in routed
-            ]
-            pieces = [(self._shards[k], future.result()) for k, future in futures]
-        return self._merge(pieces)
-
-    def _standing_query_ids(self, box: Box3D) -> np.ndarray:
-        """The registry's query_fn: per-shard slicing + overlap-band dedup.
-
-        A subscription's re-query fans out only to the shards the routing
-        matrix says can hold members (the per-shard slice of the standing
-        work); :meth:`_merge` unions the per-shard answers back to global
-        ids, deduplicating the overlap band exactly as one-shot queries do.
-        """
-        return self._query_unlocked(box).vertex_ids
+            return self._fan_out([box])[0]
 
     def query_many(self, boxes: Sequence[Box3D]) -> list[QueryResult]:
-        """Answer a batch: route, fan out one fused sub-batch per shard, merge.
+        """Answer a batch: route, run one fused sub-batch per shard, merge.
 
         Each routed shard receives its boxes as **one** ``query_many`` call,
         so the per-shard fused walk/crawl kernels amortise exactly as they do
-        unsharded; the sub-batches run concurrently on the pool.  Failure
-        stays all-or-nothing per sub-batch, matching the executors'
+        unsharded.  Failure stays all-or-nothing, matching the executors'
         ``query_many`` contract — an exception from any shard propagates.
         """
         box_list = check_query_boxes(boxes)
         if not box_list:
             return []
         with self._lock.read():
-            los = np.stack([np.asarray(box.lo) for box in box_list])
-            his = np.stack([np.asarray(box.hi) for box in box_list])
-            # (n_boxes, n_shards) routing matrix: box i routes to shard k.
-            overlap = self._overlap_matrix(los, his)
-            per_shard: list[tuple[int, np.ndarray]] = []
-            for k in range(len(self._shards)):
-                routed = np.nonzero(overlap[:, k])[0]
-                if routed.size:
-                    per_shard.append((k, routed))
+            return self._fan_out(box_list)
 
-            def run_shard(k: int, routed: np.ndarray) -> list[QueryResult]:
-                return self._strategies[k].query_many([box_list[i] for i in routed])
+    def _fan_out(self, box_list: list[Box3D]) -> list[QueryResult]:
+        """Route, query and merge with the service lock already held.
 
-            if len(per_shard) <= 1 or self._pool is None:
-                shard_results = [(k, routed, run_shard(k, routed)) for k, routed in per_shard]
-            else:
-                futures = [
-                    (k, routed, self._pool.submit(run_shard, k, routed))
-                    for k, routed in per_shard
-                ]
-                shard_results = [(k, routed, future.result()) for k, routed, future in futures]
+        Shared by the reader side (:meth:`query`, :meth:`query_many`,
+        :meth:`subscribe`) and the standing re-queries inside the
+        maintenance hooks, which hold the writer side: the readers-writer
+        lock is not reentrant, so this path must not take it.
+        """
+        los = np.stack([box.lo for box in box_list])
+        his = np.stack([box.hi for box in box_list])
+        # (n_boxes, n_shards) routing matrix: box i routes to shard k.
+        overlap = self._overlap_matrix(los, his)
+        pieces_per_box: list[list[tuple[MeshShard, QueryResult]]] = [[] for _ in box_list]
+        for k, (shard, strategy) in enumerate(zip(self._shards, self._strategies)):
+            routed = np.nonzero(overlap[:, k])[0]
+            if not routed.size:
+                continue
+            results = strategy.query_many([box_list[i] for i in routed])
+            for box_index, result in zip(routed.tolist(), results):
+                pieces_per_box[box_index].append((shard, result))
+        return [self._merge(pieces) for pieces in pieces_per_box]
 
-            pieces_per_box: list[list[tuple[MeshShard, QueryResult]]] = [
-                [] for _ in box_list
-            ]
-            for k, routed, results in shard_results:
-                shard = self._shards[k]
-                for box_index, result in zip(routed, results):
-                    pieces_per_box[int(box_index)].append((shard, result))
-            return [self._merge(pieces) for pieces in pieces_per_box]
+    def _standing_query_ids(self, box: Box3D) -> np.ndarray:
+        """The registry's query_fn: a routed, merged query of one box."""
+        return self._fan_out([box])[0].vertex_ids
 
     # ------------------------------------------------------------------
     # standing subscriptions
@@ -523,7 +452,7 @@ class ShardedQueryService(ExecutionStrategy):
         """Register a standing query over the whole service; returns its id.
 
         The initial membership is evaluated immediately (one routed
-        fan-out), queued as an ``"initial"``
+        query), queued as an ``"initial"``
         :class:`~repro.standing.MembershipUpdate`, and kept current by every
         subsequent maintenance tick: deformation ticks update it from the
         parent delta's moved set with pure point tests, restructuring ticks
@@ -576,7 +505,7 @@ class ShardedQueryService(ExecutionStrategy):
                 shard.refresh_bounds()
             self._refresh_routing()
             # the standing tick consumes the *parent* delta (global ids);
-            # the rare re-query it needs routes per shard via the unlocked path
+            # the rare re-query it needs routes per shard via _fan_out
             self._standing.tick_deformation(delta, self._standing_query_ids, step=self._step)
         elapsed = time.perf_counter() - start
         self.maintenance_time += elapsed
@@ -594,17 +523,12 @@ class ShardedQueryService(ExecutionStrategy):
         local_ids, member = shard.local_ids_for(delta.moved_ids)
         if local_ids.size == 0:
             return DeformationDelta.empty(shard.n_vertices)
-        new_positions = (
-            delta.new_positions[member]
-            if delta.new_positions is not None
-            else parent.vertices[delta.moved_ids[member]]
-        )
-        old_positions = (
-            delta.old_positions[member]
-            if delta.old_positions is not None
-            else shard.mesh.vertices[local_ids]
-        )
-        shard.mesh.displace_at(local_ids, new_positions - shard.mesh.vertices[local_ids])
+        old_positions = shard.mesh.vertices[local_ids]
+        # copy the parent's coordinates rather than adding the motion: a + (b - a)
+        # is not b in floating point, and a drifted copy can answer a box whose
+        # face passes through the vertex differently from the parent mesh
+        new_positions = parent.vertices[delta.moved_ids[member]]
+        shard.mesh.set_positions(new_positions, local_ids)
         return DeformationDelta.sparse(
             shard.n_vertices, local_ids, old_positions, new_positions
         )
@@ -687,7 +611,7 @@ class ShardedQueryService(ExecutionStrategy):
             "maintenance_time": self.maintenance_time,
             "n_repartitions": self.n_repartitions,
         }
-        if self._cache_kwargs is not None:
+        if self._cache_entries is not None:
             record["cached"] = True
         if self._standing_used:
             record["standing"] = self._standing.describe()

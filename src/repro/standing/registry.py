@@ -17,8 +17,9 @@ hooks already consume:
 * a vertex's membership in a box can only change if the vertex appears in
   the :class:`~repro.core.delta.DeformationDelta` moved set, appears in a
   :class:`~repro.core.delta.TopologyDelta` dirty set, or the box intersects
-  the delta's dirty AABB (closed-box intersection, exactly the cache's
-  rule — an abutting box counts as intersecting);
+  the delta's dirty AABB.  Which subscriptions a tick reaches is decided by
+  :meth:`~repro.core.delta.BoxSet.affected`, the same decision the cache
+  invalidates on (closed boxes: an abutting box counts as intersecting);
 * **deformation, sparse:** for the subscriptions whose box intersects the
   dirty AABB, membership is updated by point-in-box tests on the moved
   vertices' *new* positions — ids are stable and unmoved vertices cannot
@@ -30,7 +31,7 @@ hooks already consume:
 * **full deltas** (and a missing dirty box on a non-empty delta) force a
   re-query of every subscription;
 * everything else is an O(1)-per-subscription skip: one vectorised
-  AABB-overlap test over the subscription corner arrays, no per-vertex work.
+  AABB-overlap test over the subscription corner rows, no per-vertex work.
 
 Quiet ticks therefore emit nothing; the updates a client drains are exactly
 the ticks on which its membership changed.  Bit-identical equivalence with
@@ -46,6 +47,7 @@ from typing import Callable
 
 import numpy as np
 
+from ..core.delta import BoxSet
 from ..core.resilience import check_query_box
 from ..mesh import Box3D, points_in_boxes
 
@@ -141,6 +143,8 @@ class _Subscription:
 
     sid: int
     box: Box3D
+    #: the subscription's row in the registry's BoxSet
+    row: int
     #: sorted int64 membership as of the last evaluated tick
     current: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
@@ -163,12 +167,10 @@ class StandingQueryRegistry:
         self._next_id = 1
         self._updates: list[MembershipUpdate] = []
         self._stats = StandingStats()
-        # subscription corner arrays, aligned with sorted(self._subscriptions):
-        # rebuilt on subscribe/unsubscribe so every tick's overlap test is one
-        # vectorised comparison instead of a Python loop
-        self._sids: list[int] = []
-        self._los = np.empty((0, 3), dtype=np.float64)
-        self._his = np.empty((0, 3), dtype=np.float64)
+        # subscription boxes as BoxSet rows, so every tick's overlap test is
+        # one vectorised comparison instead of a Python loop
+        self._boxes = BoxSet()
+        self._by_row: dict[int, _Subscription] = {}
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -196,9 +198,9 @@ class StandingQueryRegistry:
         with self._lock:
             sid = self._next_id
             self._next_id += 1
-            subscription = _Subscription(sid=sid, box=box)
+            subscription = _Subscription(sid=sid, box=box, row=self._boxes.add(box))
             self._subscriptions[sid] = subscription
-            self._rebuild_corners()
+            self._by_row[subscription.row] = subscription
             if query_fn is not None:
                 # _emit diffs against the empty starting membership, so the
                 # "initial" update reports entered == current
@@ -211,31 +213,19 @@ class StandingQueryRegistry:
         with self._lock:
             if sid not in self._subscriptions:
                 raise KeyError(f"unknown standing subscription id {sid}")
-            del self._subscriptions[sid]
-            self._rebuild_corners()
+            subscription = self._subscriptions.pop(sid)
+            del self._by_row[subscription.row]
+            self._boxes.discard(subscription.row)
 
     def boxes(self) -> dict[int, Box3D]:
         """Live subscriptions as ``{subscription_id: box}``."""
         with self._lock:
-            return {sid: sub.box for sid, sub in sorted(self._subscriptions.items())}
+            return {sid: sub.box for sid, sub in self._subscriptions.items()}
 
     def membership(self, sid: int) -> np.ndarray:
         """The current membership of one subscription (a copy)."""
         with self._lock:
             return self._subscriptions[sid].current.copy()
-
-    def _rebuild_corners(self) -> None:
-        self._sids = sorted(self._subscriptions)
-        if self._sids:
-            self._los = np.stack(
-                [np.asarray(self._subscriptions[s].box.lo, dtype=np.float64) for s in self._sids]
-            )
-            self._his = np.stack(
-                [np.asarray(self._subscriptions[s].box.hi, dtype=np.float64) for s in self._sids]
-            )
-        else:
-            self._los = np.empty((0, 3), dtype=np.float64)
-            self._his = np.empty((0, 3), dtype=np.float64)
 
     # ------------------------------------------------------------------
     # evaluation
@@ -279,13 +269,15 @@ class StandingQueryRegistry:
         self._stats.exited += int(exited.size)
         return True
 
-    def _intersecting(self, dirty: Box3D) -> np.ndarray:
-        """Subscription rows whose box intersects the dirty AABB (closed-box
-        rule: abutting counts, matching the cache's invalidation contract)."""
-        lo = np.asarray(dirty.lo, dtype=np.float64)
-        hi = np.asarray(dirty.hi, dtype=np.float64)
-        mask = np.all(self._los <= hi, axis=1) & np.all(self._his >= lo, axis=1)
-        return np.nonzero(mask)[0]
+    def _affected(self, delta) -> list[_Subscription] | None:
+        """The subscriptions ``delta`` can have changed, ascending by id, with
+        the skips and touches counted; ``None`` when it reaches every one."""
+        rows, whole = self._boxes.affected(delta)
+        if whole:
+            return None
+        self._stats.skips += len(self._subscriptions) - rows.size
+        self._stats.touched += rows.size
+        return sorted((self._by_row[row] for row in rows.tolist()), key=lambda sub: sub.sid)
 
     def rebase(self, query_fn: QueryFn, step: int | None = None) -> None:
         """Re-evaluate every subscription from scratch (mesh replaced/re-prepared)."""
@@ -293,8 +285,7 @@ class StandingQueryRegistry:
             if not self._subscriptions:
                 return
             self._stats.full_reevals += 1
-            for sid in self._sids:
-                subscription = self._subscriptions[sid]
+            for subscription in self._subscriptions.values():
                 self._stats.recrawls += 1
                 current = self._evaluate(subscription.box, query_fn)
                 self._emit(subscription, current, "rebase", step, recrawled=True)
@@ -312,28 +303,20 @@ class StandingQueryRegistry:
             if not self._subscriptions:
                 return
             self._stats.ticks += 1
-            if delta.is_full or (delta.n_moved and delta.dirty_box is None):
+            touched = self._affected(delta)
+            if touched is None:
                 self._reevaluate_all(query_fn, "deformation", step)
                 return
-            if delta.n_moved == 0:
-                self._stats.skips += len(self._sids)
-                return
-            rows = self._intersecting(delta.dirty_box)
-            self._stats.skips += len(self._sids) - rows.size
-            self._stats.touched += int(rows.size)
-            if rows.size == 0:
+            if not touched:
                 return
             # positional update: for moved vertices, membership after the tick
             # is exactly "new position inside the box"; everything else is
             # untouched because ids are stable and only the moved set moved
             moved_ids = delta.moved_ids
-            new_in = points_in_boxes(
-                delta.new_positions, self._los[rows], self._his[rows]
-            )
-            self._stats.moved_tests += int(rows.size) * int(moved_ids.size)
-            for row_index, row in enumerate(rows):
-                subscription = self._subscriptions[self._sids[int(row)]]
-                inside = new_in[row_index]
+            los, his = self._boxes.corners(np.array([sub.row for sub in touched]))
+            new_in = points_in_boxes(delta.new_positions, los, his)
+            self._stats.moved_tests += len(touched) * int(moved_ids.size)
+            for subscription, inside in zip(touched, new_in):
                 was_member = np.isin(moved_ids, subscription.current, assume_unique=True)
                 entered = moved_ids[inside & ~was_member]
                 exited = moved_ids[~inside & was_member]
@@ -369,26 +352,19 @@ class StandingQueryRegistry:
             if not self._subscriptions:
                 return
             self._stats.ticks += 1
-            if delta.is_empty:
-                self._stats.skips += len(self._sids)
-                return
-            if delta.is_full or delta.dirty_box is None:
+            touched = self._affected(delta)
+            if touched is None:
                 self._reevaluate_all(query_fn, "topology", step)
                 return
-            rows = self._intersecting(delta.dirty_box)
-            self._stats.skips += len(self._sids) - rows.size
-            self._stats.touched += int(rows.size)
-            for row in rows:
-                subscription = self._subscriptions[self._sids[int(row)]]
+            for subscription in touched:
                 self._stats.recrawls += 1
                 current = self._evaluate(subscription.box, query_fn)
                 self._emit(subscription, current, "topology", step, recrawled=True)
 
     def _reevaluate_all(self, query_fn: QueryFn, reason: str, step: int | None) -> None:
         self._stats.full_reevals += 1
-        self._stats.touched += len(self._sids)
-        for sid in self._sids:
-            subscription = self._subscriptions[sid]
+        self._stats.touched += len(self._subscriptions)
+        for subscription in self._subscriptions.values():
             self._stats.recrawls += 1
             current = self._evaluate(subscription.box, query_fn)
             self._emit(subscription, current, reason, step, recrawled=True)
@@ -417,12 +393,10 @@ class StandingQueryRegistry:
             return snapshot
 
     def memory_bytes(self) -> int:
-        """Bytes held in memberships and corner arrays."""
+        """Bytes held in memberships and corner rows."""
         with self._lock:
-            return int(
-                self._los.nbytes
-                + self._his.nbytes
-                + sum(sub.current.nbytes for sub in self._subscriptions.values())
+            return self._boxes.memory_bytes() + sum(
+                sub.current.nbytes for sub in self._subscriptions.values()
             )
 
     def describe(self) -> dict:

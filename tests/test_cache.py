@@ -5,7 +5,8 @@ Three layers of lockdown:
 * :class:`~repro.cache.QueryResultCache` unit behaviour — keying, LRU bounds,
   and the invalidation contract's edge cases (zero-moved rest steps keep
   entries live, ``full()`` deltas flush, boxes exactly abutting the dirty
-  AABB drop under the closed-box rule, the ``"exact"`` membership mode);
+  AABB drop under the closed-box rule), plus the
+  :class:`~repro.core.delta.BoxSet` rows and decision table underneath;
 * the :class:`~repro.cache.CachingStrategy` wrapper and the
   :func:`repro.build_strategy` composition surface;
 * cached-vs-fresh bit-identical parity for **every** registered strategy
@@ -23,6 +24,7 @@ import pytest
 
 from repro.cache import CacheStats, CachingStrategy, QueryResultCache
 from repro.core import DeformationDelta, QueryResult, ResilientStrategy, TopologyDelta
+from repro.core.delta import BoxSet
 from repro.errors import ExperimentError, QueryError, SimulationError, WorkloadError
 from repro.experiments.harness import (
     build_strategy,
@@ -90,11 +92,12 @@ class TestQueryResultCacheBasics:
         assert cache.stats().misses == 1
 
     def test_quantum_collision_is_a_miss_never_a_wrong_answer(self):
-        # a coarse quantum lands both boxes in the same hash cell; the
-        # stored-corner verification must reject the second one
-        cache = QueryResultCache(quantum=1.0)
+        # corners closer than the 1e-9 key quantum land both boxes in the
+        # same hash cell; the stored-corner verification must reject the
+        # second one
+        cache = QueryResultCache()
         stored = Box3D((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
-        colliding = Box3D((0.1, 0.0, 0.0), (1.0, 1.0, 1.0))
+        colliding = Box3D((1e-10, 0.0, 0.0), (1.0, 1.0, 1.0))
         cache.put(stored, _result([7]))
         assert cache.get(colliding) is None
         np.testing.assert_array_equal(cache.get(stored), [7])
@@ -120,10 +123,6 @@ class TestQueryResultCacheBasics:
     def test_constructor_validation(self):
         with pytest.raises(QueryError, match="max_entries"):
             QueryResultCache(max_entries=0)
-        with pytest.raises(QueryError, match="quantum"):
-            QueryResultCache(quantum=0.0)
-        with pytest.raises(QueryError, match="membership"):
-            QueryResultCache(membership="fuzzy")
 
     def test_drain_stats_resets_counters(self):
         cache = QueryResultCache()
@@ -133,13 +132,13 @@ class TestQueryResultCacheBasics:
         assert cache.stats().misses == 0
 
     def test_memory_and_describe(self):
-        cache = QueryResultCache(max_entries=8, membership="exact")
+        cache = QueryResultCache(max_entries=8)
         assert cache.memory_bytes() == 0
         cache.put(Box3D((0, 0, 0), (1, 1, 1)), _result([1, 2, 3]))
         assert cache.memory_bytes() > 0
         record = cache.describe()
         assert record["entries"] == 1
-        assert record["membership"] == "exact"
+        assert record["max_entries"] == 8
 
 
 class TestDeformationInvalidation:
@@ -189,28 +188,6 @@ class TestDeformationInvalidation:
         assert cache.invalidate_deformation(delta) == 0
         assert cache.get(separated) is not None
 
-    def test_exact_membership_keeps_entry_the_motion_missed(self):
-        # one vertex moves across the dirty AABB's diagonal; an entry box
-        # inside that AABB but away from both endpoints intersects the AABB
-        # yet contains neither old nor new position — exact mode keeps it,
-        # the default aabb mode drops it
-        delta = _sparse_delta(100, 5, (0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
-        bystander = Box3D((0.6, 0.1, 0.1), (0.9, 0.3, 0.3))
-        aabb_cache = QueryResultCache(membership="aabb")
-        aabb_cache.put(bystander, _result([1]))
-        assert aabb_cache.invalidate_deformation(delta) == 1
-        exact_cache = QueryResultCache(membership="exact")
-        exact_cache.put(bystander, _result([1]))
-        assert exact_cache.invalidate_deformation(delta) == 0
-        assert exact_cache.get(bystander) is not None
-
-    def test_exact_membership_drops_entry_containing_an_endpoint(self):
-        delta = _sparse_delta(100, 5, (0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
-        covers_new = Box3D((0.9, 0.9, 0.9), (1.1, 1.1, 1.1))
-        cache = QueryResultCache(membership="exact")
-        cache.put(covers_new, _result([1]))
-        assert cache.invalidate_deformation(delta) == 1
-
 
 class TestTopologyInvalidation:
     def test_empty_delta_keeps_entries(self):
@@ -240,6 +217,71 @@ class TestTopologyInvalidation:
         assert cache.invalidate_topology(delta) == 1
         assert cache.get(touching) is None
         assert cache.get(far) is not None
+
+
+class TestBoxSet:
+    """The rows and the one decision table under the cache and the registry."""
+
+    def test_rows_are_reused_after_discard_and_clear(self):
+        boxes = BoxSet()
+        rows = [boxes.add(Box3D.cube((float(i), 0.0, 0.0), 0.5)) for i in range(3)]
+        assert rows == [0, 1, 2]
+        boxes.discard(1)
+        assert len(boxes) == 2
+        everywhere = Box3D((-10.0, -10.0, -10.0), (10.0, 10.0, 10.0))
+        assert boxes.overlap(everywhere.lo[None], everywhere.hi[None]).tolist() == [
+            [True, False, True]
+        ]
+        replacement = Box3D.cube((9.0, 0.0, 0.0), 0.5)
+        assert boxes.add(replacement) == 1
+        lo, hi = boxes.corners(1)
+        np.testing.assert_array_equal(lo, replacement.lo)
+        np.testing.assert_array_equal(hi, replacement.hi)
+        boxes.clear()
+        assert len(boxes) == 0
+        assert boxes.rows().size == 0
+        assert boxes.add(replacement) == 0
+
+    @pytest.mark.parametrize("kind", ["deformation", "topology"])
+    def test_both_delta_kinds_get_one_decision_table(self, kind):
+        boxes = BoxSet()
+        near = boxes.add(Box3D((0.0, 0.0, 0.0), (0.15, 0.15, 0.15)))
+        dropped = boxes.add(Box3D((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)))
+        abutting = boxes.add(Box3D((0.2, 0.0, 0.0), (0.4, 0.2, 0.2)))
+        far = boxes.add(Box3D((0.8, 0.8, 0.8), (1.0, 1.0, 1.0)))
+        boxes.discard(dropped)
+        # both sparse deltas carry the dirty AABB [0.1, 0.2] x {0.1} x {0.1}
+        start, end = np.array([[0.1, 0.1, 0.1]]), np.array([[0.2, 0.1, 0.1]])
+        if kind == "deformation":
+            moved = np.array([7])
+            deltas = {
+                "empty": DeformationDelta.empty(100),
+                "full": DeformationDelta.full(100),
+                "boxless": DeformationDelta(100, moved, start, end),
+                "sparse": DeformationDelta.sparse(100, moved, start, end),
+            }
+        else:
+            dirty = np.array([7, 8])
+            positions = np.zeros((100, 3))
+            positions[dirty] = np.concatenate([start, end])
+            deltas = {
+                "empty": TopologyDelta.empty(100),
+                "full": TopologyDelta.full(100),
+                "boxless": TopologyDelta(100, dirty),
+                "sparse": TopologyDelta.sparse(100, dirty, positions),
+            }
+        decisions = {
+            shape: (rows.tolist(), whole)
+            for shape, (rows, whole) in (
+                (shape, boxes.affected(delta)) for shape, delta in deltas.items()
+            )
+        }
+        assert decisions == {
+            "empty": ([], False),
+            "full": ([near, abutting, far], True),
+            "boxless": ([near, abutting, far], True),
+            "sparse": ([near, abutting], False),
+        }
 
 
 class TestCachingStrategy:
@@ -314,10 +356,6 @@ class TestBuildStrategy:
         strategy = build_strategy("linear-scan", caching=8)
         assert isinstance(strategy, CachingStrategy)
         assert strategy.cache.max_entries == 8
-
-    def test_caching_dict_forwards_cache_kwargs(self):
-        strategy = build_strategy("linear-scan", caching={"membership": "exact"})
-        assert strategy.cache.membership == "exact"
 
     def test_caching_adopts_an_existing_cache(self):
         cache = QueryResultCache(max_entries=4)
@@ -409,24 +447,6 @@ class TestNineStrategyParity:
         rows = {row["strategy"]: row for row in cache_rows(report)}
         assert rows[f"cached-{strategy_name}"]["cache_hits"] == cached.total_cache_hits
         assert rows[strategy_name]["cached"] is False
-
-    def test_exact_membership_mode_parity(self, grid_mesh):
-        report = run_comparison(
-            grid_mesh.copy(),
-            [
-                make_strategy("octopus"),
-                build_strategy("octopus", caching={"membership": "exact"}),
-            ],
-            LocalizedPulseDeformation(
-                sparsity=0.05, amplitude=0.02, rest_every=2, seed=PARITY_SEED
-            ),
-            n_steps=4,
-            query_provider=repeated_query_provider(
-                0.02, 4, repoll_fraction=0.9, seed=PARITY_SEED
-            ),
-            validate_results=True,
-        )
-        assert report.strategies["cached-octopus"].total_cache_hits > 0
 
     def test_cached_resilient_stack_parity(self, grid_mesh):
         report = run_comparison(

@@ -80,11 +80,20 @@ class TestGeometryUpdates:
         assert mesh.vertices is original_array          # in-place overwrite
         assert np.allclose(mesh.vertices, new_positions)
         assert mesh.geometry_version == version + 1
+        # with vertex ids only those rows are overwritten
+        mesh.set_positions(np.zeros((2, 3)), np.array([0, 3]))
+        assert np.array_equal(mesh.vertices[[0, 3]], np.zeros((2, 3)))
+        assert np.array_equal(mesh.vertices[[1, 2, 4]], new_positions[[1, 2, 4]])
+        assert mesh.geometry_version == version + 2
 
     def test_set_positions_shape_mismatch(self):
         mesh = two_tet_mesh()
         with pytest.raises(MeshError):
             mesh.set_positions(np.zeros((3, 3)))
+        with pytest.raises(MeshError):
+            mesh.set_positions(np.zeros((3, 3)), np.array([0, 1]))
+        with pytest.raises(MeshError):
+            mesh.set_positions(np.zeros((1, 3)), np.array([mesh.n_vertices]))
 
     def test_displace(self):
         mesh = two_tet_mesh()

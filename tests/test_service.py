@@ -195,6 +195,32 @@ class TestMaintenance:
                 for box in workload.boxes:
                     assert service.query(box).same_vertices_as(linear.query(box))
 
+    def test_sparse_tick_copies_parent_coordinates(self, neuron_small):
+        # a surface vertex moved toward zero: adding the motion to the shard
+        # copy (a + (b - a)) lands an ulp below the parent's z, so a box whose
+        # lower face passes through the parent position missed it in the shard
+        mesh = neuron_small.copy()
+        surface = mesh.surface_vertices()
+        moved = int(surface[np.argmin(np.abs(mesh.vertices[surface, 2] - 0.0233))])
+        old = mesh.vertices[moved].copy()
+        new = np.array([old[0], old[1], 1e-9])
+        with ShardedQueryService(n_shards=2) as service:
+            service.prepare(mesh)
+            positions = mesh.vertices.copy()
+            positions[moved] = new
+            mesh.set_positions(positions)
+            ids = np.array([moved])
+            service.on_step(DeformationDelta.sparse(mesh.n_vertices, ids, old[None], new[None]))
+            for shard in service.shards:
+                np.testing.assert_array_equal(
+                    shard.mesh.vertices, mesh.vertices[shard.global_ids]
+                )
+            box = Box3D(new - np.array([1e-3, 1e-3, 0.0]), new + 1e-3)
+            for reference in (LinearScanExecutor(), OctopusExecutor()):
+                reference.prepare(mesh)
+                assert moved in reference.query(box).vertex_ids
+            assert moved in service.query(box).vertex_ids
+
     def test_full_delta_rewrites_every_shard(self, neuron_small):
         mesh = neuron_small.copy()
         with ShardedQueryService(n_shards=3) as service:

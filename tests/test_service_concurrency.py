@@ -76,6 +76,23 @@ def _replay(mesh, profile, n_shards, threaded):
     return collected
 
 
+class TestCallerThread:
+    def test_serving_starts_no_threads(self, neuron_small):
+        # shard sub-batches run on the caller's thread: preparing, warming
+        # and answering a batch routed to both shards leaves the count alone
+        before = threading.active_count()
+        service = ShardedQueryService(n_shards=2)
+        service.prepare(neuron_small.copy())
+        service.warm()
+        boxes = [neuron_small.bounding_box()] + random_query_workload(
+            neuron_small, selectivity=0.01, n_queries=8, seed=4
+        ).boxes
+        assert service.route(boxes[0]).tolist() == [0, 1]
+        results = service.query_many(boxes)
+        assert len(results) == len(boxes)
+        assert threading.active_count() == before
+
+
 class TestThreadedQueryParity:
     @pytest.mark.parametrize("seed", CHAOS_SEEDS)
     def test_threads_vs_sequential_bit_identical(self, neuron_small, seed):
