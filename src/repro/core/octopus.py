@@ -148,9 +148,12 @@ class OctopusExecutor(ExecutionStrategy):
         change lies inside them, see
         :class:`~repro.core.delta.TopologyDelta`), through the scratch's
         epoch-stamped delta arena, so the index work is proportional to the
-        event — only the mesh-side surface re-extraction remains global.  A
-        full delta falls back to the whole-surface diff, as does an index
-        more than one connectivity version behind or an *empty* delta on a
+        event.  The mesh spliced its own surface from the operation's dirty
+        ids when it was restructured (see
+        :meth:`~repro.mesh.base.PolyhedralMesh.restructure`), so no global
+        face list is rebuilt either.  A full delta falls back to the
+        whole-surface diff, as does an index more than one connectivity
+        version behind or an *empty* delta on a
         stale index (either way someone mutated connectivity outside the
         event pipeline, and those changes' membership flips can lie outside
         this event's dirty set — see :meth:`SurfaceIndex.versions_behind`).

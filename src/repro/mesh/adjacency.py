@@ -5,6 +5,11 @@ plus pointers to the vertices it shares an edge with.  :class:`AdjacencyList`
 is the NumPy analogue — two integer arrays, ``indptr`` and ``indices`` — which
 gives O(1) neighbour slicing (the crawl's inner loop) and a predictable memory
 footprint that the experiment harness can account for.
+
+The builds sort one int64 key per row instead of the rows themselves (see
+:func:`row_keys`): NumPy's row-wise ``np.unique(axis=0)`` sorts a structured
+view of the rows and is an order of magnitude slower.  The row-wise path is
+kept only where a key would pass the int64 range.
 """
 
 from __future__ import annotations
@@ -45,6 +50,98 @@ def csr_gather(
     inner = base - np.repeat(np.cumsum(counts) - counts, counts)
     return values[starts[owner] + inner], counts
 
+
+# ----------------------------------------------------------------------
+# int64 row keys
+# ----------------------------------------------------------------------
+#: a key is valid while the largest one, ``n ** width - 1``, fits in int64
+_KEY_LIMIT = 2**63
+
+
+def row_keys(rows: np.ndarray) -> tuple[np.ndarray, int] | None:
+    """One int64 key per row of a non-negative ``(m, w)`` int array, and its base.
+
+    A row is read as a ``w``-digit number in base ``n`` (one more than the
+    largest entry), so sorting the keys sorts the rows lexicographically and
+    equal keys mean equal rows.  Returns None when a key could pass the int64
+    range (``n ** w > 2**63``: edges past about 3e9 vertices, triangle faces
+    past ``2**21``, quad faces from 55,109) or an entry is negative; the
+    callers then take the row-wise path.
+    """
+    if rows.shape[0] == 0:
+        return np.empty(0, dtype=np.int64), 1
+    if rows.min() < 0:
+        return None
+    n = int(rows.max()) + 1
+    if n ** rows.shape[1] > _KEY_LIMIT:
+        return None
+    keys = rows[:, 0].astype(np.int64)
+    for column in range(1, rows.shape[1]):
+        keys *= n
+        keys += rows[:, column]
+    return keys, n
+
+
+def run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Mask of the first element of every run of equal values in a sorted 1-D array."""
+    starts = np.empty(ordered.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    return starts
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-D array in ascending order (``np.unique``).
+
+    Sorting and comparing neighbours; NumPy's 1-D ``np.unique`` takes a hash
+    path that is far slower on int64 ids.
+    """
+    ordered = np.sort(values)
+    return ordered[run_starts(ordered)]
+
+
+def sort_rows(rows: np.ndarray, unique: bool = True) -> np.ndarray:
+    """The rows of a non-negative int array in lexicographic order.
+
+    With ``unique`` repeated rows are dropped, which equals
+    ``np.unique(rows, axis=0)``.  Sorts the :func:`row_keys` and decodes them;
+    past the key bound it sorts the rows themselves.
+    """
+    keyed = row_keys(rows)
+    if keyed is None:
+        if unique:
+            return np.unique(rows, axis=0)
+        return rows[np.lexsort(rows.T[::-1])]
+    keys, n = keyed
+    keys.sort()
+    if unique:
+        keys = keys[run_starts(keys)]
+    out = np.empty((keys.size, rows.shape[1]), dtype=np.int64)
+    for column in range(rows.shape[1] - 1, 0, -1):
+        keys, out[:, column] = np.divmod(keys, n)
+    out[:, 0] = keys
+    return out
+
+
+def row_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First index and size of every group of equal rows, groups in row order.
+
+    Equals ``np.unique(rows, axis=0, return_index=True, return_counts=True)``
+    without the unique rows themselves (``rows[first]`` gives them).
+    """
+    keyed = row_keys(rows)
+    if keyed is None:
+        _, first, counts = np.unique(rows, axis=0, return_index=True, return_counts=True)
+        return first, counts
+    keys = keyed[0]
+    # An unstable argsort is a third of the stable one's cost; the smallest
+    # index of each run is the first occurrence either way.
+    order = np.argsort(keys)
+    starts = np.flatnonzero(run_starts(keys[order]))
+    first = np.minimum.reduceat(order, starts)
+    return first, np.diff(np.append(starts, keys.size))
+
+
 # Vertex-pair index offsets that enumerate the edges of the supported
 # polyhedral primitives, expressed against the cell's vertex tuple.
 _TETRAHEDRON_EDGES = (
@@ -79,8 +176,10 @@ class AdjacencyList:
     __slots__ = ("indptr", "indices", "n_vertices")
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray) -> None:
-        indptr = np.asarray(indptr, dtype=np.int64)
-        indices = np.asarray(indices, dtype=np.int64)
+        # Contiguous, so a column view of a wider array is copied out rather
+        # than gathered from (and kept alive) at its stride by every crawl.
+        indptr = np.ascontiguousarray(indptr, dtype=np.int64)
+        indices = np.ascontiguousarray(indices, dtype=np.int64)
         if indptr.ndim != 1 or indices.ndim != 1:
             raise MeshConnectivityError("indptr and indices must be 1-D arrays")
         if indptr.size == 0 or indptr[0] != 0 or indptr[-1] != indices.size:
@@ -110,28 +209,7 @@ class AdjacencyList:
             raise MeshConnectivityError("edges must be an (m, 2) array")
         if edge_arr.size and (edge_arr.min() < 0 or edge_arr.max() >= n_vertices):
             raise MeshConnectivityError("edge endpoints out of range")
-        # Drop self loops and canonicalise before deduplication.
-        keep = edge_arr[:, 0] != edge_arr[:, 1]
-        edge_arr = edge_arr[keep]
-        lo = np.minimum(edge_arr[:, 0], edge_arr[:, 1])
-        hi = np.maximum(edge_arr[:, 0], edge_arr[:, 1])
-        unique = np.unique(np.stack([lo, hi], axis=1), axis=0) if edge_arr.size else edge_arr
-        # Symmetrise: each undirected edge produces two directed entries.
-        if unique.size:
-            src = np.concatenate([unique[:, 0], unique[:, 1]])
-            dst = np.concatenate([unique[:, 1], unique[:, 0]])
-        else:
-            src = np.empty(0, dtype=np.int64)
-            dst = np.empty(0, dtype=np.int64)
-        # Canonical CSR form: each row's neighbours sorted ascending, so the
-        # CSR is a function of the edge set alone and every build of the same
-        # connectivity (and its downstream tie-breaking) is identical.
-        order = np.lexsort((dst, src))
-        src = src[order]
-        dst = dst[order]
-        counts = np.bincount(src, minlength=n_vertices)
-        indptr = np.concatenate([[0], np.cumsum(counts)])
-        return cls(indptr, dst)
+        return cls._from_directed(n_vertices, _directed(sort_rows(_lo_hi(edge_arr))))
 
     @classmethod
     def from_cells(cls, n_vertices: int, cells: np.ndarray) -> "AdjacencyList":
@@ -141,7 +219,49 @@ class AdjacencyList:
         4 (tetrahedra) or 8 (hexahedra).
         """
         edges = edges_from_cells(cells)
-        return cls.from_edges(n_vertices, edges)
+        if edges.size and (edges.min() < 0 or edges.max() >= n_vertices):
+            raise MeshConnectivityError("edge endpoints out of range")
+        return cls._from_directed(n_vertices, _directed(edges))
+
+    @classmethod
+    def _from_directed(cls, n_vertices: int, directed: np.ndarray) -> "AdjacencyList":
+        """CSR of ``(src, dst)`` rows sorted by ``src``, then ``dst``.
+
+        Canonical CSR form: each row's neighbours sorted ascending, so the
+        CSR is a function of the edge set alone and every build of the same
+        connectivity (and its downstream tie-breaking) is identical.
+        """
+        counts = np.bincount(directed[:, 0], minlength=n_vertices)
+        indptr = np.concatenate([[0], np.cumsum(counts)])
+        return cls(indptr, directed[:, 1])
+
+    def spliced(self, region: np.ndarray, cells: np.ndarray) -> "AdjacencyList":
+        """This adjacency with the rows of the ``region`` vertices rebuilt.
+
+        ``region`` is a boolean mask over the new vertex count, which may
+        extend this adjacency's (appended vertices start with empty rows);
+        ``cells`` must hold every cell that contains a region vertex.  Rows
+        outside the region are copied, so the result equals a rebuild from
+        the new cells whenever no cell that changed holds a vertex outside
+        the region (see :meth:`~repro.mesh.base.PolyhedralMesh.restructure`).
+        """
+        n_vertices = region.size
+        rows = _directed(edges_from_cells(cells))
+        rows = rows[region[rows[:, 0]]]
+        region_counts = np.bincount(rows[:, 0], minlength=n_vertices)
+        # Every new row is a slice of one source array: the old indices for
+        # kept rows, the recomputed neighbours (appended after them) for
+        # region rows.
+        counts = np.zeros(n_vertices, dtype=np.int64)
+        counts[: self.n_vertices] = np.diff(self.indptr)
+        starts = np.zeros(n_vertices, dtype=np.int64)
+        starts[: self.n_vertices] = self.indptr[:-1]
+        counts[region] = region_counts[region]
+        starts[region] = (self.indices.size + np.cumsum(region_counts) - region_counts)[region]
+        indptr = np.concatenate([[0], np.cumsum(counts)])
+        values = np.concatenate([self.indices, rows[:, 1]])
+        shift = np.repeat(starts - indptr[:-1], counts)
+        return AdjacencyList(indptr, values[np.arange(indptr[-1]) + shift])
 
     @classmethod
     def from_neighbor_lists(cls, neighbor_lists: Sequence[Iterable[int]]) -> "AdjacencyList":
@@ -208,7 +328,21 @@ def edges_from_cells(cells: np.ndarray) -> np.ndarray:
         raise MeshConnectivityError(f"unsupported cell arity {k}; expected 3, 4 or 8")
     pattern = np.asarray(_EDGE_PATTERNS[k], dtype=np.int64)
     edges = cell_arr[:, pattern]          # (m, n_edges_per_cell, 2)
-    edges = edges.reshape(-1, 2)
-    lo = np.minimum(edges[:, 0], edges[:, 1])
-    hi = np.maximum(edges[:, 0], edges[:, 1])
-    return np.unique(np.stack([lo, hi], axis=1), axis=0)
+    return sort_rows(_lo_hi(edges.reshape(-1, 2)))
+
+
+def _directed(edges: np.ndarray) -> np.ndarray:
+    """Both directions of distinct undirected edges, sorted by ``(src, dst)``.
+
+    Self loops (from cells that repeat a vertex) are dropped; the edges are
+    distinct already, so the directions are sorted without deduplicating
+    again.
+    """
+    edges = edges[edges[:, 0] != edges[:, 1]]
+    return sort_rows(np.concatenate([edges, edges[:, ::-1]]), unique=False)
+
+
+def _lo_hi(pairs: np.ndarray) -> np.ndarray:
+    """Each vertex pair as its ``(min, max)`` row."""
+    first, second = pairs[:, 0], pairs[:, 1]
+    return np.stack([np.minimum(first, second), np.maximum(first, second)], axis=1)

@@ -9,8 +9,11 @@ A mesh couples three things:
   the crawl and the surface extraction used by the surface index.
 
 Connectivity only depends on the cell array, so deforming the mesh (changing
-positions) never invalidates it; restructuring the mesh (changing cells) does,
-and :meth:`PolyhedralMesh.replace_cells` invalidates the caches accordingly.
+positions) never invalidates it; restructuring the mesh (changing cells) does.
+:meth:`PolyhedralMesh.restructure` splices the built caches around the dirty
+vertex ids the restructuring operation names, and drops them when it is given
+none (or the ids miss a changed cell); :meth:`PolyhedralMesh.replace_cells`
+always drops them.
 """
 
 from __future__ import annotations
@@ -213,7 +216,12 @@ class PolyhedralMesh:
         self._surface = None
         self.connectivity_version += 1
 
-    def restructure(self, vertices: np.ndarray, cells: np.ndarray) -> None:
+    def restructure(
+        self,
+        vertices: np.ndarray,
+        cells: np.ndarray,
+        dirty_ids: np.ndarray | None = None,
+    ) -> None:
         """Replace vertices *and* cells in place (restructuring that adds vertices).
 
         Cell splits insert new vertices, which :meth:`replace_cells` alone
@@ -231,6 +239,19 @@ class PolyhedralMesh:
         must then re-read it, which the execution strategies do in their
         ``on_restructure`` (the tree strategies re-bind explicitly, everything
         else fetches ``mesh.vertices`` per call).
+
+        ``dirty_ids`` names the vertices of every cell the operation removed
+        or added (split and remove pass their delta's dirty ids).  With them,
+        the built caches are spliced instead of dropped: the *region* is every
+        vertex of an old or new cell that touches a dirty vertex, the CSR rows
+        of region vertices are recomputed from the new cells that touch the
+        region, and the faces whose vertices all lie in the region are
+        recounted.  Both equal a rebuild bit for bit, because a vertex or face
+        outside the region belongs only to cells that touch no dirty vertex.
+        That premise is checked: unless those cells are the same rows, in the
+        same order, before and after, the caches are dropped as they are
+        without ``dirty_ids``, so a wrong dirty set costs a rebuild, never a
+        wrong cache.  An unbuilt cache stays unbuilt.
         """
         vertex_arr = np.ascontiguousarray(vertices, dtype=np.float64)
         if vertex_arr.ndim != 2 or vertex_arr.shape[1] != 3:
@@ -240,13 +261,27 @@ class PolyhedralMesh:
             raise MeshError("replacement cells have the wrong shape")
         if cell_arr.size and (cell_arr.min() < 0 or cell_arr.max() >= vertex_arr.shape[0]):
             raise MeshConnectivityError("replacement cell vertex ids out of range")
+        adjacency = surface = None
+        built = self._adjacency is not None or self._surface is not None
+        # Splicing keeps the old numbering, so the vertex count may only grow.
+        if dirty_ids is not None and built and vertex_arr.shape[0] >= self.n_vertices:
+            dirty = np.asarray(dirty_ids, dtype=np.int64)
+            if dirty.size and (dirty.min() < 0 or dirty.max() >= vertex_arr.shape[0]):
+                raise MeshError("restructure dirty ids out of range")
+            spliced = _splice_region(self._cells, cell_arr, dirty, vertex_arr.shape[0])
+            if spliced is not None:
+                region, touching = spliced
+                if self._adjacency is not None:
+                    adjacency = self._adjacency.spliced(region, touching)
+                if self._surface is not None:
+                    surface = self._surface.spliced(region, touching, cell_arr.shape[0])
         if vertex_arr.shape == self._vertices.shape:
             self._vertices[...] = vertex_arr
         else:
             self._vertices = vertex_arr
         self._cells = cell_arr
-        self._adjacency = None
-        self._surface = None
+        self._adjacency = adjacency
+        self._surface = surface
         self.connectivity_version += 1
         self.geometry_version += 1
 
@@ -322,3 +357,37 @@ class PolyhedralMesh:
         new_vertices[new_ids] = self._vertices
         new_cells = new_ids[self._cells]
         return type(self)(new_vertices, new_cells, name=self.name)
+
+
+def _splice_region(
+    old_cells: np.ndarray, new_cells: np.ndarray, dirty: np.ndarray, n_vertices: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Region mask and the new cells touching it, for splicing the caches.
+
+    Returns None when the caches cannot be spliced: either cell array is
+    empty, or the cells that touch no dirty vertex are not the same rows, in
+    the same order, before and after.  (``np.compress`` selects rows several
+    times faster than a boolean index on these arrays.)
+    """
+    if not (old_cells.size and new_cells.size):
+        return None
+    is_dirty = np.zeros(n_vertices, dtype=bool)
+    is_dirty[dirty] = True
+    old_touched = _touching(old_cells, is_dirty)
+    new_touched = _touching(new_cells, is_dirty)
+    if not np.array_equal(
+        np.compress(~old_touched, old_cells, axis=0), np.compress(~new_touched, new_cells, axis=0)
+    ):
+        return None
+    region = np.zeros(n_vertices, dtype=bool)
+    region[np.compress(old_touched, old_cells, axis=0)] = True
+    region[np.compress(new_touched, new_cells, axis=0)] = True
+    return region, np.compress(_touching(new_cells, region), new_cells, axis=0)
+
+
+def _touching(cells: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Which cells hold a vertex of the boolean vertex ``mask``."""
+    touching = mask[cells[:, 0]]
+    for column in range(1, cells.shape[1]):
+        touching |= mask[cells[:, column]]
+    return touching

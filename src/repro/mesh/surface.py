@@ -8,7 +8,9 @@ OCTOPUS's surface index keeps track of.
 
 The extraction here is purely combinatorial — it only looks at connectivity,
 never at vertex positions — which is exactly why the surface index survives
-arbitrary mesh deformation without maintenance.
+arbitrary mesh deformation without maintenance.  Faces are counted through one
+int64 key per face, its sorted vertex ids read as a base-``n`` number (see
+:func:`~repro.mesh.adjacency.row_keys`).
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import MeshConnectivityError
+from .adjacency import row_groups, row_keys, sorted_unique
 
 __all__ = ["SurfaceExtraction", "extract_surface", "cell_faces"]
 
@@ -62,6 +65,38 @@ class SurfaceExtraction:
     surface_vertices: np.ndarray
     surface_faces: np.ndarray
     n_faces_total: int
+
+    def spliced(self, region: np.ndarray, cells: np.ndarray, n_cells: int) -> "SurfaceExtraction | None":
+        """This extraction with the faces inside ``region`` recounted.
+
+        ``region`` is a boolean mask over the new vertex count and ``cells``
+        must hold every new cell that contains a region vertex; ``n_cells`` is
+        the new cell count.  Boundary faces with a vertex outside the region
+        are kept; faces whose vertices all lie inside it are recounted from
+        ``cells``.  The result equals :func:`extract_surface` of the new cells
+        whenever no cell that changed holds a vertex outside the region (see
+        :meth:`~repro.mesh.base.PolyhedralMesh.restructure`).  Returns None
+        when a recounted face is shared by more than two cells, so the caller
+        drops the cache and the next extraction raises as a rebuild would.
+        """
+        pattern = np.asarray(_FACE_PATTERNS[cells.shape[1]], dtype=np.int64)
+        faces = cells[:, pattern].reshape(-1, pattern.shape[1])
+        faces = faces[region[faces].all(axis=1)]
+        first, counts = row_groups(np.sort(faces, axis=1))
+        if np.any(counts > 2):
+            return None
+        kept = self.surface_faces[~region[self.surface_faces].all(axis=1)]
+        merged = np.concatenate([kept, faces[first[counts == 1]]])
+        # Boundary faces are distinct, so key order is one well-defined order.
+        canonical = np.sort(merged, axis=1)
+        keyed = row_keys(canonical)
+        order = np.lexsort(canonical.T[::-1]) if keyed is None else np.argsort(keyed[0])
+        merged = merged[order]
+        return SurfaceExtraction(
+            surface_vertices=sorted_unique(merged.ravel()),
+            surface_faces=merged,
+            n_faces_total=n_cells * pattern.shape[0],
+        )
 
     @property
     def n_surface_vertices(self) -> int:
@@ -110,18 +145,17 @@ def extract_surface(cells: np.ndarray) -> SurfaceExtraction:
     # Canonicalise each face by sorting its vertex ids so that the two copies
     # of a shared face compare equal regardless of orientation.
     canonical = np.sort(faces, axis=1)
-    unique_faces, first_index, counts = np.unique(
-        canonical, axis=0, return_index=True, return_counts=True
-    )
+    first_index, counts = row_groups(canonical)
     if np.any(counts > 2):
-        bad = unique_faces[counts > 2][0]
+        bad = canonical[first_index[counts > 2][0]]
         raise MeshConnectivityError(
             f"non-manifold mesh: face {bad.tolist()} is shared by more than two cells"
         )
     boundary_mask = counts == 1
-    # Report boundary faces with their original (oriented) vertex order.
+    # Report boundary faces with their original (oriented) vertex order, in
+    # the lexicographic order of their sorted vertex ids.
     surface_faces = faces[first_index[boundary_mask]]
-    surface_vertices = np.unique(surface_faces)
+    surface_vertices = sorted_unique(surface_faces.ravel())
     return SurfaceExtraction(
         surface_vertices=surface_vertices,
         surface_faces=surface_faces,

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import MeshError
+from .adjacency import sort_rows
 from .base import PolyhedralMesh
 from .tetrahedral import TetrahedralMesh
 
@@ -59,23 +60,18 @@ def validate_mesh(mesh: PolyhedralMesh) -> MeshValidationReport:
     issues: list[str] = []
 
     referenced = np.zeros(mesh.n_vertices, dtype=bool)
-    if mesh.n_cells:
-        referenced[np.unique(mesh.cells)] = True
+    referenced[mesh.cells.ravel()] = True
     n_isolated = int((~referenced).sum())
     if n_isolated:
         issues.append(f"{n_isolated} vertices are not referenced by any cell")
 
     n_duplicates = 0
-    if mesh.n_cells:
-        canonical = np.sort(mesh.cells, axis=1)
-        unique = np.unique(canonical, axis=0)
-        n_duplicates = int(mesh.n_cells - unique.shape[0])
-        if n_duplicates:
-            issues.append(f"{n_duplicates} duplicate cells")
-
     n_degenerate = 0
     if mesh.n_cells:
         sorted_cells = np.sort(mesh.cells, axis=1)
+        n_duplicates = int(mesh.n_cells - sort_rows(sorted_cells).shape[0])
+        if n_duplicates:
+            issues.append(f"{n_duplicates} duplicate cells")
         repeats = np.any(np.diff(sorted_cells, axis=1) == 0, axis=1)
         n_degenerate = int(repeats.sum())
         if n_degenerate:

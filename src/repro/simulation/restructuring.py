@@ -27,7 +27,8 @@ the incremental paths safe:
   range ``[n_before, n_after)``.
 
 The ``*_inplace`` variants apply the operation to the live simulation mesh
-(via :meth:`~repro.mesh.base.PolyhedralMesh.restructure`), which is what
+(via :meth:`~repro.mesh.base.PolyhedralMesh.restructure`, which splices the
+mesh's adjacency and surface around the operation's dirty ids), which is what
 :class:`~repro.simulation.simulator.MeshSimulation` drives through its
 ``restructuring`` schedule; :func:`periodic_restructuring` builds such a
 schedule.
@@ -57,6 +58,9 @@ __all__ = [
 #: the mesh in place and returns the step's TopologyDelta, or None when the
 #: step restructures nothing
 RestructuringSchedule = Callable[[PolyhedralMesh, int], Optional[TopologyDelta]]
+
+#: the faces of a tetrahedron; a split closes each with the cell's centroid
+_SPLIT_FACES = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
 
 
 @dataclass(frozen=True)
@@ -122,47 +126,42 @@ def split_cells(mesh: TetrahedralMesh, cell_ids: np.ndarray) -> tuple[Tetrahedra
     in-box connectivity assumption that removals can break by isolating
     vertices).  Position-index strategies are unaffected.
     """
+    ids, vertices, cells, delta = _split(mesh, cell_ids)
+    before = mesh.surface_vertices()
+    new_mesh = TetrahedralMesh(vertices, cells, name=mesh.name)
+    return new_mesh, _event("split", ids, before, new_mesh.surface_vertices(), delta)
+
+
+def _split(
+    mesh: TetrahedralMesh, cell_ids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, TopologyDelta]:
+    """Validated cell ids, new vertices, new cells and delta of a split."""
     ids = np.unique(np.asarray(cell_ids, dtype=np.int64))
     if ids.size == 0:
         raise SimulationError("split_cells needs at least one cell id")
     if ids.min() < 0 or ids.max() >= mesh.n_cells:
         raise SimulationError("cell ids out of range")
 
-    before = mesh.surface_vertices()
     centroids = mesh.vertices[mesh.cells[ids]].mean(axis=1)
     new_vertex_ids = mesh.n_vertices + np.arange(ids.size, dtype=np.int64)
     new_vertices = np.vstack([mesh.vertices, centroids])
 
     keep_mask = np.ones(mesh.n_cells, dtype=bool)
     keep_mask[ids] = False
-    kept_cells = mesh.cells[keep_mask]
+    # Each split cell becomes four: one per face, closed by the centroid.
+    faces = mesh.cells[ids][:, _SPLIT_FACES].reshape(-1, 3)
+    apexes = np.repeat(new_vertex_ids, len(_SPLIT_FACES))[:, None]
+    new_cells = np.vstack([mesh.cells[keep_mask], np.hstack([faces, apexes])])
 
-    split_cells_list = []
-    faces = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
-    for new_vertex, cell_id in zip(new_vertex_ids, ids):
-        cell = mesh.cells[cell_id]
-        for face in faces:
-            split_cells_list.append([cell[face[0]], cell[face[1]], cell[face[2]], new_vertex])
-    new_cells = np.vstack([kept_cells, np.asarray(split_cells_list, dtype=np.int64)])
-
-    new_mesh = TetrahedralMesh(new_vertices, new_cells, name=mesh.name)
     delta = TopologyDelta.sparse(
-        new_mesh.n_vertices,
+        new_vertices.shape[0],
         np.concatenate([mesh.cells[ids].ravel(), new_vertex_ids]),
-        new_mesh.vertices,
+        new_vertices,
         n_vertices_added=int(ids.size),
         n_cells_added=4 * int(ids.size),
         n_cells_removed=int(ids.size),
     )
-    event = RestructuringEvent(
-        kind="split",
-        affected_cells=ids,
-        n_new_vertices=int(ids.size),
-        surface_vertices_before=before,
-        surface_vertices_after=new_mesh.surface_vertices(),
-        delta=delta,
-    )
-    return new_mesh, event
+    return ids, new_vertices, new_cells, delta
 
 
 def remove_cells(mesh: TetrahedralMesh, cell_ids: np.ndarray) -> tuple[TetrahedralMesh, RestructuringEvent]:
@@ -178,6 +177,16 @@ def remove_cells(mesh: TetrahedralMesh, cell_ids: np.ndarray) -> tuple[Tetrahedr
     removed cell*, so its vertices belong to the removed cell too — every
     surface-membership change lies inside the dirty set.
     """
+    ids, cells, delta = _remove(mesh, cell_ids)
+    before = mesh.surface_vertices()
+    new_mesh = TetrahedralMesh(mesh.vertices.copy(), cells, name=mesh.name)
+    return new_mesh, _event("remove", ids, before, new_mesh.surface_vertices(), delta)
+
+
+def _remove(
+    mesh: TetrahedralMesh, cell_ids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, TopologyDelta]:
+    """Validated cell ids, remaining cells and delta of a removal."""
     ids = np.unique(np.asarray(cell_ids, dtype=np.int64))
     if ids.size == 0:
         raise SimulationError("remove_cells needs at least one cell id")
@@ -186,45 +195,58 @@ def remove_cells(mesh: TetrahedralMesh, cell_ids: np.ndarray) -> tuple[Tetrahedr
     if ids.size >= mesh.n_cells:
         raise SimulationError("cannot remove every cell of the mesh")
 
-    before = mesh.surface_vertices()
     keep_mask = np.ones(mesh.n_cells, dtype=bool)
     keep_mask[ids] = False
-    new_mesh = TetrahedralMesh(mesh.vertices.copy(), mesh.cells[keep_mask], name=mesh.name)
     delta = TopologyDelta.sparse(
-        new_mesh.n_vertices,
+        mesh.n_vertices,
         mesh.cells[ids].ravel(),
-        new_mesh.vertices,
+        mesh.vertices,
         n_cells_removed=int(ids.size),
     )
-    event = RestructuringEvent(
-        kind="remove",
+    return ids, mesh.cells[keep_mask], delta
+
+
+def _event(kind: str, ids: np.ndarray, before: np.ndarray, after: np.ndarray,
+           delta: TopologyDelta) -> RestructuringEvent:
+    return RestructuringEvent(
+        kind=kind,
         affected_cells=ids,
-        n_new_vertices=0,
+        n_new_vertices=int(delta.n_vertices_added),
         surface_vertices_before=before,
-        surface_vertices_after=new_mesh.surface_vertices(),
+        surface_vertices_after=after,
         delta=delta,
     )
-    return new_mesh, event
 
 
 def split_cells_inplace(mesh: TetrahedralMesh, cell_ids: np.ndarray) -> RestructuringEvent:
     """Split cells on the live mesh: :func:`split_cells` applied in place.
 
-    The mesh's vertex and cell arrays are swapped for the refined ones (via
-    :meth:`~repro.mesh.base.PolyhedralMesh.restructure`, bumping the
-    connectivity version) and the event — delta included — is returned, ready
-    to be handed to every strategy's ``on_restructure``.
+    The mesh's vertex and cell arrays are swapped for the refined ones via
+    :meth:`~repro.mesh.base.PolyhedralMesh.restructure`, which bumps the
+    connectivity version and splices the mesh's built adjacency and surface
+    around the delta's dirty ids.  The dirty ids are the operation's own,
+    taken before anyone sees (or corrupts) the delta.  The event's
+    ``surface_vertices_after`` is read from the spliced mesh, and the event
+    (delta included) is returned, ready to be handed to every strategy's
+    ``on_restructure``.
     """
-    new_mesh, event = split_cells(mesh, cell_ids)
-    mesh.restructure(new_mesh.vertices, new_mesh.cells)
-    return event
+    ids, vertices, cells, delta = _split(mesh, cell_ids)
+    before = mesh.surface_vertices()
+    mesh.restructure(vertices, cells, dirty_ids=delta.dirty_ids)
+    return _event("split", ids, before, mesh.surface_vertices(), delta)
 
 
 def remove_cells_inplace(mesh: TetrahedralMesh, cell_ids: np.ndarray) -> RestructuringEvent:
-    """Remove cells from the live mesh: :func:`remove_cells` applied in place."""
-    new_mesh, event = remove_cells(mesh, cell_ids)
-    mesh.restructure(new_mesh.vertices, new_mesh.cells)
-    return event
+    """Remove cells from the live mesh: :func:`remove_cells` applied in place.
+
+    Like :func:`split_cells_inplace`, the mesh's caches are spliced around
+    the delta's dirty ids and ``surface_vertices_after`` is read from the
+    live mesh.
+    """
+    ids, cells, delta = _remove(mesh, cell_ids)
+    before = mesh.surface_vertices()
+    mesh.restructure(mesh.vertices, cells, dirty_ids=delta.dirty_ids)
+    return _event("remove", ids, before, mesh.surface_vertices(), delta)
 
 
 def periodic_restructuring(

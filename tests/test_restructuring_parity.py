@@ -34,13 +34,19 @@ must be bounded by the full path's.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
+from seed_families import parity_seed_family
 
+import repro.mesh.base
+import repro.simulation.restructuring as restructuring
 from repro.core import OctopusConExecutor, TopologyDelta
-from repro.errors import SimulationError
+from repro.errors import MeshConnectivityError, SimulationError
 from repro.experiments.harness import make_strategy, per_step_workload_provider
-from repro.generators import structured_tetrahedral_mesh
+from repro.generators import neuron_mesh, structured_hexahedral_mesh, structured_tetrahedral_mesh
+from repro.mesh import AdjacencyList, HexahedralMesh, TriangleMesh, extract_surface
 from repro.simulation import (
     LocalizedPulseDeformation,
     MeshSimulation,
@@ -51,6 +57,8 @@ from repro.simulation import (
     split_cells_inplace,
 )
 from repro.workloads import random_query_workload
+
+PARITY_SEEDS = parity_seed_family()
 
 N_STEPS = 6
 #: steps at which the parity scenarios restructure (even steps, which for the
@@ -422,3 +430,167 @@ class TestSimulatorIntegration:
             periodic_restructuring(kind="merge")
         with pytest.raises(SimulationError):
             periodic_restructuring(n_cells=0)
+
+
+# ----------------------------------------------------------------------
+# the mesh's own caches: spliced on restructure, equal to a rebuild
+# ----------------------------------------------------------------------
+class BuildSpy:
+    """Counts the CSR builds and surface extractions the mesh runs."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.calls: list[str] = []
+        from_cells = AdjacencyList.from_cells
+
+        def counted_from_cells(cls, n_vertices, cells):
+            self.calls.append("from_cells")
+            return from_cells(n_vertices, cells)
+
+        def counted_extract_surface(cells):
+            self.calls.append("extract_surface")
+            return extract_surface(cells)
+
+        monkeypatch.setattr(AdjacencyList, "from_cells", classmethod(counted_from_cells))
+        monkeypatch.setattr(repro.mesh.base, "extract_surface", counted_extract_surface)
+
+
+#: the unspied builds, for the cold references
+cold_adjacency = AdjacencyList.from_cells
+cold_surface = extract_surface
+
+
+def assert_caches_equal_rebuild(mesh) -> None:
+    adjacency = cold_adjacency(mesh.n_vertices, mesh.cells)
+    surface = cold_surface(mesh.cells)
+    assert np.array_equal(mesh.adjacency.indptr, adjacency.indptr)
+    assert np.array_equal(mesh.adjacency.indices, adjacency.indices)
+    assert np.array_equal(mesh.surface.surface_vertices, surface.surface_vertices)
+    assert np.array_equal(mesh.surface.surface_faces, surface.surface_faces)
+    assert mesh.surface.n_faces_total == surface.n_faces_total
+
+
+class TestConnectivitySplice:
+    @pytest.mark.parametrize("seed", PARITY_SEEDS)
+    @pytest.mark.parametrize(
+        "make_mesh",
+        [lambda: neuron_mesh(14).copy(), lambda: structured_tetrahedral_mesh((5, 4, 4)).copy()],
+        ids=["neuron-14", "tet-grid"],
+    )
+    def test_inplace_restructuring_splices_bit_for_bit(self, seed, make_mesh, monkeypatch):
+        mesh = make_mesh()
+        _ = mesh.adjacency, mesh.surface
+        events = []
+
+        def recording(operation):
+            def run(mesh, cell_ids):
+                events.append(operation(mesh, cell_ids))
+                return events[-1]
+            return run
+
+        # The schedule looks both operations up in the module at call time.
+        for name in ("split_cells_inplace", "remove_cells_inplace"):
+            monkeypatch.setattr(restructuring, name, recording(getattr(restructuring, name)))
+        schedule = periodic_restructuring(every=1, kind="mixed", n_cells=6, seed=seed)
+        for step in range(1, 13):
+            with monkeypatch.context() as patch:
+                spy = BuildSpy(patch)
+                version = mesh.connectivity_version
+                delta = schedule(mesh, step)
+                assert spy.calls == []  # spliced, never rebuilt
+            assert delta is events[-1].delta and len(events) == step
+            assert mesh.connectivity_version == version + 1
+            assert_caches_equal_rebuild(mesh)
+            assert np.array_equal(
+                events[-1].surface_vertices_after, extract_surface(mesh.cells).surface_vertices
+            )
+        assert {event.kind for event in events} == {"split", "remove"}
+
+    # An offset of 55,109 unused leading vertices pushes every quad face
+    # past its int64 key bound, so the splice takes the row-wise path.  The
+    # triangle mesh is the closed surface of a tetrahedral grid.
+    @pytest.mark.parametrize(
+        "kind, offset", [("hexahedral", 0), ("hexahedral", 55_109), ("triangle", 0)]
+    )
+    def test_direct_restructure_splices(self, kind, offset, monkeypatch):
+        if kind == "hexahedral":
+            grid = structured_hexahedral_mesh((4, 3, 3))
+            mesh = HexahedralMesh(
+                np.vstack([np.zeros((offset, 3)), grid.vertices]), grid.cells + offset
+            )
+        else:
+            grid = structured_tetrahedral_mesh((3, 3, 3))
+            mesh = TriangleMesh(grid.vertices, extract_surface(grid.cells).surface_faces)
+        _ = mesh.adjacency, mesh.surface
+        cells = mesh.cells.copy()
+        removed = np.array([4, 5, 17])
+        keep = np.ones(len(cells), dtype=bool)
+        keep[removed] = False
+        # A detached copy of cell 0 on appended vertices.
+        n, arity = mesh.n_vertices, cells.shape[1]
+        copy = mesh.vertices[cells[0]] + 2.0
+        appended = n + np.arange(arity)
+        steps = [
+            (mesh.vertices, cells[keep], cells[removed].ravel()),
+            (mesh.vertices, cells, cells[removed].ravel()),
+            (np.vstack([mesh.vertices, copy]), np.vstack([cells, appended[None, :]]), appended),
+        ]
+        for vertices, new_cells, dirty in steps:
+            with monkeypatch.context() as patch:
+                spy = BuildSpy(patch)
+                mesh.restructure(vertices.copy(), new_cells, dirty_ids=dirty)
+                assert spy.calls == []
+            assert_caches_equal_rebuild(mesh)
+
+    def test_dirty_set_missing_a_changed_cell_falls_back(self, monkeypatch):
+        mesh = structured_tetrahedral_mesh((4, 4, 4)).copy()
+        _ = mesh.adjacency, mesh.surface
+        removed = np.array([10, 40])
+        keep = np.ones(mesh.n_cells, dtype=bool)
+        keep[removed] = False
+        # Only cell 10's vertices are named; cell 40 shares none of them.
+        dirty = mesh.cells[10]
+        assert not np.isin(mesh.cells[40], dirty).any()
+        spy = BuildSpy(monkeypatch)
+        mesh.restructure(mesh.vertices, mesh.cells[keep], dirty_ids=dirty)
+        assert spy.calls == []
+        assert_caches_equal_rebuild(mesh)
+        assert sorted(spy.calls) == ["extract_surface", "from_cells"]  # rebuilt lazily
+
+    def test_without_dirty_ids_caches_are_dropped(self, monkeypatch):
+        mesh = structured_tetrahedral_mesh((4, 4, 4)).copy()
+        _ = mesh.adjacency, mesh.surface
+        version = mesh.connectivity_version
+        spy = BuildSpy(monkeypatch)
+        mesh.restructure(mesh.vertices, mesh.cells[3:])
+        assert mesh.connectivity_version == version + 1
+        assert spy.calls == []
+        assert_caches_equal_rebuild(mesh)
+        assert sorted(spy.calls) == ["extract_surface", "from_cells"]
+
+    def test_unbuilt_caches_stay_unbuilt(self, monkeypatch):
+        mesh = structured_tetrahedral_mesh((4, 4, 4)).copy()
+        _ = mesh.adjacency
+        spy = BuildSpy(monkeypatch)
+        remove_cells_inplace(mesh, np.arange(3))  # reads the surface before and after
+        assert spy.calls == ["extract_surface"]
+        mesh = structured_tetrahedral_mesh((4, 4, 4)).copy()
+        _ = mesh.surface
+        spy.calls.clear()
+        remove_cells_inplace(mesh, np.arange(3))
+        assert spy.calls == []
+        assert_caches_equal_rebuild(mesh)
+        assert spy.calls == ["from_cells"]
+
+    def test_non_manifold_region_drops_the_surface(self):
+        mesh = structured_tetrahedral_mesh((3, 3, 3)).copy()
+        _ = mesh.adjacency, mesh.surface
+        # Two more copies of an interior cell put its faces in four cells.
+        cells = np.vstack([mesh.cells, mesh.cells[20:21], mesh.cells[20:21]])
+        mesh.restructure(mesh.vertices, cells, dirty_ids=mesh.cells[20])
+        with pytest.raises(MeshConnectivityError) as expected:
+            extract_surface(cells)
+        with pytest.raises(MeshConnectivityError, match=re.escape(str(expected.value))):
+            _ = mesh.surface
+        adjacency = cold_adjacency(mesh.n_vertices, cells)
+        assert np.array_equal(mesh.adjacency.indices, adjacency.indices)
+

@@ -1,10 +1,16 @@
 """Tests for repro.mesh.surface (global face list and surface extraction)."""
 
+import re
+
 import numpy as np
 import pytest
+from seed_families import parity_seed_family
 
 from repro.errors import MeshConnectivityError
+from repro.mesh.adjacency import row_keys
 from repro.mesh.surface import cell_faces, extract_surface
+
+PARITY_SEEDS = parity_seed_family()
 
 
 class TestCellFaces:
@@ -63,7 +69,10 @@ class TestExtractSurface:
     def test_non_manifold_raises(self):
         # Three tetrahedra all sharing the same face (0,1,2).
         cells = np.array([[0, 1, 2, 3], [0, 1, 2, 4], [0, 1, 2, 5]])
-        with pytest.raises(MeshConnectivityError):
+        with pytest.raises(
+            MeshConnectivityError,
+            match=r"^non-manifold mesh: face \[0, 1, 2\] is shared by more than two cells$",
+        ):
             extract_surface(cells)
 
     def test_triangle_mesh_every_vertex_on_surface(self):
@@ -94,3 +103,91 @@ class TestExtractSurface:
         assert np.array_equal(mesh.surface_vertices(), before)
         fresh = extract_surface(mesh.cells)
         assert np.array_equal(fresh.surface_vertices, before)
+
+
+# ----------------------------------------------------------------------
+# key build against the row-wise reference
+# ----------------------------------------------------------------------
+def reference_surface(cells):
+    """The row-wise extraction the key build replaced: ``np.unique(axis=0)``."""
+    faces = cell_faces(cells)
+    canonical = np.sort(faces, axis=1)
+    unique_faces, first_index, counts = np.unique(
+        canonical, axis=0, return_index=True, return_counts=True
+    )
+    if np.any(counts > 2):
+        bad = unique_faces[counts > 2][0]
+        raise MeshConnectivityError(
+            f"non-manifold mesh: face {bad.tolist()} is shared by more than two cells"
+        )
+    surface_faces = faces[first_index[counts == 1]]
+    return np.unique(surface_faces), surface_faces, int(faces.shape[0])
+
+
+def assert_same_surface(cells):
+    """The key build equals the reference, or raises the reference's error."""
+    try:
+        vertices, faces, n_faces_total = reference_surface(cells)
+    except MeshConnectivityError as expected:
+        with pytest.raises(MeshConnectivityError, match=f"^{re.escape(str(expected))}$"):
+            extract_surface(cells)
+        return
+    extraction = extract_surface(cells)
+    assert extraction.surface_vertices.dtype == vertices.dtype
+    assert np.array_equal(extraction.surface_vertices, vertices)
+    assert extraction.surface_faces.dtype == faces.dtype
+    assert np.array_equal(extraction.surface_faces, faces)
+    assert extraction.n_faces_total == n_faces_total
+
+
+def manifold_cells(rng, arity, n_vertices, n_cells):
+    """Random distinct-vertex cells plus repeats (some reordered) of a few.
+
+    Over enough vertices random faces seldom meet, so most faces occur once
+    or, in a repeated cell, twice: the counts a manifold mesh has.
+    """
+    cells = np.stack([rng.choice(n_vertices, size=arity, replace=False) for _ in range(n_cells)])
+    picks = rng.choice(n_cells, size=n_cells // 3, replace=False)
+    repeats = cells[picks[: picks.size // 2]]
+    reordered = np.roll(cells[picks[picks.size // 2:]], 1, axis=1)
+    return rng.permutation(np.vstack([cells, repeats, reordered]))
+
+
+class TestKeyBuildMatchesRowReference:
+    @pytest.mark.parametrize("seed", PARITY_SEEDS)
+    @pytest.mark.parametrize("arity", [3, 4, 8])
+    def test_random_cells(self, seed, arity):
+        rng = np.random.default_rng([seed, arity])
+        for n_vertices in (400, 3000):
+            assert_same_surface(manifold_cells(rng, arity, n_vertices, 150))
+
+    @pytest.mark.parametrize("seed", PARITY_SEEDS)
+    @pytest.mark.parametrize("arity", [3, 4, 8])
+    def test_non_manifold_message_matches(self, seed, arity):
+        rng = np.random.default_rng([seed, arity, 1])
+        cells = manifold_cells(rng, arity, 500, 60)
+        # A third copy of a cell puts each of its faces in three cells.
+        cells = np.vstack([cells, cells[:1], cells[:1]])
+        with pytest.raises(MeshConnectivityError) as expected:
+            reference_surface(cells)
+        with pytest.raises(MeshConnectivityError) as got:
+            extract_surface(cells)
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize(
+        "fixture", ["grid_mesh", "hex_mesh", "neuron_small", "earthquake_small", "delaunay_small"]
+    )
+    def test_generator_meshes(self, fixture, request):
+        assert_same_surface(request.getfixturevalue(fixture).cells)
+
+    def test_quad_faces_past_int64_take_the_row_path(self, hex_mesh):
+        # A quad-face key needs n**4 <= 2**63: vertex ids below 55,108.
+        cells = hex_mesh.cells + 55_109
+        assert row_keys(np.sort(cell_faces(cells), axis=1)) is None
+        assert_same_surface(cells)
+
+    def test_triangle_faces_past_int64_take_the_row_path(self, grid_mesh):
+        cells = grid_mesh.cells + 2**21
+        assert row_keys(np.sort(cell_faces(cells), axis=1)) is None
+        assert_same_surface(cells)
+
