@@ -53,6 +53,7 @@ _SRC = Path(__file__).resolve().parents[1] / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
+from floors import check_floors  # noqa: E402
 from repro.errors import SimulationError  # noqa: E402
 from repro.experiments.datasets import neuron_largest  # noqa: E402
 from repro.experiments.harness import (  # noqa: E402
@@ -76,7 +77,7 @@ QUERIES_PER_STEP = 8
 SELECTIVITY = 0.005
 SPARSITY = 0.02
 SEED = 0
-#: gate name -> what it reads from the record (documented for parse_floors errors)
+#: gate name -> what it reads from the record (quoted in floor violations)
 FLOOR_SCENARIOS = {
     "cache_hit_speedup": (
         "cached-octopus steady-state query-time speedup vs fresh at repoll=1.0 "
@@ -132,11 +133,11 @@ def _run_cell(mesh, make_provider, scenario: str, **extra) -> dict:
         "scenario": scenario,
         **extra,
         "parity": 1.0,
-        "cache_hits": cached.total_cache_hits,
-        "cache_misses": cached.total_cache_misses,
-        "hit_rate": cached.cache_hit_rate(),
-        "invalidations": cached.total_cache_invalidations,
-        "flushes": cached.total_cache_flushes,
+        "cache_hits": cached.counts["cache.hits"],
+        "cache_misses": cached.counts["cache.misses"],
+        "hit_rate": cached.ratios()["cache.hit_rate"],
+        "invalidations": cached.counts["cache.invalidations"],
+        "flushes": cached.counts["cache.flushes"],
         "fresh_query_time_s": fresh.total_query_time,
         "cached_query_time_s": cached.total_query_time,
         "speedup_vs_fresh": fresh.total_query_time / max(cached.total_query_time, 1e-12),
@@ -203,52 +204,6 @@ def run(profile: str | None = None) -> dict:
     }
 
 
-def parse_floors(spec: str) -> dict[str, float]:
-    """Parse ``REPRO_BENCH_FLOORS`` (``name=minimum`` pairs, comma-separated)."""
-    floors: dict[str, float] = {}
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        name, _, value = part.partition("=")
-        name = name.strip()
-        if name not in FLOOR_SCENARIOS:
-            raise SystemExit(
-                f"unknown benchmark floor {name!r}; expected one of {sorted(FLOOR_SCENARIOS)}"
-            )
-        try:
-            floors[name] = float(value)
-        except ValueError:
-            raise SystemExit(
-                f"invalid benchmark floor {part!r}; expected {name}=<minimum>, "
-                f"e.g. {name}=3.0"
-            ) from None
-    return floors
-
-
-def enforce_floors(record: dict, floors: dict[str, float]) -> list[str]:
-    """Return one failure message per gate whose value is below its floor."""
-    failures = []
-    for name, minimum in floors.items():
-        value = record["gates"][name]
-        if value < minimum:
-            failures.append(
-                f"{name}: {value:.2f} is below the regression floor {minimum:.2f} "
-                f"({FLOOR_SCENARIOS[name]})"
-            )
-    return failures
-
-
-def _check_floors_from_env(record: dict) -> list[str]:
-    spec = os.environ.get("REPRO_BENCH_FLOORS", "")
-    if not spec:
-        return []
-    failures = enforce_floors(record, parse_floors(spec))
-    for failure in failures:
-        print(f"FLOOR VIOLATION: {failure}", file=sys.stderr)
-    return failures
-
-
 def _print_record(record: dict) -> None:
     print(
         f"profile={record['profile']}  mesh_vertices={record['mesh_vertices']}  "
@@ -281,7 +236,7 @@ def main() -> int:
     RECORD_PATH.write_text(json.dumps(record, indent=2) + "\n")
     _print_record(record)
     print(f"record written to {RECORD_PATH}")
-    return 1 if _check_floors_from_env(record) else 0
+    return 1 if check_floors(record["gates"], FLOOR_SCENARIOS) else 0
 
 
 def test_cache_benchmark(profile, record_rows):
@@ -306,7 +261,7 @@ def test_cache_benchmark(profile, record_rows):
     ]
     record_rows("bench_cache", rows, "Delta-invalidated result cache benchmark")
     assert record["gates"]["cache_parity"] == 1.0
-    failures = _check_floors_from_env(record)
+    failures = check_floors(record["gates"], FLOOR_SCENARIOS)
     assert not failures, "; ".join(failures)
 
 

@@ -65,6 +65,7 @@ _SRC = Path(__file__).resolve().parents[1] / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
+from floors import check_floors  # noqa: E402
 from repro.baselines import (  # noqa: E402
     LURTreeExecutor,
     QUTradeExecutor,
@@ -138,6 +139,12 @@ FLOOR_SCENARIOS = {
     "restructuring_maintenance": "restructuring_maintenance",
     "paranoid_overhead": "paranoid_overhead",
 }
+FLOOR_DESCRIPTIONS = {name: f"speedup of scenario {section}" for name, section in FLOOR_SCENARIOS.items()}
+
+
+def _gates(record: dict) -> dict[str, float]:
+    """Each floor-gated scenario's speedup, keyed by gate name."""
+    return {name: record[section]["speedup"] for name, section in FLOOR_SCENARIOS.items()}
 
 
 def _timed(fn) -> float:
@@ -535,42 +542,6 @@ def bench_paranoid_overhead() -> dict:
     }
 
 
-def parse_floors(spec: str) -> dict[str, float]:
-    """Parse ``REPRO_BENCH_FLOORS`` (``name=min_speedup`` pairs, comma-separated)."""
-    floors: dict[str, float] = {}
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        name, _, value = part.partition("=")
-        name = name.strip()
-        if name not in FLOOR_SCENARIOS:
-            raise SystemExit(
-                f"unknown benchmark floor {name!r}; expected one of {sorted(FLOOR_SCENARIOS)}"
-            )
-        try:
-            floors[name] = float(value)
-        except ValueError:
-            raise SystemExit(
-                f"invalid benchmark floor {part!r}; expected {name}=<min_speedup>, "
-                f"e.g. {name}=1.5"
-            ) from None
-    return floors
-
-
-def enforce_floors(record: dict, floors: dict[str, float]) -> list[str]:
-    """Return one failure message per scenario whose speedup is below its floor."""
-    failures = []
-    for name, minimum in floors.items():
-        speedup = record[FLOOR_SCENARIOS[name]]["speedup"]
-        if speedup < minimum:
-            failures.append(
-                f"{name}: speedup {speedup:.2f}x is below the regression floor "
-                f"{minimum:.2f}x (scenario {FLOOR_SCENARIOS[name]})"
-            )
-    return failures
-
-
 def run(profile: str | None = None) -> dict:
     profile = profile or os.environ.get("REPRO_BENCH_PROFILE", "small")
     mesh = neuron_largest(profile)
@@ -649,22 +620,12 @@ def _print_record(record: dict) -> None:
     )
 
 
-def _check_floors_from_env(record: dict) -> list[str]:
-    spec = os.environ.get("REPRO_BENCH_FLOORS", "")
-    if not spec:
-        return []
-    failures = enforce_floors(record, parse_floors(spec))
-    for failure in failures:
-        print(f"FLOOR VIOLATION: {failure}", file=sys.stderr)
-    return failures
-
-
 def main() -> int:
     record = run()
     RECORD_PATH.write_text(json.dumps(record, indent=2) + "\n")
     _print_record(record)
     print(f"record written to {RECORD_PATH}")
-    return 1 if _check_floors_from_env(record) else 0
+    return 1 if check_floors(_gates(record), FLOOR_DESCRIPTIONS) else 0
 
 
 def test_query_engine_benchmark(profile, record_rows):
@@ -731,7 +692,7 @@ def test_query_engine_benchmark(profile, record_rows):
         }
     )
     record_rows("bench_query_engine", rows, "Query engine microbenchmark")
-    failures = _check_floors_from_env(record)
+    failures = check_floors(_gates(record), FLOOR_DESCRIPTIONS)
     assert not failures, "; ".join(failures)
 
 

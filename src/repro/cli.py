@@ -17,7 +17,6 @@ same functions the ``benchmarks/`` suite calls; use ``pytest benchmarks/
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 from typing import Callable, Sequence
@@ -155,12 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="also write the table(s) to this file",
     )
-    parser.add_argument(
-        "--no-batch",
-        action="store_true",
-        help="issue queries one by one instead of through the batched "
-        "query_many path (sets REPRO_SEQUENTIAL_QUERIES for the run)",
-    )
     return parser
 
 
@@ -185,22 +178,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
 
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-    # Flags travel to the harness via environment variables (restored after
-    # the run), so every construction path honours them without threading.
-    overrides: dict[str, str] = {}
-    if args.no_batch:
-        overrides["REPRO_SEQUENTIAL_QUERIES"] = "1"
-    previous = {key: os.environ.get(key) for key in overrides}
-    os.environ.update(overrides)
-    try:
-        tables = [run_experiment(name, args.profile) for name in names]
-    finally:
-        for key, value in previous.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
-    output = "\n\n".join(tables)
+    output = "\n\n".join(run_experiment(name, args.profile) for name in names)
     print(output)
     if args.output is not None:
         args.output.parent.mkdir(parents=True, exist_ok=True)

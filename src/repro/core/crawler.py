@@ -230,10 +230,6 @@ class BatchCrawlOutcome:
     n_words:
         Width of the per-vertex ownership row (``ceil(n_queries / 64)``
         ``uint64`` words); batches beyond 64 queries take the multi-word path.
-    n_groups:
-        Number of fused BFS passes the batch required — always 1 for a
-        non-empty batch now that ownership rows widen instead of chunking
-        (kept for compatibility with earlier ≤64-query grouping).
     """
 
     __slots__ = (
@@ -245,7 +241,6 @@ class BatchCrawlOutcome:
         "n_unique_walk_distance_computations",
         "n_attributed_walk_distance_computations",
         "n_words",
-        "n_groups",
     )
 
     def __init__(self) -> None:
@@ -257,7 +252,6 @@ class BatchCrawlOutcome:
         self.n_unique_walk_distance_computations = 0
         self.n_attributed_walk_distance_computations = 0
         self.n_words = 0
-        self.n_groups = 0
 
 
 def _or_duplicates(ids: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -557,7 +551,6 @@ def crawl_many(
     batch.n_unique_vertices_visited += unique_visited
     batch.n_unique_edges_followed += unique_edges
     batch.n_words = n_words
-    batch.n_groups = 1
 
     for outcome in batch.outcomes:
         batch.n_attributed_vertex_visits += outcome.n_vertices_visited

@@ -11,12 +11,11 @@ from .datasets import (
 from .harness import (
     PAPER_COMPARISON,
     cache_comparison_rows,
-    cache_rows,
     comparison_rows,
+    counts_rows,
     degradation_rows,
     fault_injection_rows,
     fixed_workload_provider,
-    maintenance_rows,
     make_deformation,
     make_strategy,
     per_step_workload_provider,
@@ -25,47 +24,31 @@ from .harness import (
     sparse_maintenance_rows,
     sparsity_sweep_rows,
     strategy_suite,
-    work_sharing_rows,
 )
-from .report import (
-    format_cache,
-    format_degradation,
-    format_maintenance,
-    format_table,
-    format_value,
-    format_work_sharing,
-    print_table,
-)
+from .report import format_table, format_value
 
 __all__ = [
     "PAPER_COMPARISON",
     "PROFILES",
     "animation_sequences",
     "cache_comparison_rows",
-    "cache_rows",
     "comparison_rows",
+    "counts_rows",
     "degradation_rows",
     "earthquake_pair",
     "fault_injection_rows",
     "figures",
     "fixed_workload_provider",
-    "format_cache",
-    "format_degradation",
-    "format_maintenance",
     "format_table",
     "format_value",
-    "format_work_sharing",
-    "maintenance_rows",
     "make_deformation",
     "make_strategy",
     "neuron_largest",
     "neuron_series",
     "per_step_workload_provider",
-    "print_table",
     "restructuring_maintenance_rows",
     "run_comparison",
     "sparse_maintenance_rows",
     "sparsity_sweep_rows",
     "strategy_suite",
-    "work_sharing_rows",
 ]

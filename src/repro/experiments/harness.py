@@ -39,16 +39,13 @@ __all__ = [
     "make_deformation",
     "run_comparison",
     "comparison_rows",
-    "work_sharing_rows",
-    "maintenance_rows",
+    "counts_rows",
     "sparse_maintenance_rows",
     "restructuring_maintenance_rows",
     "sparsity_sweep_rows",
     "degradation_rows",
     "fault_injection_rows",
-    "cache_rows",
     "cache_comparison_rows",
-    "standing_rows",
     "standing_steering_rows",
     "fixed_workload_provider",
     "per_step_workload_provider",
@@ -119,15 +116,11 @@ def run_comparison(
     n_steps: int,
     query_provider,
     validate_results: bool = False,
-    batch_queries: bool | None = None,
     restructuring=None,
     fault_plan: FaultPlan | None = None,
 ) -> SimulationReport:
     """Run one simulation comparing the given strategies on identical queries.
 
-    ``batch_queries`` is forwarded to :class:`MeshSimulation`: ``None`` (the
-    default) issues each step's boxes through the batched ``query_many`` path
-    unless ``REPRO_SEQUENTIAL_QUERIES`` is set in the environment.
     ``restructuring`` is the optional topology schedule (see
     :func:`repro.simulation.periodic_restructuring`); ``fault_plan`` the
     optional seeded corruption schedule (see :class:`repro.simulation.FaultPlan`).
@@ -139,7 +132,6 @@ def run_comparison(
         query_provider=query_provider,
         restructuring=restructuring,
         validate_results=validate_results,
-        batch_queries=batch_queries,
         fault_plan=fault_plan,
     )
     return simulation.run(n_steps)
@@ -157,6 +149,7 @@ def comparison_rows(report: SimulationReport, baseline: str = "linear-scan") -> 
     reference = report.strategies[baseline]
     rows = []
     for name, strategy_report in report.strategies.items():
+        ratios = strategy_report.ratios()
         rows.append(
             {
                 "strategy": name,
@@ -169,44 +162,40 @@ def comparison_rows(report: SimulationReport, baseline: str = "linear-scan") -> 
                 "total_work": strategy_report.total_work(),
                 "speedup_vs_baseline_time": strategy_report.speedup_against(reference),
                 "speedup_vs_baseline_work": strategy_report.speedup_against(reference, use_work=True),
-                "crawl_work_sharing": strategy_report.crawl_work_sharing(),
-                "walk_work_sharing": strategy_report.walk_work_sharing(),
+                "crawl_work_sharing": ratios.get("core.crawl_sharing", 1.0),
+                "walk_work_sharing": ratios.get("core.walk_sharing", 1.0),
             }
         )
     return rows
 
 
-def maintenance_rows(report: SimulationReport) -> list[dict]:
-    """Per-strategy maintenance ledger: what keeping the index fresh cost.
+def counts_rows(report: SimulationReport, *prefixes: str) -> list[dict]:
+    """One row per strategy: its query and maintenance time, counts and ratios.
 
-    For every strategy, the moved-vertex total of the deformation deltas is
-    set against the index entries its maintenance actually touched and the
-    wall-clock it spent; ``entries_per_moved`` near 1.0 means maintenance
-    cost proportional to the motion (the delta-aware regime), values near
-    ``n_vertices / n_moved`` mean every step paid for the whole mesh (the
-    delta-blind regime).  ``maintenance_share`` is maintenance's fraction of
-    the paper's total-response-time metric.  Restructuring work is part of
-    the same ledger: ``restructurings`` counts the steps whose topology delta
-    changed the mesh and ``topology_dirty`` the vertices those deltas
-    dirtied, while ``maintenance_entries`` / ``maintenance_time_s`` already
-    include the ``on_restructure`` work next to the ``on_step`` work.
+    The counts are :attr:`~repro.simulation.StrategyReport.counts` and the
+    ratios :meth:`~repro.simulation.StrategyReport.ratios` (keys listed in
+    docs/architecture.md) whose key starts with one of ``prefixes``.  A key
+    the strategy's stack never reported renders as ``-``, so "no cache"
+    stays distinct from "cache, zero traffic".
     """
-    rows = []
-    for name, strategy_report in report.strategies.items():
-        response = max(strategy_report.total_response_time, 1e-12)
-        rows.append(
-            {
-                "strategy": name,
-                "moved_vertices": strategy_report.total_moved_vertices,
-                "restructurings": strategy_report.total_restructurings,
-                "topology_dirty": strategy_report.total_topology_dirty,
-                "maintenance_entries": strategy_report.total_maintenance_entries,
-                "entries_per_moved": strategy_report.maintenance_entries_per_moved_vertex(),
-                "maintenance_time_s": strategy_report.total_maintenance_time,
-                "maintenance_share": strategy_report.total_maintenance_time / response,
-            }
-        )
-    return rows
+    values = {
+        name: {
+            key: value
+            for key, value in {**strategy_report.counts, **strategy_report.ratios()}.items()
+            if key.startswith(prefixes)
+        }
+        for name, strategy_report in report.strategies.items()
+    }
+    keys = list(dict.fromkeys(key for row in values.values() for key in row))
+    return [
+        {
+            "strategy": name,
+            "query_time_s": strategy_report.total_query_time,
+            "maintenance_time_s": strategy_report.total_maintenance_time,
+            **{key: values[name].get(key, "-") for key in keys},
+        }
+        for name, strategy_report in report.strategies.items()
+    ]
 
 
 def sparse_maintenance_rows(
@@ -224,7 +213,8 @@ def sparse_maintenance_rows(
     delta-aware strategy set — OCTOPUS, OCTOPUS-CON with an incrementally
     maintained grid, the lazy/memo/grace-window R-trees, and a throwaway
     octree as the rebuild-everything yardstick — and returns the maintenance
-    ledger rows (:func:`maintenance_rows`), one per strategy.
+    ledger, the ``simulation.*`` and ``maintenance.*`` :func:`counts_rows`,
+    one per strategy.
     """
     from .datasets import neuron_largest
 
@@ -244,7 +234,7 @@ def sparse_maintenance_rows(
         n_steps=n_steps,
         query_provider=per_step_workload_provider(selectivity, queries_per_step, seed=seed),
     )
-    return maintenance_rows(report)
+    return counts_rows(report, "simulation.", "maintenance.")
 
 
 def restructuring_maintenance_rows(
@@ -263,9 +253,9 @@ def restructuring_maintenance_rows(
     a :func:`~repro.simulation.periodic_restructuring` schedule (alternating
     localized splits and removals every ``restructure_every`` steps, so some
     restructurings land on zero-moved rest ticks) over the delta-aware
-    strategy set, and returns the maintenance ledger rows
-    (:func:`maintenance_rows`) — one per strategy, with the restructuring
-    columns populated.  OCTOPUS pays a handful of hash-table operations per
+    strategy set, and returns the maintenance ledger (the ``simulation.*``
+    and ``maintenance.*`` :func:`counts_rows`) — one per strategy, with the
+    restructuring counts populated.  OCTOPUS pays a handful of hash-table operations per
     event, the maintained grid splices the appended centroids, the updatable
     trees insert only the tail, and the throwaway octree shows the
     rebuild-everything yardstick.
@@ -291,7 +281,7 @@ def restructuring_maintenance_rows(
             every=restructure_every, kind="mixed", n_cells=cells_per_event, seed=seed
         ),
     )
-    return maintenance_rows(report)
+    return counts_rows(report, "simulation.", "maintenance.")
 
 
 def sparsity_sweep_rows(
@@ -306,8 +296,8 @@ def sparsity_sweep_rows(
 
     For each sparsity level the :class:`~repro.simulation.LocalizedPulseDeformation`
     workload is run over the delta-aware strategy set and the maintenance
-    ledger (:func:`maintenance_rows`) is collected; the returned rows carry a
-    leading ``sparsity`` column, one row per (sparsity, strategy).  Plotting
+    ledger (the ``simulation.*`` and ``maintenance.*`` :func:`counts_rows`) is
+    collected; the returned rows carry a leading ``sparsity`` column, one row per (sparsity, strategy).  Plotting
     ``maintenance_time_s`` against ``sparsity`` shows the O(motion) vs.
     O(mesh) separation directly: delta-aware strategies' curves fall with the
     sparsity while rebuild-everything baselines stay flat (see
@@ -332,7 +322,7 @@ def sparsity_sweep_rows(
             n_steps=n_steps,
             query_provider=per_step_workload_provider(selectivity, queries_per_step, seed=seed),
         )
-        for row in maintenance_rows(report):
+        for row in counts_rows(report, "simulation.", "maintenance."):
             rows.append({"sparsity": sparsity, **row})
     return rows
 
@@ -429,68 +419,6 @@ def fault_injection_rows(
     return degradation_rows(report)
 
 
-def work_sharing_rows(report: SimulationReport) -> list[dict]:
-    """Per-strategy fused-work savings: what the batched engines actually did.
-
-    For every strategy, the *attributed* work is what its per-query counters
-    report — exactly what independent sequential queries would have performed
-    — while the *unique* work is what the fused walk/crawl physically
-    executed; their ratio is the work-sharing factor.  Strategies without a
-    fused engine (or runs with batching disabled) report zeros and a factor
-    of 1.0, so the table doubles as a map of which strategies fuse.
-    """
-    rows = []
-    for name, strategy_report in report.strategies.items():
-        rows.append(
-            {
-                "strategy": name,
-                "crawl_attributed_visits": strategy_report.fused_attributed_crawl_visits,
-                "crawl_unique_visits": strategy_report.fused_unique_crawl_visits,
-                "crawl_work_sharing": strategy_report.crawl_work_sharing(),
-                "walk_attributed_distances": strategy_report.fused_attributed_walk_distances,
-                "walk_unique_distances": strategy_report.fused_unique_walk_distances,
-                "walk_work_sharing": strategy_report.walk_work_sharing(),
-            }
-        )
-    return rows
-
-
-def cache_rows(report: SimulationReport) -> list[dict]:
-    """Per-strategy result-cache ledger: hits, misses, invalidation traffic.
-
-    For every strategy the simulator's drained
-    :class:`~repro.cache.CacheStats` are set against its query time; when the
-    report also contains the fresh (uncached) variant of a ``cached-<name>``
-    strategy, ``speedup_vs_fresh`` is the fresh variant's query time over the
-    cached one's — the wall-clock value of answering repeats from the cache.
-    Strategies without a caching wrapper report zeros and a blank speedup,
-    so the table doubles as a map of which strategies cache.
-    """
-    rows = []
-    for name, strategy_report in report.strategies.items():
-        fresh_name = name.removeprefix("cached-")
-        fresh = report.strategies.get(fresh_name) if fresh_name != name else None
-        speedup = (
-            fresh.total_query_time / max(strategy_report.total_query_time, 1e-12)
-            if fresh is not None
-            else 0.0
-        )
-        rows.append(
-            {
-                "strategy": name,
-                "cached": strategy_report.cached,
-                "cache_hits": strategy_report.total_cache_hits,
-                "cache_misses": strategy_report.total_cache_misses,
-                "hit_rate": strategy_report.cache_hit_rate(),
-                "invalidations": strategy_report.total_cache_invalidations,
-                "flushes": strategy_report.total_cache_flushes,
-                "query_time_s": strategy_report.total_query_time,
-                "speedup_vs_fresh": speedup,
-            }
-        )
-    return rows
-
-
 def cache_comparison_rows(
     profile: str = "small",
     repoll_fraction: float = 0.9,
@@ -508,7 +436,7 @@ def cache_comparison_rows(
     fresh and ``caching=True``-wrapped variants of OCTOPUS and the LUR-tree.
     ``validate_results=True`` asserts cached answers stay bit-identical to
     fresh execution while the run measures them; returns the cache ledger
-    (:func:`cache_rows`).  The full reuse-sensitivity sweep with regression
+    (the ``cache.*`` :func:`counts_rows`).  The full reuse-sensitivity sweep with regression
     floors lives in ``benchmarks/bench_cache.py``.
     """
     from .datasets import neuron_largest
@@ -530,36 +458,7 @@ def cache_comparison_rows(
         ),
         validate_results=True,
     )
-    return cache_rows(report)
-
-
-def standing_rows(report: SimulationReport) -> list[dict]:
-    """Per-strategy standing-subscription ledger: updates, skips, re-crawls.
-
-    For every strategy the simulator's drained
-    :class:`~repro.standing.StandingStats` totals are reported alongside the
-    skip rate (fraction of per-tick subscription evaluations settled by the
-    O(1) dirty-AABB test alone).  Strategies without a standing wrapper
-    report zeros with ``standing=False``, so the table doubles as a map of
-    which variants carry subscriptions.
-    """
-    rows = []
-    for name, strategy_report in report.strategies.items():
-        rows.append(
-            {
-                "strategy": name,
-                "standing": strategy_report.standing,
-                "subscriptions": strategy_report.standing_subscriptions,
-                "updates": strategy_report.total_standing_updates,
-                "entered": strategy_report.total_standing_entered,
-                "exited": strategy_report.total_standing_exited,
-                "skips": strategy_report.total_standing_skips,
-                "skip_rate": strategy_report.standing_skip_rate(),
-                "recrawls": strategy_report.total_standing_recrawls,
-                "moved_tests": strategy_report.total_standing_moved_tests,
-            }
-        )
-    return rows
+    return counts_rows(report, "cache.")
 
 
 def standing_steering_rows(
@@ -576,7 +475,8 @@ def standing_steering_rows(
     watch boxes on standing-wrapped variants of OCTOPUS and the LUR-tree
     (plain variants run alongside as the no-registry baseline), deforms with
     a sparse :class:`~repro.simulation.LocalizedPulseDeformation`, and
-    returns the standing ledger (:func:`standing_rows`).  The incremental
+    returns the standing ledger (the ``standing.*`` :func:`counts_rows`).
+    The incremental
     vs naive re-query comparison with regression floors lives in
     ``benchmarks/bench_standing.py``.
     """
@@ -606,7 +506,7 @@ def standing_steering_rows(
         query_provider=per_step_workload_provider(selectivity, 2, seed=seed),
         validate_results=True,
     )
-    return standing_rows(report)
+    return counts_rows(report, "standing.")
 
 
 def traffic_rows(profile: str = "small") -> list[dict]:

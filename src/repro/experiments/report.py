@@ -10,16 +10,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-__all__ = [
-    "format_cache",
-    "format_degradation",
-    "format_maintenance",
-    "format_standing",
-    "format_table",
-    "format_value",
-    "format_work_sharing",
-    "print_table",
-]
+__all__ = ["format_table", "format_value"]
 
 
 def format_value(value: object, precision: int = 4) -> str:
@@ -54,155 +45,3 @@ def format_table(
     ]
     lines = ([title] if title else []) + [header, separator, *body]
     return "\n".join(lines)
-
-
-#: column order of the fused-work savings table (harness.work_sharing_rows)
-_WORK_SHARING_COLUMNS = (
-    "strategy",
-    "crawl_attributed_visits",
-    "crawl_unique_visits",
-    "crawl_work_sharing",
-    "walk_attributed_distances",
-    "walk_unique_distances",
-    "walk_work_sharing",
-)
-
-
-def format_work_sharing(
-    rows: Sequence[Mapping[str, object]],
-    title: str | None = "Fused-batch work sharing (attributed = sequential-equivalent work)",
-) -> str:
-    """Render the per-strategy fused-work savings table.
-
-    Takes the rows produced by
-    :func:`repro.experiments.harness.work_sharing_rows`; strategies that never
-    fused a batch show zero work and a sharing factor of 1.0.
-    """
-    return format_table(rows, columns=_WORK_SHARING_COLUMNS, title=title, precision=2)
-
-
-#: column order of the maintenance ledger table (harness.maintenance_rows)
-_MAINTENANCE_COLUMNS = (
-    "strategy",
-    "moved_vertices",
-    "restructurings",
-    "topology_dirty",
-    "maintenance_entries",
-    "entries_per_moved",
-    "maintenance_time_s",
-    "maintenance_share",
-)
-
-
-def format_maintenance(
-    rows: Sequence[Mapping[str, object]],
-    title: str | None = "Maintenance ledger (entries_per_moved ~1.0 = cost proportional to motion)",
-) -> str:
-    """Render the per-strategy maintenance ledger table.
-
-    Takes the rows produced by
-    :func:`repro.experiments.harness.maintenance_rows`; delta-aware
-    strategies show entries-per-moved-vertex near 1.0 (or 0.0 when they need
-    no maintenance at all), delta-blind rebuilds show the mesh-to-motion
-    ratio.
-    """
-    return format_table(rows, columns=_MAINTENANCE_COLUMNS, title=title, precision=2)
-
-
-#: column order of the result-cache ledger table (harness.cache_rows)
-_CACHE_COLUMNS = (
-    "strategy",
-    "cached",
-    "cache_hits",
-    "cache_misses",
-    "hit_rate",
-    "invalidations",
-    "flushes",
-    "query_time_s",
-    "speedup_vs_fresh",
-)
-
-
-def format_cache(
-    rows: Sequence[Mapping[str, object]],
-    title: str | None = "Result-cache ledger (speedup_vs_fresh = uncached / cached query time)",
-) -> str:
-    """Render the per-strategy result-cache ledger table.
-
-    Takes the rows produced by
-    :func:`repro.experiments.harness.cache_rows`; uncached strategies show
-    zero traffic and a blank speedup, cached ones show their hit/miss/
-    invalidation counts and the wall-clock speedup over their fresh variant
-    when it was part of the same run.
-    """
-    return format_table(rows, columns=_CACHE_COLUMNS, title=title, precision=2)
-
-
-#: column order of the standing-subscription ledger table (harness.standing_rows)
-_STANDING_COLUMNS = (
-    "strategy",
-    "standing",
-    "subscriptions",
-    "updates",
-    "entered",
-    "exited",
-    "skips",
-    "skip_rate",
-    "recrawls",
-    "moved_tests",
-)
-
-
-def format_standing(
-    rows: Sequence[Mapping[str, object]],
-    title: str | None = "Standing-subscription ledger (skip_rate = O(1) dismissals / evaluations)",
-) -> str:
-    """Render the per-strategy standing-subscription ledger table.
-
-    Takes the rows produced by
-    :func:`repro.experiments.harness.standing_rows`; strategies without a
-    standing wrapper show zero traffic with ``standing=False``, wrapped ones
-    show their update/skip/re-crawl counts and the fraction of per-tick
-    evaluations the O(1) dirty-AABB test settled outright.
-    """
-    return format_table(rows, columns=_STANDING_COLUMNS, title=title, precision=2)
-
-
-#: column order of the degradation ledger table (harness.degradation_rows)
-_DEGRADATION_COLUMNS = (
-    "strategy",
-    "step",
-    "operation",
-    "rung",
-    "reason",
-    "error",
-)
-
-
-def format_degradation(
-    rows: Sequence[Mapping[str, object]],
-    title: str | None = "Degradation ledger (one row per recorded fallback)",
-) -> str:
-    """Render the per-event degradation ledger table.
-
-    Takes the rows produced by
-    :func:`repro.experiments.harness.degradation_rows`; an empty table means
-    no wrapped strategy ever left its fast path.  The ``error`` column is
-    truncated so one pathological repr cannot blow up the table width.
-    """
-    trimmed = [{**row, "error": _truncate(str(row.get("error", "")), 60)} for row in rows]
-    return format_table(trimmed, columns=_DEGRADATION_COLUMNS, title=title, precision=2)
-
-
-def _truncate(text: str, limit: int) -> str:
-    return text if len(text) <= limit else text[: limit - 1] + "…"
-
-
-def print_table(
-    rows: Sequence[Mapping[str, object]],
-    columns: Sequence[str] | None = None,
-    title: str | None = None,
-    precision: int = 4,
-) -> None:
-    """Print :func:`format_table` output (what the benchmark harness calls)."""
-    print(format_table(rows, columns=columns, title=title, precision=precision))

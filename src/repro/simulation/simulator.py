@@ -11,15 +11,16 @@ comparison is apples-to-apples.  The paper's headline metric — total query
 response time, i.e. query execution plus index maintenance/rebuilding summed
 over all steps, with one-time preprocessing reported separately — is what
 :class:`SimulationReport` accumulates; restructuring maintenance is charged to
-the same ledger (``maintenance_time`` / ``maintenance_entries``) as
-deformation maintenance.
+the same ledger (``maintenance_time`` and the ``maintenance.entries`` count) as
+deformation maintenance.  Everything else the strategy stacks report per step
+(moved and dirtied vertices, fused-work, fallback, cache and standing counters)
+lands in one ``counts`` map per record, whose keys docs/architecture.md lists.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,10 +34,34 @@ from .deformation import DeformationModel
 from .faults import FaultPlan
 from .restructuring import RestructuringSchedule
 
-__all__ = ["StepRecord", "StrategyReport", "SimulationReport", "MeshSimulation"]
+__all__ = ["GAUGES", "RATIOS", "StepRecord", "StrategyReport", "SimulationReport", "MeshSimulation"]
 
 #: signature of a per-step query provider: (mesh, step) -> list of query boxes
 QueryProvider = Callable[[PolyhedralMesh, int], Sequence[Box3D]]
+
+
+#: count keys whose run value is the last step's value (a gauge), not the sum
+GAUGES = frozenset({"standing.subscriptions"})
+
+#: ratio key -> (numerator key, denominator keys, value when the denominator
+#: sums to 0); a ratio exists when its numerator key does
+RATIOS = {
+    "maintenance.entries_per_moved": ("maintenance.entries", ("simulation.moved",), 0.0),
+    "core.crawl_sharing": ("core.crawl_visits_attributed", ("core.crawl_visits_unique",), 1.0),
+    "core.walk_sharing": ("core.walk_distances_attributed", ("core.walk_distances_unique",), 1.0),
+    "cache.hit_rate": ("cache.hits", ("cache.hits", "cache.misses"), 0.0),
+    "standing.skip_rate": ("standing.skips", ("standing.skips", "standing.touched"), 0.0),
+}
+
+#: count key -> the BatchCrawlOutcome attribute it copies from ``last_fused_crawl``
+_FUSED_COUNTS = {
+    "core.crawl_visits_unique": "n_unique_vertices_visited",
+    "core.crawl_visits_attributed": "n_attributed_vertex_visits",
+    "core.crawl_edges_unique": "n_unique_edges_followed",
+    "core.crawl_edges_attributed": "n_attributed_edge_follows",
+    "core.walk_distances_unique": "n_unique_walk_distance_computations",
+    "core.walk_distances_attributed": "n_attributed_walk_distance_computations",
+}
 
 
 @dataclass
@@ -49,34 +74,9 @@ class StepRecord:
     n_queries: int
     n_results: int
     counters: QueryCounters
-    #: whether this step's boxes went through the batched query_many dispatch
-    batched: bool = False
-    #: vertices the step's deformation delta reported as moved
-    n_moved: int = 0
-    #: index entries this strategy's maintenance touched for this step
-    #: (deformation *and* restructuring work)
-    maintenance_entries: int = 0
-    #: whether this step restructured the mesh (a topology delta was applied)
-    restructured: bool = False
-    #: vertices the step's topology delta reported as dirty (0 when none)
-    n_topology_dirty: int = 0
-    #: degradation-ladder descents this strategy recorded during the step
-    #: (0 for strategies without a resilience wrapper)
-    degradations: int = 0
-    #: result-cache lookups answered from the cache during the step
-    #: (0 for strategies without a caching wrapper)
-    cache_hits: int = 0
-    #: result-cache lookups that fell through to the inner strategy
-    cache_misses: int = 0
-    #: cache entries dropped by this step's delta invalidation
-    cache_invalidations: int = 0
-    #: standing membership updates emitted during the step (0 without a
-    #: standing wrapper — see :class:`~repro.standing.StandingStats`)
-    standing_updates: int = 0
-    #: subscriptions dismissed by the O(1) dirty-AABB overlap test
-    standing_skips: int = 0
-    #: narrowed re-queries the standing registry issued during the step
-    standing_recrawls: int = 0
+    #: the step's ledger counts, keyed as listed in docs/architecture.md; a
+    #: key exists only when its source reported during the step
+    counts: dict[str, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -89,15 +89,6 @@ class StrategyReport:
     total_query_time: float = 0.0
     total_results: int = 0
     n_queries: int = 0
-    #: moved vertices summed over the deformation deltas of all steps
-    total_moved_vertices: int = 0
-    #: index entries touched by this strategy's maintenance over all steps
-    #: (deformation and restructuring work combined)
-    total_maintenance_entries: int = 0
-    #: steps whose topology delta restructured the mesh
-    total_restructurings: int = 0
-    #: dirty vertices summed over the topology deltas of all steps
-    total_topology_dirty: int = 0
     memory_overhead_bytes: int = 0
     counters: QueryCounters = field(default_factory=QueryCounters)
     steps: list[StepRecord] = field(default_factory=list)
@@ -107,83 +98,26 @@ class StrategyReport:
     total_crawl_time: float = 0.0
     total_scan_time: float = 0.0
     total_index_time: float = 0.0
-    # fused-batch work accounting (stays 0 for strategies without a fused
-    # engine or for sequential runs): "attributed" is the work the per-query
-    # counters report — what independent queries would have performed —
-    # "unique" is what the fused walk/crawl actually performed
-    fused_unique_crawl_visits: int = 0
-    fused_attributed_crawl_visits: int = 0
-    fused_unique_crawl_edges: int = 0
-    fused_attributed_crawl_edges: int = 0
-    fused_unique_walk_distances: int = 0
-    fused_attributed_walk_distances: int = 0
-    #: degradation-ladder descents summed over all steps (0 = never degraded)
-    total_degradations: int = 0
     #: the recorded fallback events, as dicts (strategy/operation/rung/
     #: reason/error/step — see :class:`~repro.core.resilience.FallbackEvent`)
     degradation_events: list[dict] = field(default_factory=list)
-    # result-cache traffic summed over all steps (all 0 for strategies
-    # without a caching wrapper — see :class:`~repro.cache.CacheStats`)
-    total_cache_hits: int = 0
-    total_cache_misses: int = 0
-    total_cache_invalidations: int = 0
-    total_cache_flushes: int = 0
-    total_cache_evictions: int = 0
-    #: whether any layer of this strategy reported cache statistics
-    #: (distinguishes "no cache" from "cache, zero traffic")
-    cached: bool = False
-    # standing-subscription traffic summed over all steps (all 0 for
-    # strategies without a standing registry — see
-    # :class:`~repro.standing.StandingStats`)
-    total_standing_updates: int = 0
-    total_standing_entered: int = 0
-    total_standing_exited: int = 0
-    total_standing_skips: int = 0
-    total_standing_touched: int = 0
-    total_standing_recrawls: int = 0
-    total_standing_moved_tests: int = 0
-    #: live subscriptions at the last drained step (a gauge)
-    standing_subscriptions: int = 0
-    #: whether any layer of this strategy reported standing statistics
-    #: (distinguishes "no registry" from "registry, zero traffic")
-    standing: bool = False
+    #: the run's ledger counts: each key's sum over the step records that
+    #: carry it (the last step's value for a :data:`GAUGES` key)
+    counts: dict[str, int] = field(default_factory=dict)
 
     @property
     def total_response_time(self) -> float:
         """Query execution plus maintenance (the paper's reported metric)."""
         return self.total_query_time + self.total_maintenance_time
 
-    def cache_hit_rate(self) -> float:
-        """Fraction of result-cache lookups served from the cache (0 = none)."""
-        lookups = self.total_cache_hits + self.total_cache_misses
-        return self.total_cache_hits / lookups if lookups else 0.0
-
-    def standing_skip_rate(self) -> float:
-        """Fraction of per-tick subscription evaluations settled by the O(1)
-        dirty-AABB test alone (1.0 = never any targeted work)."""
-        total = self.total_standing_skips + self.total_standing_touched
-        return self.total_standing_skips / total if total else 0.0
-
-    def maintenance_entries_per_moved_vertex(self) -> float:
-        """Index entries touched per moved vertex (1.0 ≈ cost ∝ motion;
-        ``n_vertices / n_moved`` ≈ cost ∝ mesh size, the delta-blind regime)."""
-        if self.total_moved_vertices == 0:
-            return 0.0
-        return self.total_maintenance_entries / self.total_moved_vertices
-
-    def crawl_work_sharing(self) -> float:
-        """Attributed / unique crawl work: how many sequential crawls' worth of
-        vertex visits each fused vertex visit served (1.0 = no sharing)."""
-        if self.fused_unique_crawl_visits == 0:
-            return 1.0
-        return self.fused_attributed_crawl_visits / self.fused_unique_crawl_visits
-
-    def walk_work_sharing(self) -> float:
-        """Attributed / unique walk work: distance evaluations served per
-        position actually gathered by the fused walk (1.0 = no sharing)."""
-        if self.fused_unique_walk_distances == 0:
-            return 1.0
-        return self.fused_attributed_walk_distances / self.fused_unique_walk_distances
+    def ratios(self) -> dict[str, float]:
+        """The :data:`RATIOS` of this report's counts, for the numerators present."""
+        ratios = {}
+        for name, (numerator, denominator, empty) in RATIOS.items():
+            if numerator in self.counts:
+                total = sum(self.counts.get(key, 0) for key in denominator)
+                ratios[name] = self.counts[numerator] / total if total else empty
+        return ratios
 
     def total_work(self) -> int:
         """Machine-independent total work (vertex accesses + node visits)."""
@@ -257,17 +191,6 @@ class MeshSimulation:
         :class:`~repro.core.resilience.ResilientStrategy` (paranoid mode) to
         exercise the quarantine/rebuild rungs; the injected ``(step, kind)``
         pairs are recorded on the :class:`SimulationReport`.
-    batch_queries:
-        When True, each step's boxes are issued through
-        :meth:`ExecutionStrategy.query_many`, so every strategy answers the
-        batch with its native batched engine (OCTOPUS fuses the batch's
-        crawls into one shared-frontier BFS, the tree and grid baselines
-        share one index traversal) — batched-vs-batched comparisons, no
-        per-query dispatch skew; when False every box goes through a
-        separate :meth:`ExecutionStrategy.query` call.  ``None`` (the
-        default) batches unless the ``REPRO_SEQUENTIAL_QUERIES`` environment
-        variable is set (the CLI's ``--no-batch`` escape hatch).  Either way
-        results and counters are identical (see ``tests/test_batch_parity.py``).
     """
 
     def __init__(
@@ -278,7 +201,6 @@ class MeshSimulation:
         query_provider: QueryProvider,
         restructuring: RestructuringSchedule | None = None,
         validate_results: bool = False,
-        batch_queries: bool | None = None,
         fault_plan: FaultPlan | None = None,
     ) -> None:
         if not strategies:
@@ -297,10 +219,6 @@ class MeshSimulation:
         self.validate_results = validate_results
         self.fault_plan = fault_plan
         self._injected_faults: list[tuple[int, str]] = []
-        if batch_queries is None:
-            flag = os.environ.get("REPRO_SEQUENTIAL_QUERIES", "")
-            batch_queries = flag.strip().lower() in ("", "0", "false")
-        self.batch_queries = batch_queries
 
         self.deformation.bind(mesh)
         self._reports: dict[str, StrategyReport] = {}
@@ -332,10 +250,13 @@ class MeshSimulation:
         mesh connectivity in place; its
         :class:`~repro.core.delta.TopologyDelta` and the deformation model's
         :class:`~repro.core.delta.DeformationDelta` are handed to every
-        strategy's ``on_restructure`` / ``on_step``, and the per-step records
-        keep all sides of the change ledger: how many vertices moved, how
-        many were dirtied by restructuring, and how many index entries each
-        strategy touched to keep up.
+        strategy's ``on_restructure`` / ``on_step``, and each strategy
+        answers the step's boxes in one ``query_many`` batch.  The step's
+        ``counts`` keep all sides of the change ledger (how many vertices
+        moved, how many were dirtied by restructuring, how many index entries
+        each strategy touched to keep up) plus whatever the strategy stack
+        reported: its fused batch (``last_fused_crawl``) and its drained
+        fallback events, cache statistics and standing statistics.
         """
         topology = None
         if self.restructuring is not None:
@@ -375,6 +296,7 @@ class MeshSimulation:
                 self._injected_faults.append((step, fault_kind))
         boxes = list(self.query_provider(self.mesh, step))
 
+        restructured = topology is not None and not topology.is_empty
         reference_ids: list[np.ndarray] | None = None
         for index, strategy in enumerate(self.strategies):
             report = self._reports[strategy.name]
@@ -386,34 +308,21 @@ class MeshSimulation:
             if topology is not None:
                 maintenance += strategy.on_restructure(topology)
             maintenance += strategy.on_step(delta)
-            step_entries = strategy.maintenance_entries - entries_before
+            counts = {
+                "simulation.moved": delta.n_moved,
+                "simulation.restructurings": int(restructured),
+                "simulation.topology_dirty": topology.n_dirty if restructured else 0,
+                "maintenance.entries": strategy.maintenance_entries - entries_before,
+            }
 
+            start = time.perf_counter()
+            results = strategy.query_many(boxes)
+            query_time = time.perf_counter() - start
+            fused = getattr(strategy, "last_fused_crawl", None)
+            if fused is not None:
+                counts.update((key, getattr(fused, name)) for key, name in _FUSED_COUNTS.items())
             step_counters = QueryCounters()
-            query_time = 0.0
             n_results = 0
-            result_ids: list[np.ndarray] = []
-            if self.batch_queries:
-                start = time.perf_counter()
-                results = strategy.query_many(boxes)
-                query_time = time.perf_counter() - start
-                fused = getattr(strategy, "last_fused_crawl", None)
-                if fused is not None:
-                    report.fused_unique_crawl_visits += fused.n_unique_vertices_visited
-                    report.fused_attributed_crawl_visits += fused.n_attributed_vertex_visits
-                    report.fused_unique_crawl_edges += fused.n_unique_edges_followed
-                    report.fused_attributed_crawl_edges += fused.n_attributed_edge_follows
-                    report.fused_unique_walk_distances += (
-                        fused.n_unique_walk_distance_computations
-                    )
-                    report.fused_attributed_walk_distances += (
-                        fused.n_attributed_walk_distance_computations
-                    )
-            else:
-                results = []
-                for box in boxes:
-                    start = time.perf_counter()
-                    results.append(strategy.query(box))
-                    query_time += time.perf_counter() - start
             for result in results:
                 step_counters += result.counters
                 n_results += result.n_results
@@ -422,10 +331,9 @@ class MeshSimulation:
                 report.total_crawl_time += result.crawl_time
                 report.total_scan_time += result.scan_time
                 report.total_index_time += result.index_time
-                if self.validate_results:
-                    result_ids.append(result.vertex_ids)
 
             if self.validate_results:
+                result_ids = [result.vertex_ids for result in results]
                 if index == 0:
                     reference_ids = result_ids
                 else:
@@ -437,44 +345,23 @@ class MeshSimulation:
                             )
 
             drain = getattr(strategy, "drain_degradation_events", None)
-            fallback_events = drain() if drain is not None else []
-            report.total_degradations += len(fallback_events)
-            report.degradation_events.extend(event.as_dict() for event in fallback_events)
+            if drain is not None:
+                fallback_events = drain()
+                counts["resilience.fallbacks"] = len(fallback_events)
+                report.degradation_events.extend(event.as_dict() for event in fallback_events)
+            for layer in ("cache", "standing"):
+                drain = getattr(strategy, f"drain_{layer}_stats", None)
+                stats = drain() if drain is not None else None
+                if stats is not None:
+                    counts.update((f"{layer}.{name}", value) for name, value in asdict(stats).items())
 
-            cache_drain = getattr(strategy, "drain_cache_stats", None)
-            cache_stats = cache_drain() if cache_drain is not None else None
-            if cache_stats is not None:
-                report.cached = True
-                report.total_cache_hits += cache_stats.hits
-                report.total_cache_misses += cache_stats.misses
-                report.total_cache_invalidations += cache_stats.invalidations
-                report.total_cache_flushes += cache_stats.flushes
-                report.total_cache_evictions += cache_stats.evictions
-
-            standing_drain = getattr(strategy, "drain_standing_stats", None)
-            standing_stats = standing_drain() if standing_drain is not None else None
-            if standing_stats is not None:
-                report.standing = True
-                report.standing_subscriptions = standing_stats.subscriptions
-                report.total_standing_updates += standing_stats.updates
-                report.total_standing_entered += standing_stats.entered
-                report.total_standing_exited += standing_stats.exited
-                report.total_standing_skips += standing_stats.skips
-                report.total_standing_touched += standing_stats.touched
-                report.total_standing_recrawls += standing_stats.recrawls
-                report.total_standing_moved_tests += standing_stats.moved_tests
-
+            for key, value in counts.items():
+                report.counts[key] = value if key in GAUGES else report.counts.get(key, 0) + value
             report.total_maintenance_time += maintenance
             report.total_query_time += query_time
             report.total_results += n_results
             report.n_queries += len(boxes)
             report.counters += step_counters
-            report.total_moved_vertices += delta.n_moved
-            report.total_maintenance_entries += step_entries
-            restructured = topology is not None and not topology.is_empty
-            if restructured:
-                report.total_restructurings += 1
-                report.total_topology_dirty += topology.n_dirty
             report.steps.append(
                 StepRecord(
                     step=step,
@@ -483,25 +370,6 @@ class MeshSimulation:
                     n_queries=len(boxes),
                     n_results=n_results,
                     counters=step_counters,
-                    batched=self.batch_queries,
-                    n_moved=delta.n_moved,
-                    maintenance_entries=step_entries,
-                    restructured=restructured,
-                    n_topology_dirty=topology.n_dirty if restructured else 0,
-                    degradations=len(fallback_events),
-                    cache_hits=cache_stats.hits if cache_stats is not None else 0,
-                    cache_misses=cache_stats.misses if cache_stats is not None else 0,
-                    cache_invalidations=(
-                        cache_stats.invalidations if cache_stats is not None else 0
-                    ),
-                    standing_updates=(
-                        standing_stats.updates if standing_stats is not None else 0
-                    ),
-                    standing_skips=(
-                        standing_stats.skips if standing_stats is not None else 0
-                    ),
-                    standing_recrawls=(
-                        standing_stats.recrawls if standing_stats is not None else 0
-                    ),
+                    counts=counts,
                 )
             )

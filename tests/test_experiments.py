@@ -8,18 +8,17 @@ from repro.experiments import (
     PROFILES,
     animation_sequences,
     comparison_rows,
+    counts_rows,
     earthquake_pair,
     fixed_workload_provider,
     format_table,
     format_value,
-    format_work_sharing,
     make_strategy,
     neuron_largest,
     neuron_series,
     per_step_workload_provider,
     run_comparison,
     strategy_suite,
-    work_sharing_rows,
 )
 from repro.simulation import RandomWalkDeformation
 from repro.workloads import random_query_workload
@@ -117,7 +116,7 @@ class TestHarness:
         assert by_name["octopus"]["total_results"] == by_name["linear-scan"]["total_results"]
 
     def test_work_sharing_surfaces_in_rows_and_table(self):
-        """Batched runs report per-strategy fused-work savings in the output."""
+        """Runs report per-strategy fused-work savings in the output."""
         mesh = neuron_series("tiny")[0].copy()
         workload = random_query_workload(mesh, selectivity=0.03, n_queries=6, seed=1)
         report = run_comparison(
@@ -126,44 +125,31 @@ class TestHarness:
             deformation=RandomWalkDeformation(amplitude=0.0005),
             n_steps=2,
             query_provider=fixed_workload_provider(workload),
-            batch_queries=True,
         )
         octopus = report["octopus"]
         # OCTOPUS fused its crawls; the attributed work equals what the
         # per-query counters reported, and work sharing is a valid ratio.
-        assert octopus.fused_attributed_crawl_visits == octopus.counters.crawl_vertices_visited
-        assert 0 < octopus.fused_unique_crawl_visits <= octopus.fused_attributed_crawl_visits
-        assert octopus.crawl_work_sharing() >= 1.0
-        assert octopus.walk_work_sharing() >= 1.0
-        # The linear scan has no fused engine: zero fused work, factor 1.0.
+        counts, ratios = octopus.counts, octopus.ratios()
+        assert counts["core.crawl_visits_attributed"] == octopus.counters.crawl_vertices_visited
+        assert 0 < counts["core.crawl_visits_unique"] <= counts["core.crawl_visits_attributed"]
+        assert ratios["core.crawl_sharing"] >= 1.0
+        assert ratios["core.walk_sharing"] >= 1.0
+        # The linear scan has no fused engine: no fused counts at all.
         linear = report["linear-scan"]
-        assert linear.fused_unique_crawl_visits == 0
-        assert linear.crawl_work_sharing() == 1.0
+        assert not any(key.startswith("core.") for key in linear.counts)
 
-        rows = work_sharing_rows(report)
+        rows = counts_rows(report, "core.")
         by_name = {row["strategy"]: row for row in rows}
-        assert by_name["octopus"]["crawl_work_sharing"] == octopus.crawl_work_sharing()
-        table = format_work_sharing(rows)
-        assert "crawl_work_sharing" in table and "octopus" in table
-        # The comparison rows carry the same ratios into every figure table.
+        assert by_name["octopus"]["core.crawl_sharing"] == ratios["core.crawl_sharing"]
+        assert by_name["linear-scan"]["core.crawl_sharing"] == "-"
+        table = format_table(rows)
+        assert "core.crawl_sharing" in table and "octopus" in table
+        # The comparison rows carry the same ratios into every figure table,
+        # with 1.0 (no sharing) for strategies without a fused engine.
         comparison = {row["strategy"]: row for row in comparison_rows(report)}
-        assert comparison["octopus"]["crawl_work_sharing"] == octopus.crawl_work_sharing()
-        assert comparison["octopus"]["walk_work_sharing"] == octopus.walk_work_sharing()
-
-    def test_sequential_run_reports_no_fused_work(self):
-        mesh = neuron_series("tiny")[0].copy()
-        workload = random_query_workload(mesh, selectivity=0.02, n_queries=3, seed=2)
-        report = run_comparison(
-            mesh=mesh,
-            strategies=strategy_suite(("octopus",)),
-            deformation=RandomWalkDeformation(amplitude=0.0005),
-            n_steps=1,
-            query_provider=fixed_workload_provider(workload),
-            batch_queries=False,
-        )
-        octopus = report["octopus"]
-        assert octopus.fused_attributed_crawl_visits == 0
-        assert octopus.crawl_work_sharing() == 1.0
+        assert comparison["octopus"]["crawl_work_sharing"] == ratios["core.crawl_sharing"]
+        assert comparison["octopus"]["walk_work_sharing"] == ratios["core.walk_sharing"]
+        assert comparison["linear-scan"]["crawl_work_sharing"] == 1.0
 
     def test_comparison_rows_requires_baseline(self):
         mesh = neuron_series("tiny")[0].copy()
@@ -200,11 +186,7 @@ class TestMaintenanceLedger:
             make_deformation("tsunami")
 
     def test_maintenance_rows_and_table(self):
-        from repro.experiments import (
-            format_maintenance,
-            maintenance_rows,
-            make_deformation,
-        )
+        from repro.experiments import make_deformation
 
         mesh = neuron_series("tiny")[0].copy()
         workload = random_query_workload(mesh, selectivity=0.01, n_queries=2, seed=1)
@@ -215,14 +197,15 @@ class TestMaintenanceLedger:
             n_steps=3,
             query_provider=fixed_workload_provider(workload),
         )
-        rows = maintenance_rows(report)
+        rows = counts_rows(report, "simulation.", "maintenance.")
         by_name = {row["strategy"]: row for row in rows}
-        assert by_name["octopus"]["maintenance_entries"] == 0
-        assert by_name["octree"]["maintenance_entries"] == 2 * mesh.n_vertices
-        assert by_name["octree"]["entries_per_moved"] > 1.0
-        assert 0.0 <= by_name["octree"]["maintenance_share"] <= 1.0
-        table = format_maintenance(rows)
-        assert "entries_per_moved" in table and "octree" in table
+        assert by_name["octopus"]["maintenance.entries"] == 0
+        assert by_name["octree"]["maintenance.entries"] == 2 * mesh.n_vertices
+        assert by_name["octree"]["maintenance.entries_per_moved"] > 1.0
+        assert by_name["octree"]["maintenance_time_s"] == report["octree"].total_maintenance_time
+        assert not any(key.startswith(("core.", "cache.")) for key in by_name["octopus"])
+        table = format_table(rows)
+        assert "maintenance.entries_per_moved" in table and "octree" in table
 
     def test_sparse_maintenance_scenario_rows(self):
         from repro.experiments import sparse_maintenance_rows
@@ -235,8 +218,8 @@ class TestMaintenanceLedger:
         by_name = {row["strategy"]: row for row in rows}
         # The incrementally maintained strategies touch far fewer entries than
         # the rebuild-everything octree on a sparse workload.
-        assert by_name["octopus-con"]["maintenance_entries"] < by_name["octree"]["maintenance_entries"]
-        assert by_name["rum-tree"]["maintenance_entries"] < by_name["octree"]["maintenance_entries"]
+        assert by_name["octopus-con"]["maintenance.entries"] < by_name["octree"]["maintenance.entries"]
+        assert by_name["rum-tree"]["maintenance.entries"] < by_name["octree"]["maintenance.entries"]
 
     def test_restructuring_maintenance_scenario_rows(self):
         from repro.experiments import restructuring_maintenance_rows
@@ -250,10 +233,10 @@ class TestMaintenanceLedger:
         # Every strategy saw the same restructuring events, and the
         # incrementally maintained strategies touch far fewer entries than
         # the rebuild-everything octree.
-        assert all(row["restructurings"] == 2 for row in rows)
-        assert all(row["topology_dirty"] > 0 for row in rows)
-        assert by_name["octopus"]["maintenance_entries"] < by_name["octree"]["maintenance_entries"]
-        assert by_name["octopus-con"]["maintenance_entries"] < by_name["octree"]["maintenance_entries"]
+        assert all(row["simulation.restructurings"] == 2 for row in rows)
+        assert all(row["simulation.topology_dirty"] > 0 for row in rows)
+        assert by_name["octopus"]["maintenance.entries"] < by_name["octree"]["maintenance.entries"]
+        assert by_name["octopus-con"]["maintenance.entries"] < by_name["octree"]["maintenance.entries"]
 
     def test_sparsity_sweep_rows(self):
         from repro.experiments import sparsity_sweep_rows
@@ -267,7 +250,7 @@ class TestMaintenanceLedger:
         assert len(rows) == 5 * len(per_level)
         moved = {
             sparsity: next(
-                row["moved_vertices"] for row in rows if row["sparsity"] == sparsity
+                row["simulation.moved"] for row in rows if row["sparsity"] == sparsity
             )
             for sparsity in per_level
         }

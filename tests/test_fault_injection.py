@@ -197,11 +197,11 @@ class TestChaosParity:
             assert faulted[name].total_results == clean[name].total_results
 
         # every recovery is visible in the ledger, none on the clean run
-        degraded = sum(report.total_degradations for report in faulted.strategies.values())
-        assert degraded > 0
-        assert all(report.total_degradations == 0 for report in clean.strategies.values())
+        fallbacks = [report.counts.get("resilience.fallbacks", 0) for report in faulted.strategies.values()]
+        assert sum(fallbacks) > 0
+        assert all(report.counts.get("resilience.fallbacks", 0) == 0 for report in clean.strategies.values())
         for report in faulted.strategies.values():
-            assert len(report.degradation_events) == report.total_degradations
+            assert len(report.degradation_events) == report.counts.get("resilience.fallbacks", 0)
             for event in report.degradation_events:
                 assert event["rung"] in {
                     "sequential",
@@ -234,14 +234,6 @@ class TestChaosParity:
         with pytest.raises(Exception) as excinfo:
             simulation.run(8)
         assert not isinstance(excinfo.value, ReproError)
-
-    def test_step_records_count_degradations(self, grid_mesh):
-        plan = FaultPlan(seed=7, probability=0.8)
-        report = run_chaos(grid_mesh.copy(), plan)
-        for strategy_report in report.strategies.values():
-            assert sum(record.degradations for record in strategy_report.steps) == (
-                strategy_report.total_degradations
-            )
 
 
 def run_standing_chaos(mesh, plan, n_steps=8, seed=3):
@@ -326,7 +318,7 @@ class TestStandingChaosParity:
             assert event["operation"] == "standing-tick"
             assert event["reason"] == "delta-invalid"
         for name in clean_updates:
-            assert clean_report[name].total_degradations == 0
+            assert clean_report[name].counts["resilience.fallbacks"] == 0
 
     def test_chaos_env_seed_extends_the_family(self):
         base = chaos_seed_family({})
@@ -340,18 +332,18 @@ class TestStandingChaosParity:
 class TestExperimentSurface:
     def test_fault_injection_rows_and_rendering(self):
         from repro.experiments.harness import fault_injection_rows
-        from repro.experiments.report import format_degradation
+        from repro.experiments.report import format_table
 
         rows = fault_injection_rows("tiny")
         assert rows  # the default plan forces at least one fallback
         for row in rows:
             assert set(row) == {"strategy", "step", "operation", "rung", "reason", "error"}
-        table = format_degradation(rows)
+        table = format_table(rows)
         assert "rung" in table and rows[0]["strategy"] in table
 
     def test_degradation_rows_empty_without_wrappers(self, grid_mesh):
         from repro.experiments.harness import degradation_rows, run_comparison
-        from repro.experiments.report import format_degradation
+        from repro.experiments.report import format_table
 
         report = run_comparison(
             grid_mesh.copy(),
@@ -363,4 +355,4 @@ class TestExperimentSurface:
             ).boxes,
         )
         assert degradation_rows(report) == []
-        assert "(no rows)" in format_degradation([])
+        assert "(no rows)" in format_table([])

@@ -332,43 +332,3 @@ class TestVectorisedHotPaths:
             if got >= 0:
                 assert got == grid.any_vertex_near(point)
 
-
-class TestHarnessBatching:
-    def test_simulation_batched_equals_sequential(self, grid_mesh):
-        from repro.simulation import MeshSimulation, RandomWalkDeformation
-
-        def provider(mesh, step):
-            return [
-                Box3D((0.1, 0.1, 0.1), (0.5, 0.5, 0.5)),
-                Box3D((0.4, 0.4, 0.4), (0.9, 0.9, 0.9)),
-            ]
-
-        def run(batch):
-            mesh = grid_mesh.copy()
-            simulation = MeshSimulation(
-                mesh=mesh,
-                deformation=RandomWalkDeformation(amplitude=0.001, seed=8),
-                strategies=[OctopusExecutor(), LinearScanExecutor()],
-                query_provider=provider,
-                validate_results=True,
-                batch_queries=batch,
-            )
-            return simulation.run(3)
-
-        batched = run(True)
-        sequential = run(False)
-        for name in batched.names():
-            assert batched[name].total_results == sequential[name].total_results
-            assert batched[name].counters.as_dict() == sequential[name].counters.as_dict()
-
-    def test_sequential_env_var_respected(self, grid_mesh, monkeypatch):
-        from repro.simulation import MeshSimulation, RandomWalkDeformation
-
-        monkeypatch.setenv("REPRO_SEQUENTIAL_QUERIES", "1")
-        simulation = MeshSimulation(
-            mesh=grid_mesh.copy(),
-            deformation=RandomWalkDeformation(amplitude=0.001, seed=8),
-            strategies=[LinearScanExecutor()],
-            query_provider=lambda mesh, step: [],
-        )
-        assert simulation.batch_queries is False

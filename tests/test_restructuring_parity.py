@@ -379,10 +379,10 @@ class TestSimulatorIntegration:
             [make_strategy("octopus"), make_strategy("octree")],
         )
         octopus = report["octopus"]
-        assert octopus.total_restructurings == 3
-        assert octopus.total_topology_dirty > 0
-        flags = [record.restructured for record in octopus.steps]
-        assert flags == [False, True, False, True, False, True]
+        assert octopus.counts["simulation.restructurings"] == 3
+        assert octopus.counts["simulation.topology_dirty"] > 0
+        flags = [record.counts["simulation.restructurings"] for record in octopus.steps]
+        assert flags == [0, 1, 0, 1, 0, 1]
         # Restructuring work lands in the shared maintenance ledger: the
         # octree rebuilds on the split steps even though two of the three
         # restructuring ticks are zero-moved rest steps.
@@ -390,9 +390,9 @@ class TestSimulatorIntegration:
         split_steps = [
             record
             for record in octree.steps
-            if record.restructured and record.n_moved == 0
+            if record.counts["simulation.restructurings"] and record.counts["simulation.moved"] == 0
         ]
-        assert any(record.maintenance_entries > 0 for record in split_steps)
+        assert any(record.counts["maintenance.entries"] > 0 for record in split_steps)
 
     def test_cross_strategy_results_agree_across_restructuring(self):
         # The position-index strategies answer from the live vertex array, so
@@ -407,7 +407,7 @@ class TestSimulatorIntegration:
             [make_strategy("linear-scan"), make_strategy("octree"), make_strategy("grid")],
             validate=True,
         )
-        assert report["octree"].total_restructurings == 3
+        assert report["octree"].counts["simulation.restructurings"] == 3
 
     def test_schedule_type_is_validated(self):
         def bad_schedule(mesh, step):

@@ -3,10 +3,53 @@
 import pytest
 
 from repro.baselines import LinearScanExecutor
-from repro.core import OctopusExecutor
+from repro.core import OctopusConExecutor, OctopusExecutor, ResilientStrategy
 from repro.errors import SimulationError
-from repro.simulation import MeshSimulation, RandomWalkDeformation, SinusoidalWaveDeformation
-from repro.workloads import random_query_workload
+from repro.experiments import make_strategy, per_step_workload_provider, run_comparison
+from repro.factory import build_strategy
+from repro.generators import structured_tetrahedral_mesh
+from repro.simulation import (
+    FaultPlan,
+    FaultyBatchStrategy,
+    LocalizedPulseDeformation,
+    MeshSimulation,
+    RandomWalkDeformation,
+    SinusoidalWaveDeformation,
+    periodic_restructuring,
+)
+from repro.simulation.simulator import GAUGES
+from repro.workloads import random_query_workload, repeated_query_provider
+
+#: every key MeshSimulation.step can put in a counts map (docs/architecture.md)
+ALL_COUNT_KEYS = {
+    "simulation.moved",
+    "simulation.restructurings",
+    "simulation.topology_dirty",
+    "maintenance.entries",
+    "core.crawl_visits_unique",
+    "core.crawl_visits_attributed",
+    "core.crawl_edges_unique",
+    "core.crawl_edges_attributed",
+    "core.walk_distances_unique",
+    "core.walk_distances_attributed",
+    "resilience.fallbacks",
+    *(f"cache.{name}" for name in ("hits", "misses", "invalidations", "flushes", "evictions")),
+    *(
+        f"standing.{name}"
+        for name in (
+            "subscriptions",
+            "ticks",
+            "updates",
+            "entered",
+            "exited",
+            "skips",
+            "touched",
+            "recrawls",
+            "full_reevals",
+            "moved_tests",
+        )
+    ),
+}
 
 
 def fixed_provider(boxes):
@@ -156,23 +199,23 @@ class TestMotionLedger:
         octree = report["octree"]
         window = max(1, round(0.05 * mesh.n_vertices))
         # Steps 1 and 2 moved one window each; step 3 was a rest step.
-        assert [record.n_moved for record in octree.steps] == [window, window, 0]
-        assert octree.total_moved_vertices == 2 * window
+        assert [record.counts["simulation.moved"] for record in octree.steps] == [window, window, 0]
+        assert octree.counts["simulation.moved"] == 2 * window
         # The throwaway rebuild touches every vertex on active steps and is
         # skipped entirely on the rest step.
-        assert [record.maintenance_entries for record in octree.steps] == [
+        assert [record.counts["maintenance.entries"] for record in octree.steps] == [
             mesh.n_vertices,
             mesh.n_vertices,
             0,
         ]
-        assert octree.total_maintenance_entries == 2 * mesh.n_vertices
-        assert octree.maintenance_entries_per_moved_vertex() == pytest.approx(
+        assert octree.counts["maintenance.entries"] == 2 * mesh.n_vertices
+        assert octree.ratios()["maintenance.entries_per_moved"] == pytest.approx(
             2 * mesh.n_vertices / (2 * window)
         )
         # The linear scan needs no maintenance whatsoever.
         linear = report["linear-scan"]
-        assert linear.total_maintenance_entries == 0
-        assert linear.maintenance_entries_per_moved_vertex() == 0.0
+        assert linear.counts["maintenance.entries"] == 0
+        assert linear.ratios()["maintenance.entries_per_moved"] == 0.0
 
     def test_legacy_model_without_delta_is_rejected(self, neuron_small):
         from repro.simulation import RandomWalkDeformation
@@ -191,3 +234,64 @@ class TestMotionLedger:
         )
         with pytest.raises(SimulationError, match="DeformationDelta"):
             simulation.run(n_steps=1)
+
+
+class TestCountsLedger:
+    """One check of the counts map over runs that between them report every key."""
+
+    @pytest.fixture(scope="class")
+    def stacked(self):
+        # a cached + standing OCTOPUS stack beside a bare scan, on a mesh that
+        # is split and pruned every other step, re-polled so the cache hits
+        mesh = structured_tetrahedral_mesh((6, 6, 6))
+        boxes = random_query_workload(mesh, selectivity=0.05, n_queries=3, seed=0).boxes
+        return run_comparison(
+            mesh,
+            [make_strategy("linear-scan"), build_strategy("octopus", caching=True, standing=boxes)],
+            LocalizedPulseDeformation(sparsity=0.05, amplitude=0.02, rest_every=2, seed=0),
+            n_steps=6,
+            query_provider=repeated_query_provider(0.02, 4, repoll_fraction=0.9, seed=0),
+            restructuring=periodic_restructuring(every=2, kind="mixed", n_cells=4, seed=0),
+        )
+
+    @pytest.fixture(scope="class")
+    def chaos(self):
+        # paranoid resilient stacks under a fault plan, as fault_injection_rows
+        # builds them
+        plan = FaultPlan(seed=7, probability=0.6)
+        return run_comparison(
+            structured_tetrahedral_mesh((6, 6, 6)),
+            [
+                make_strategy("linear-scan"),
+                ResilientStrategy(FaultyBatchStrategy(make_strategy("octopus"), plan), paranoid=True),
+                ResilientStrategy(OctopusConExecutor(grid_maintenance="incremental"), paranoid=True),
+                ResilientStrategy(make_strategy("lur-tree"), paranoid=True),
+            ],
+            LocalizedPulseDeformation(sparsity=0.05, amplitude=0.02, seed=7),
+            n_steps=8,
+            query_provider=per_step_workload_provider(0.02, 4, seed=7),
+            validate_results=True,
+            fault_plan=plan,
+        )
+
+    def test_the_runs_report_every_key(self, stacked, chaos):
+        reports = [*stacked.strategies.values(), *chaos.strategies.values()]
+        assert {key for report in reports for key in report.counts} == ALL_COUNT_KEYS
+        assert chaos.injected_faults
+        assert sum(report.counts.get("resilience.fallbacks", 0) for report in reports) > 0
+
+    def test_run_counts_are_step_sums(self, stacked, chaos):
+        for report in [*stacked.strategies.values(), *chaos.strategies.values()]:
+            assert set().union(*(record.counts for record in report.steps)) == set(report.counts)
+            for key, value in report.counts.items():
+                values = [record.counts[key] for record in report.steps if key in record.counts]
+                expected = values[-1] if key in GAUGES else sum(values)
+                assert value == expected, (report.name, key)
+
+    def test_layer_keys_exist_only_with_the_layer(self, stacked, chaos):
+        layered = stacked["standing-cached-octopus"].counts
+        assert layered["standing.subscriptions"] == 3
+        assert layered["cache.evictions"] == 0  # a cache with no evictions still reports
+        for report in [stacked["linear-scan"], *chaos.strategies.values()]:
+            assert not any(key.startswith(("cache.", "standing.")) for key in report.counts)
+        assert "resilience.fallbacks" not in stacked["linear-scan"].counts

@@ -315,19 +315,11 @@ class TestStandingStrategyWrapper:
         )
         report = simulation.run(4)
         standing_report = report["standing-octopus"]
-        assert standing_report.standing is True
-        assert standing_report.standing_subscriptions == len(boxes)
-        assert standing_report.total_standing_skips > 0
-        assert 0.0 < standing_report.standing_skip_rate() <= 1.0
-        assert sum(r.standing_skips for r in standing_report.steps) == (
-            standing_report.total_standing_skips
-        )
-        assert sum(r.standing_updates for r in standing_report.steps) == (
-            standing_report.total_standing_updates
-        )
+        assert standing_report.counts["standing.subscriptions"] == len(boxes)
+        assert standing_report.counts["standing.skips"] > 0
+        assert 0.0 < standing_report.ratios()["standing.skip_rate"] <= 1.0
         scan_report = report["linear-scan"]
-        assert scan_report.standing is False
-        assert scan_report.total_standing_updates == 0
+        assert not any(key.startswith("standing.") for key in scan_report.counts)
 
 
 class TestServiceSubscriptions:
@@ -498,7 +490,7 @@ class TestSeededProperties:
 class TestExperimentSurface:
     def test_standing_rows_and_rendering(self):
         from repro.experiments.harness import standing_steering_rows
-        from repro.experiments.report import format_standing
+        from repro.experiments.report import format_table
 
         rows = standing_steering_rows("tiny", n_subscriptions=4, n_steps=3)
         assert {row["strategy"] for row in rows} == {
@@ -508,8 +500,7 @@ class TestExperimentSurface:
             "standing-lur-tree",
         }
         by_name = {row["strategy"]: row for row in rows}
-        assert by_name["standing-octopus"]["standing"] is True
-        assert by_name["standing-octopus"]["subscriptions"] == 4
-        assert by_name["octopus"]["standing"] is False
-        table = format_standing(rows)
-        assert "skip_rate" in table and "standing-octopus" in table
+        assert by_name["standing-octopus"]["standing.subscriptions"] == 4
+        assert by_name["octopus"]["standing.subscriptions"] == "-"
+        table = format_table(rows)
+        assert "standing.skip_rate" in table and "standing-octopus" in table

@@ -233,7 +233,6 @@ class TestExecutorFusedWalks:
         batched = executor.query_many(boxes)
         batch = executor.last_fused_crawl
         assert batch is not None
-        assert batch.n_groups == 1
         assert batch.n_words == 2
         for index, (got, want) in enumerate(zip(batched, sequential)):
             assert got.same_vertices_as(want), f"box {index}"
