@@ -25,8 +25,8 @@ random mesh vertices, microbenchmark-B selectivity):
 * **restructuring maintenance** — topology-delta-keyed incremental
   maintenance (``on_restructure(delta)`` with an explicit dirty set) against
   the delta-blind reference (the same strategy driven with
-  ``delta.as_full()``: whole-surface reconciliation, full grid re-bin, STR
-  bulk reload), for OCTOPUS's surface index, OCTOPUS-CON's maintained grid
+  ``delta.as_full()``: whole-surface count, full grid re-bin, STR
+  bulk reload), for OCTOPUS's surface count, OCTOPUS-CON's maintained grid
   and the LUR-Tree, on rounds of localized cell splits.  The gated
   ``speedup`` is again the minimum across strategies.
 * **paranoid overhead** — a clean run through the paranoid
@@ -114,7 +114,7 @@ SPARSE_REPS = 3
 
 #: restructuring-maintenance scenario: localized splits on a dedicated mesh —
 #: a thin structured slab whose surface covers most of its vertices, so the
-#: O(surface) full reconciliation and the O(event) narrowed one separate
+#: O(surface) whole-array count and the O(event) dirty-id one separate
 #: cleanly (and the slab generates in milliseconds, unlike a large neuron)
 RESTRUCTURE_MESH_SHAPE = (100, 100, 2)
 RESTRUCTURE_ROUNDS = 4
@@ -401,11 +401,11 @@ def bench_restructuring_maintenance() -> dict:
 
     Each round splits a localized clump of cells in place and hands the
     resulting :class:`TopologyDelta` to two instances of the same strategy:
-    one receives the real sparse delta (incremental path — narrowed
-    surface-index reconciliation for OCTOPUS, a frozen-geometry tail splice
-    for OCTOPUS-CON's maintained grid, ascending-id inserts of the appended
-    centroids for the LUR-Tree), the other ``delta.as_full()`` (the
-    delta-blind path: whole-surface diff / full re-bin / STR bulk reload).
+    one receives the real sparse delta (incremental path — the surface
+    membership count over the dirty ids for OCTOPUS, a frozen-geometry tail
+    splice for OCTOPUS-CON's maintained grid, ascending-id inserts of the
+    appended centroids for the LUR-Tree), the other ``delta.as_full()`` (the
+    delta-blind path: whole-array count / full re-bin / STR bulk reload).
     The mesh-side surface re-extraction is warmed before timing either
     contender, so the ratio isolates the *index* maintenance.  The headline
     ``speedup`` — the number the CI floor gates — is the minimum across

@@ -3,8 +3,9 @@
 Two of OCTOPUS's less-travelled code paths:
 
 1. **Mesh restructuring** (Section IV-E2) — when the simulation splits or
-   removes cells, the surface can change; the surface index is reconciled
-   with cheap insert/delete operations instead of a rebuild.
+   removes cells, the surface can change; the mesh splices its own set of
+   surface vertex ids, which the probe reads, so OCTOPUS only counts which
+   ids joined or left the surface.
 2. **Surface approximation** (Section IV-H2) — probing only a sample of the
    surface trades a little recall for probe time, useful for visualization
    workloads.
@@ -30,7 +31,7 @@ def restructuring_demo() -> None:
     mesh = neuron_mesh(resolution=18, name="restructured-neuron")
     octopus = OctopusExecutor()
     octopus.prepare(mesh)
-    print(f"initial surface index size: {len(octopus.surface_index)}")
+    print(f"initial surface size: {len(octopus.surface_index)} vertices")
 
     # Refine a region: split 50 cells 1-to-4 (centroid insertion).  The event
     # carries the TopologyDelta that feeds the strategy lifecycle.
@@ -39,16 +40,16 @@ def restructuring_demo() -> None:
     print(f"split 50 cells: +{split_event.n_new_vertices} vertices, "
           f"surface gained {split_event.inserted_surface_vertices.size} / "
           f"lost {split_event.removed_surface_vertices.size} vertices; "
-          f"index reconciled in {seconds * 1e3:.2f} ms "
-          f"({split_event.delta.n_dirty} dirty vertices checked)")
+          f"octopus maintenance {seconds * 1e3:.2f} ms "
+          f"(membership counted over {split_event.delta.n_dirty} dirty vertices)")
 
     # Erode the mesh: remove 100 cells, exposing interior vertices.  The
-    # narrowed reconciliation only diffs the removed cells' vertices.
+    # count again only looks at the removed cells' vertices.
     remove_event = remove_cells_inplace(mesh, np.arange(mesh.n_cells - 100, mesh.n_cells))
     seconds = octopus.on_restructure(remove_event.delta)
     print(f"removed 100 cells: surface gained {remove_event.inserted_surface_vertices.size} "
-          f"vertices; index reconciled in {seconds * 1e3:.2f} ms "
-          f"({octopus.maintenance_entries} hash-table operations)")
+          f"vertices; octopus maintenance {seconds * 1e3:.2f} ms "
+          f"({octopus.maintenance_entries} surface ids joined or left so far)")
 
     # Queries remain exact after the restructuring.
     linear = LinearScanExecutor()

@@ -13,7 +13,6 @@ from .resilience import (
     QueryBudget,
     ResilientStrategy,
     audit_adjacency,
-    audit_surface_index,
     check_query_box,
     check_query_boxes,
     validate_delta,
@@ -49,7 +48,6 @@ __all__ = [
     "WalkArena",
     "WalkOutcome",
     "audit_adjacency",
-    "audit_surface_index",
     "calibrate_cost_model",
     "check_query_box",
     "check_query_boxes",

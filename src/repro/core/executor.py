@@ -339,10 +339,14 @@ class StrategyWrapper(ExecutionStrategy):
         if inner_note is not None:
             inner_note(step)
 
-    def drain_degradation_events(self) -> list:
-        """Return and clear fallback events recorded anywhere in the stack."""
+    def drain_degradation_events(self) -> list | None:
+        """Return and clear fallback events recorded anywhere in the stack.
+
+        ``None`` when no layer of the stack has a degradation ladder, so
+        report code can distinguish "no ladder" from "ladder, zero fallbacks".
+        """
         drain = getattr(self.inner, "drain_degradation_events", None)
-        return drain() if drain is not None else []
+        return drain() if drain is not None else None
 
     def drain_cache_stats(self):
         """Return and reset cache statistics recorded anywhere in the stack.

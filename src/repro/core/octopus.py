@@ -14,8 +14,10 @@ A query is answered in three phases:
 
 Because phases 1–3 read vertex positions directly from the mesh at query time,
 OCTOPUS needs **no maintenance whatsoever** when the simulation deforms the
-mesh; only the rare restructuring of connectivity requires updating the
-surface index (handled in :meth:`OctopusExecutor.on_step`).
+mesh.  Restructuring changes the surface, which the mesh splices itself; the
+probe reads the mesh's surface array at query time, and
+:meth:`OctopusExecutor.on_restructure` only counts the event's surface
+changes and redraws the approximate probe's sample.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from ..mesh import (
     points_boxes_distance_sq,
 )
 from .crawler import BatchCrawlOutcome, crawl, crawl_many
-from .delta import DeformationDelta, TopologyDelta
+from .delta import TopologyDelta
 from .directed_walk import directed_walk, fused_walk_phase
 from .executor import ExecutionStrategy
 from .resilience import check_query_box, check_query_boxes
@@ -52,9 +54,12 @@ class OctopusExecutor(ExecutionStrategy):
     ----------
     surface_sample_fraction:
         Optional surface-approximation factor in (0, 1]: probe only this
-        fraction of the surface vertices (chosen uniformly at random once, at
-        prepare time).  ``None`` or 1.0 probes the full surface and guarantees
-        exact results (Section IV-H2 / Figure 12 trade accuracy for speed).
+        fraction of the surface vertices (chosen uniformly at random at
+        prepare time, and again whenever the connectivity changes).  Such a
+        probe can miss in-box components, so its results say
+        ``complete=False``.  ``None`` or 1.0 probes the full surface and
+        guarantees exact results (Section IV-H2 / Figure 12 trade accuracy
+        for speed).
     seed:
         Seed for the approximation sample.
     """
@@ -72,7 +77,8 @@ class OctopusExecutor(ExecutionStrategy):
         self.surface_sample_fraction = surface_sample_fraction
         self.seed = seed
         self._surface_index: SurfaceIndex | None = None
-        self._probe_ids: np.ndarray | None = None
+        #: (connectivity version, sorted sample ids) of the approximate probe
+        self._sample: tuple[int, np.ndarray] | None = None
         #: per-thread crawl arenas (epoch-stamped visited + buffers); one
         #: CrawlScratch per thread keeps concurrent queries off each other's
         #: stamps — see the thread-safety contract in repro.core.scratch
@@ -91,19 +97,32 @@ class OctopusExecutor(ExecutionStrategy):
     def _build(self) -> float:
         start = time.perf_counter()
         self._surface_index = SurfaceIndex(self.mesh)
-        self._refresh_probe_sample()
+        self._draw_sample()
         return time.perf_counter() - start
 
-    def _refresh_probe_sample(self) -> None:
-        """Recompute which surface vertices the probe will examine."""
-        assert self._surface_index is not None
-        ids = self._surface_index.surface_ids()
-        if self.surface_sample_fraction is None or self.surface_sample_fraction >= 1.0:
-            self._probe_ids = ids
+    def _draw_sample(self) -> None:
+        """Draw the approximate probe's surface sample (exact mode keeps none)."""
+        if not self.is_approximate:
             return
+        ids = self.surface_index.surface_ids()
         rng = np.random.default_rng(self.seed)
         sample_size = max(1, int(round(ids.size * self.surface_sample_fraction)))
-        self._probe_ids = np.sort(rng.choice(ids, size=sample_size, replace=False))
+        sample = np.sort(rng.choice(ids, size=sample_size, replace=False))
+        # one tuple, so a concurrent reader never pairs a version with the
+        # other draw's sample
+        self._sample = (self.mesh.connectivity_version, sample)
+
+    def _probe_ids(self) -> np.ndarray:
+        """The surface vertices the probe examines: the surface or its sample.
+
+        The sample is redrawn when the connectivity moved since it was drawn,
+        so even an unannounced restructure never leaves it stale.
+        """
+        if not self.is_approximate:
+            return self.surface_index.surface_ids()
+        if self._sample is None or self._sample[0] != self.mesh.connectivity_version:
+            self._draw_sample()
+        return self._sample[1]
 
     @property
     def surface_index(self) -> SurfaceIndex:
@@ -117,62 +136,21 @@ class OctopusExecutor(ExecutionStrategy):
         """True when the probe examines only a sample of the surface."""
         return self.surface_sample_fraction is not None and self.surface_sample_fraction < 1.0
 
-    def on_step(self, delta: DeformationDelta) -> float:
-        """Maintenance after a simulation step.
-
-        Mesh *deformation* requires nothing, however many vertices the delta
-        reports moved: the surface index stores ids, not positions.  If the
-        mesh was restructured since the index was built *without* the event
-        pipeline announcing it (no :meth:`on_restructure` call), the surface
-        index is reconciled here with a whole-surface diff — the safety net
-        for ad-hoc ``replace_cells`` flows; event-driven restructuring goes
-        through :meth:`on_restructure`, which narrows the reconciliation to
-        the event's dirty ids.
-        """
-        if self._surface_index is None or not self._surface_index.is_stale():
-            return 0.0
-        start = time.perf_counter()
-        inserted, removed = self._surface_index.refresh_from_mesh()
-        self._refresh_probe_sample()
-        elapsed = time.perf_counter() - start
-        self.maintenance_time += elapsed
-        self.maintenance_entries += inserted + removed
-        return elapsed
-
     def on_restructure(self, delta: TopologyDelta) -> float:
-        """Reconcile the surface index with a restructuring event.
+        """Account for a restructuring event and redraw the probe sample.
 
-        The paper's hash-table maintenance: individual vertex ids are
-        inserted into or removed from the surface table.  A sparse delta
-        narrows the reconciliation to its dirty ids (every surface-membership
-        change lies inside them, see
-        :class:`~repro.core.delta.TopologyDelta`), through the scratch's
-        epoch-stamped delta arena, so the index work is proportional to the
-        event.  The mesh spliced its own surface from the operation's dirty
-        ids when it was restructured (see
-        :meth:`~repro.mesh.base.PolyhedralMesh.restructure`), so no global
-        face list is rebuilt either.  A full delta falls back to the
-        whole-surface diff, as does an index more than one connectivity
-        version behind or an *empty* delta on a
-        stale index (either way someone mutated connectivity outside the
-        event pipeline, and those changes' membership flips can lie outside
-        this event's dirty set — see :meth:`SurfaceIndex.versions_behind`).
-        Every path leaves the identical table, hence bit-identical queries
-        and counters.  The probe sample is re-drawn either way (the surface
-        id set may have changed).
+        The mesh spliced its own surface array from the operation's dirty ids
+        (see :meth:`~repro.mesh.base.PolyhedralMesh.restructure`) and the
+        probe reads that array, so nothing has to be reconciled.  What is
+        left is the ledger — the surface ids the event inserted and removed
+        (see :meth:`SurfaceIndex.refresh_from_mesh`) — and redrawing the
+        approximate probe's sample from the new surface.
         """
         if self._surface_index is None:
             return 0.0
-        if delta.is_empty and not self._surface_index.is_stale():
-            return 0.0
         start = time.perf_counter()
-        if delta.is_full or delta.is_empty or self._surface_index.versions_behind() > 1:
-            inserted, removed = self._surface_index.refresh_from_mesh()
-        else:
-            inserted, removed = self._surface_index.refresh_from_mesh(
-                dirty_ids=delta.dirty_ids, scratch=self.scratch
-            )
-        self._refresh_probe_sample()
+        inserted, removed = self._surface_index.refresh_from_mesh(delta.dirty_ids)
+        self._draw_sample()
         elapsed = time.perf_counter() - start
         self.maintenance_time += elapsed
         self.maintenance_entries += inserted + removed
@@ -193,7 +171,7 @@ class OctopusExecutor(ExecutionStrategy):
 
         # Phase 1: surface probe over the (possibly sampled) surface vertex set.
         probe_start = time.perf_counter()
-        probe = self.surface_index.probe(box, counters, ids=self._probe_ids)
+        probe = self.surface_index.probe(box, counters, ids=self._probe_ids())
         probe_time = time.perf_counter() - probe_start
 
         # Phases 2 and 3: directed walk (only on a probe miss) and crawl.
@@ -252,7 +230,7 @@ class OctopusExecutor(ExecutionStrategy):
             walk_time=walk_time,
             crawl_time=crawl_time,
             total_time=probe_time + walk_time + crawl_time,
-            complete=walk_complete and outcome.complete,
+            complete=walk_complete and outcome.complete and not self.is_approximate,
         )
 
     def query_many(self, boxes: Sequence[Box3D]) -> list[QueryResult]:
@@ -275,11 +253,10 @@ class OctopusExecutor(ExecutionStrategy):
         if len(box_list) <= 1:
             return [self.query(box) for box in box_list]
         mesh = self.mesh
-        surface = self.surface_index  # raises before prepare()
-        probe_ids = self._probe_ids if self._probe_ids is not None else surface.surface_ids()
-        if surface.is_stale() or probe_ids.size == 0:
-            # Rare paths (stale-index error, surface-less mesh): keep the
-            # sequential code as the single source of truth.
+        probe_ids = self._probe_ids()  # raises before prepare()
+        if probe_ids.size == 0:
+            # A surface-less mesh: keep the sequential code as the single
+            # source of truth.
             return [self.query(box) for box in box_list]
 
         probe_start = time.perf_counter()
@@ -376,7 +353,7 @@ class OctopusExecutor(ExecutionStrategy):
                     walk_time=walk_time,
                     crawl_time=crawl_time,
                     total_time=probe_time + walk_time + crawl_time,
-                    complete=walk_complete[index] and outcome.complete,
+                    complete=walk_complete[index] and outcome.complete and not self.is_approximate,
                 )
             )
         return results

@@ -51,7 +51,6 @@ __all__ = [
     "QueryBudget",
     "ResilientStrategy",
     "audit_adjacency",
-    "audit_surface_index",
     "check_query_box",
     "check_query_boxes",
     "screen_positions",
@@ -463,30 +462,6 @@ def audit_adjacency(mesh: PolyhedralMesh, vertex_ids: np.ndarray | None = None) 
                 raise MeshConnectivityError(f"vertex {int(vid)} lists itself as a neighbour")
 
 
-def audit_surface_index(executor) -> None:
-    """Surface-index consistency audit for an OCTOPUS executor.
-
-    Recomputes the mesh's surface vertex set and compares it with the
-    executor's surface table — the structure whose corruption silently drops
-    query results (a vertex missing from the table is never probed).  Raises
-    :class:`~repro.errors.MeshConnectivityError` on divergence; a stale index
-    (connectivity changed without a refresh) is reported too, since a query
-    at this point would answer against the wrong surface.
-    """
-    surface = executor.surface_index
-    if surface.is_stale():
-        raise MeshConnectivityError(
-            "surface index is stale: mesh connectivity changed without a refresh"
-        )
-    expected = np.asarray(executor.mesh.surface_vertices(), dtype=np.int64)
-    actual = np.sort(np.asarray(surface.surface_ids(), dtype=np.int64))
-    if not np.array_equal(np.sort(expected), actual):
-        raise MeshConnectivityError(
-            f"surface index holds {actual.size} ids but the mesh surface has "
-            f"{expected.size}; the sets differ"
-        )
-
-
 # ----------------------------------------------------------------------
 # degradation ladder
 # ----------------------------------------------------------------------
@@ -566,7 +541,7 @@ class ResilientStrategy(StrategyWrapper):
         """Return and clear the recorded fallback events (own + inner's)."""
         events = self.degradation_events
         self.degradation_events = []
-        events.extend(super().drain_degradation_events())
+        events.extend(super().drain_degradation_events() or [])
         return events
 
     def _record(self, operation: str, rung: str, reason: str, error: BaseException | str) -> None:

@@ -26,13 +26,6 @@ The fused directed walk keeps its per-query state (best distance, best
 vertex, step counts, frontier slots) in a :class:`WalkArena` owned by the
 scratch, so batched walks allocate nothing per call either.
 
-Delta-aware maintenance reuses the same trick through a third epoch-stamped
-arena (:meth:`CrawlScratch.acquire_delta`): incremental index updates need a
-"is this vertex in the moved set?" test over all mesh vertices (e.g. the
-grid relocation filtering departing members out of its CSR arrays), and the
-delta arena provides it as a single epoch increment per step — no per-step
-boolean allocation, no clearing.
-
 A scratch instance is owned by one thread at a time and is **not**
 thread-safe; two concurrent queries must use two scratches.  That contract
 used to be documentation only — now it is enforced: the crawl and walk round
@@ -158,8 +151,6 @@ class CrawlScratch:
         "_batch_words",
         "_batch_epoch",
         "_walk_arena",
-        "_delta_stamps",
-        "_delta_epoch",
     )
 
     def __init__(self) -> None:
@@ -170,8 +161,6 @@ class CrawlScratch:
         self._batch_words = np.empty((0, 1), dtype=np.uint64)
         self._batch_epoch = _NEVER
         self._walk_arena = WalkArena()
-        self._delta_stamps = np.empty(0, dtype=np.int32)
-        self._delta_epoch = _NEVER
 
     # ------------------------------------------------------------------
     # the visited arena
@@ -261,36 +250,6 @@ class CrawlScratch:
         return self._walk_arena
 
     # ------------------------------------------------------------------
-    # the delta-maintenance arena
-    # ------------------------------------------------------------------
-    @property
-    def delta_epoch(self) -> int:
-        """Epoch of the most recent :meth:`acquire_delta` (0 before any step)."""
-        return self._delta_epoch
-
-    def acquire_delta(self, n_vertices: int) -> tuple[np.ndarray, int]:
-        """Begin one incremental-maintenance step; returns ``(stamps, epoch)``.
-
-        The returned arena provides the delta's moved-set membership test:
-        stamp ``stamps[moved_ids] = epoch`` once, then ``stamps[v] == epoch``
-        answers "did vertex ``v`` move this step?" for any vertex array in one
-        vectorised gather.  Starting a step is a single epoch increment — the
-        arena is never cleared (except on growth or int32 rollover), exactly
-        like the visited arena — so delta-keyed maintenance allocates nothing
-        proportional to the mesh.  Kept separate from the query-time arenas so
-        maintenance never perturbs an in-flight crawl's epochs.
-        """
-        if self._delta_stamps.size < n_vertices:
-            capacity = max(n_vertices, 2 * self._delta_stamps.size)
-            self._delta_stamps = np.zeros(capacity, dtype=np.int32)
-            self._delta_epoch = _NEVER
-        elif self._delta_epoch >= _EPOCH_LIMIT:
-            self._delta_stamps.fill(_NEVER)
-            self._delta_epoch = _NEVER
-        self._delta_epoch += 1
-        return self._delta_stamps, self._delta_epoch
-
-    # ------------------------------------------------------------------
     # single-owner enforcement
     # ------------------------------------------------------------------
     def check_epoch(self, epoch: int) -> None:
@@ -337,7 +296,6 @@ class CrawlScratch:
             + self._batch_stamps.nbytes
             + self._batch_words.nbytes
             + self._walk_arena.memory_bytes()
-            + self._delta_stamps.nbytes
         )
 
     #: steady-state arena bytes per vertex: 4 (visited stamps) + 4 (batch

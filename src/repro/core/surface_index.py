@@ -1,32 +1,27 @@
 """The surface index (Section IV-E).
 
-OCTOPUS's only auxiliary data structure is a hash table of the vertices on the
-mesh surface.  It is built once from the global face list, is completely
-oblivious to vertex positions (so mesh deformation never requires
-maintenance), and only changes when the mesh is *restructured* — cells are
-split or merged — in which case individual vertex ids are inserted into or
-removed from the table.
+OCTOPUS's only auxiliary data structure is the set of surface vertex ids.  It
+is derived from the global face list, is completely oblivious to vertex
+positions (so mesh deformation never requires maintenance), and only changes
+when the mesh is *restructured* — cells are split or merged.
 
-The implementation keeps two views of the same set:
-
-* ``_table`` — a Python dict keyed by vertex id, mirroring the paper's hash
-  table of pointers and giving O(1) insert/delete/membership;
-* ``_ids_cache`` — a NumPy array of the ids, rebuilt lazily after
-  modifications, which lets the surface probe gather all surface positions in
-  one vectorised operation.
+The mesh already keeps that set as a cached, sorted ``int64`` array
+(:meth:`~repro.mesh.base.PolyhedralMesh.surface_vertices`), spliced from each
+restructuring operation's dirty ids or rebuilt after an unannounced
+``replace_cells``.  :class:`SurfaceIndex` therefore holds no copy of it: the
+probe reads the mesh's array when it runs, so it is never stale, and
+:meth:`SurfaceIndex.refresh_from_mesh` only counts how many ids joined or left
+the surface per event (the paper's maintenance entries).
 """
 
 from __future__ import annotations
 
 import time
-from typing import Iterable
 
 import numpy as np
 
-from ..errors import SpatialIndexError
 from ..mesh import Box3D, PolyhedralMesh, points_boxes_distance_sq, points_in_box
 from .result import QueryCounters
-from .scratch import CrawlScratch
 
 __all__ = ["SurfaceIndex", "SurfaceProbeOutcome"]
 
@@ -62,16 +57,24 @@ class SurfaceProbeOutcome:
         self.n_probed = n_probed
 
 
+def _on_surface(surface: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Mask of the ``ids`` that occur in the sorted ``surface`` array."""
+    if surface.size == 0:
+        return np.zeros(ids.size, dtype=bool)
+    slots = np.minimum(np.searchsorted(surface, ids), surface.size - 1)
+    return surface[slots] == ids
+
+
 class SurfaceIndex:
-    """Hash-table index over the vertices of the mesh surface."""
+    """The surface probe over the mesh's own sorted surface vertex array."""
 
     def __init__(self, mesh: PolyhedralMesh) -> None:
         self._mesh = mesh
         start = time.perf_counter()
-        surface_ids = mesh.surface_vertices()
-        self._table: dict[int, bool] = {int(v): True for v in surface_ids}
-        self._ids_cache: np.ndarray | None = np.asarray(surface_ids, dtype=np.int64)
-        self._connectivity_version = mesh.connectivity_version
+        #: the surface array the last refresh read (the mesh's, not a copy),
+        #: and the connectivity version it belonged to
+        self._read = mesh.surface_vertices()
+        self._read_version = mesh.connectivity_version
         #: seconds spent building the index (reported as preprocessing time)
         self.build_time = time.perf_counter() - start
 
@@ -80,138 +83,49 @@ class SurfaceIndex:
     # ------------------------------------------------------------------
     @property
     def mesh(self) -> PolyhedralMesh:
-        """The mesh this index was built over."""
+        """The mesh this index probes."""
         return self._mesh
 
     def __len__(self) -> int:
-        return len(self._table)
-
-    def __contains__(self, vertex_id: int) -> bool:
-        return int(vertex_id) in self._table
+        return int(self.surface_ids().size)
 
     def surface_ids(self) -> np.ndarray:
-        """The surface vertex ids as a sorted NumPy array (cached)."""
-        if self._ids_cache is None:
-            ids = np.fromiter(self._table.keys(), dtype=np.int64, count=len(self._table))
-            ids.sort()
-            self._ids_cache = ids
-        return self._ids_cache
+        """The mesh's current surface vertex ids, sorted (the mesh caches them)."""
+        return self._mesh.surface_vertices()
 
     def memory_bytes(self) -> int:
-        """Approximate footprint: one hash entry plus one cached id per vertex."""
-        # A CPython dict entry costs ~100 bytes; the id cache costs 8 bytes/entry.
-        return len(self._table) * 100 + len(self._table) * 8
+        """Footprint of the surface id set: one ``int64`` per surface vertex."""
+        return len(self) * 8
 
     # ------------------------------------------------------------------
-    # maintenance (only needed on mesh restructuring)
+    # maintenance accounting (only restructuring changes the surface)
     # ------------------------------------------------------------------
-    def insert(self, vertex_ids: Iterable[int]) -> int:
-        """Insert vertices that joined the surface; returns how many were new."""
-        added = 0
-        for vertex_id in vertex_ids:
-            key = int(vertex_id)
-            if key not in self._table:
-                self._table[key] = True
-                added += 1
-        if added:
-            self._ids_cache = None
-        return added
+    def refresh_from_mesh(self, dirty_ids: np.ndarray | None = None) -> tuple[int, int]:
+        """Count the surface ids a restructuring event inserted and removed.
 
-    def remove(self, vertex_ids: Iterable[int]) -> int:
-        """Remove vertices that left the surface; returns how many were present."""
-        removed = 0
-        for vertex_id in vertex_ids:
-            if self._table.pop(int(vertex_id), None) is not None:
-                removed += 1
-        if removed:
-            self._ids_cache = None
-        return removed
-
-    def refresh_from_mesh(
-        self,
-        dirty_ids: np.ndarray | None = None,
-        scratch: CrawlScratch | None = None,
-    ) -> tuple[int, int]:
-        """Reconcile the index with the mesh after a restructuring event.
-
-        Computes the difference between the current table and the mesh's
-        recomputed surface and applies the minimal set of inserts and deletes
-        (the paper's hash-table maintenance).  Returns ``(inserted, removed)``.
-
-        ``dirty_ids`` narrows the reconciliation to the given vertex ids —
-        for localized restructuring events (the dirty set of a
-        :class:`~repro.core.delta.TopologyDelta`, i.e. the affected cells'
-        vertices plus any inserted centroids) only the dirty vertices'
-        membership is diffed, instead of a whole-surface set difference.  The
-        caller guarantees that every membership change lies inside
-        ``dirty_ids``; vertices outside it are assumed unchanged (their
-        entries are kept as they are).  The dirty-membership test
-        binary-searches the fresh surface array (sorted by the extraction
-        contract) — O(k log s) for k dirty vertices on an s-vertex surface,
-        allocating nothing proportional to the surface; for *large* dirty
-        sets ``scratch`` supplies the epoch-stamped delta arena
-        (:meth:`~repro.core.scratch.CrawlScratch.acquire_delta`), whose one
-        stamp pass and one gather beat k binary searches once k approaches
-        the surface size.  The sorted id cache is spliced in place on the
-        narrowed path (two ``searchsorted`` passes over the few changed
-        ids), so the next probe never pays the whole-surface re-sort the
-        lazy rebuild would cost.
+        Compares the mesh's current surface with the array the previous
+        refresh read and returns ``(inserted, removed)``.  The ``dirty_ids``
+        of a sparse :class:`~repro.core.delta.TopologyDelta` hold every
+        membership change of its event, so the count looks only at them: two
+        binary searches per dirty id, O(event).  A full delta (``None``), an
+        empty one, or a mesh more than one connectivity version past the last
+        refresh diffs the two whole arrays instead, since an unannounced
+        change can flip ids outside this event's dirty set.
         """
-        # Sorted unique by the surface-extraction contract (np.unique over
-        # the boundary faces); both the full path's set algebra and the
-        # narrowed path's binary searches rely on it.
-        fresh = np.asarray(self._mesh.surface_vertices(), dtype=np.int64)
-        if dirty_ids is None:
-            current = self.surface_ids()
-            inserted = self.insert(np.setdiff1d(fresh, current, assume_unique=True))
-            removed = self.remove(np.setdiff1d(current, fresh, assume_unique=True))
-            # Both diffs were applied, so the fresh surface *is* the new id set.
-            self._ids_cache = fresh
+        old = self._read
+        fresh = self._mesh.surface_vertices()
+        behind = self._mesh.connectivity_version - self._read_version
+        dirty = None if dirty_ids is None else np.unique(np.asarray(dirty_ids, dtype=np.int64))
+        if dirty is None or dirty.size == 0 or behind > 1:
+            inserted = np.setdiff1d(fresh, old, assume_unique=True).size
+            removed = np.setdiff1d(old, fresh, assume_unique=True).size
         else:
-            dirty = np.unique(np.asarray(dirty_ids, dtype=np.int64))
-            if fresh.size == 0:
-                on_surface = np.zeros(dirty.size, dtype=bool)
-            elif scratch is not None and dirty.size * 8 > fresh.size:
-                stamps, epoch = scratch.acquire_delta(self._mesh.n_vertices)
-                stamps[fresh] = epoch
-                on_surface = stamps[dirty] == epoch
-            else:
-                slots = np.minimum(np.searchsorted(fresh, dirty), fresh.size - 1)
-                on_surface = fresh[slots] == dirty
-            cache = self._ids_cache
-            to_insert = np.asarray(
-                [v for v in dirty[on_surface] if int(v) not in self._table], dtype=np.int64
-            )
-            to_remove = np.asarray(
-                [v for v in dirty[~on_surface] if int(v) in self._table], dtype=np.int64
-            )
-            inserted = self.insert(to_insert)
-            removed = self.remove(to_remove)
-            if cache is not None:
-                # Splice the (sorted, deduplicated) changes into the sorted
-                # cache instead of re-sorting the whole table lazily.
-                if to_remove.size:
-                    cache = np.delete(cache, np.searchsorted(cache, to_remove))
-                if to_insert.size:
-                    cache = np.insert(cache, np.searchsorted(cache, to_insert), to_insert)
-                self._ids_cache = cache
-        self._connectivity_version = self._mesh.connectivity_version
+            was, now = _on_surface(old, dirty), _on_surface(fresh, dirty)
+            inserted = int(np.count_nonzero(now & ~was))
+            removed = int(np.count_nonzero(was & ~now))
+        self._read = fresh
+        self._read_version = self._mesh.connectivity_version
         return inserted, removed
-
-    def is_stale(self) -> bool:
-        """True when the mesh connectivity changed since the last refresh."""
-        return self._connectivity_version != self._mesh.connectivity_version
-
-    def versions_behind(self) -> int:
-        """Connectivity bumps the index has not reconciled yet.
-
-        One restructuring event corresponds to exactly one bump, so a caller
-        holding a single event's dirty set may narrow the reconciliation only
-        when this is at most 1 — a larger gap means additional, unannounced
-        connectivity changes whose membership flips can lie outside the
-        event's dirty ids, and only a whole-surface refresh is safe.
-        """
-        return self._mesh.connectivity_version - self._connectivity_version
 
     # ------------------------------------------------------------------
     # the surface probe (Section IV-C)
@@ -224,9 +138,9 @@ class SurfaceIndex:
     ) -> SurfaceProbeOutcome:
         """Scan the surface vertices and split them into inside / closest-outside.
 
-        The probe always reads the *current* vertex positions from the mesh,
-        so it is correct regardless of how far vertices moved since the index
-        was built.
+        The probe always reads the *current* vertex positions and surface from
+        the mesh, so it is correct however far vertices moved and however the
+        connectivity changed since the index was built.
 
         Parameters
         ----------
@@ -236,13 +150,9 @@ class SurfaceIndex:
             Optional counter record updated in place.
         ids:
             Optional subset of surface vertex ids to probe instead of the full
-            surface (used by the approximate executor, which probes a fixed
-            random sample).  Defaults to :meth:`surface_ids`.
+            surface (used by the approximate executor, which probes a random
+            sample of it).  Defaults to :meth:`surface_ids`.
         """
-        if self.is_stale():
-            raise SpatialIndexError(
-                "surface index is stale: the mesh was restructured; call refresh_from_mesh()"
-            )
         if ids is None:
             ids = self.surface_ids()
         n_probed = int(ids.size)

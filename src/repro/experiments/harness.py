@@ -255,10 +255,10 @@ def restructuring_maintenance_rows(
     restructurings land on zero-moved rest ticks) over the delta-aware
     strategy set, and returns the maintenance ledger (the ``simulation.*``
     and ``maintenance.*`` :func:`counts_rows`) — one per strategy, with the
-    restructuring counts populated.  OCTOPUS pays a handful of hash-table operations per
-    event, the maintained grid splices the appended centroids, the updatable
-    trees insert only the tail, and the throwaway octree shows the
-    rebuild-everything yardstick.
+    restructuring counts populated.  OCTOPUS counts the handful of surface ids
+    each event inserted or removed, the maintained grid splices the appended
+    centroids, the updatable trees insert only the tail, and the throwaway
+    octree shows the rebuild-everything yardstick.
     """
     from .datasets import neuron_largest
 

@@ -170,8 +170,9 @@ class MeshSimulation:
         :func:`~repro.simulation.restructuring.split_cells_inplace`) and
         returns the step's topology delta, which is handed to every
         strategy's :meth:`~repro.core.executor.ExecutionStrategy.on_restructure`
-        — restructuring maintenance is charged to the same per-step ledger as
-        deformation maintenance.  After a non-empty topology delta the
+        before the deformation model moves the mesh — restructuring
+        maintenance is charged to the same per-step ledger as deformation
+        maintenance.  After a non-empty topology delta the
         deformation model is re-bound to the mesh (its base positions and
         vertex ordering are re-anchored to the restructured state), so
         whole-mesh models keep working across vertex-count changes.
@@ -248,10 +249,11 @@ class MeshSimulation:
 
         The restructuring schedule (when given) runs first and may mutate the
         mesh connectivity in place; its
-        :class:`~repro.core.delta.TopologyDelta` and the deformation model's
-        :class:`~repro.core.delta.DeformationDelta` are handed to every
-        strategy's ``on_restructure`` / ``on_step``, and each strategy
-        answers the step's boxes in one ``query_many`` batch.  The step's
+        :class:`~repro.core.delta.TopologyDelta` is handed to every
+        strategy's ``on_restructure`` before the mesh deforms.  The
+        deformation model's :class:`~repro.core.delta.DeformationDelta` then
+        goes to every strategy's ``on_step``, and each strategy answers the
+        step's boxes in one ``query_many`` batch.  The step's
         ``counts`` keep all sides of the change ledger (how many vertices
         moved, how many were dirtied by restructuring, how many index entries
         each strategy touched to keep up) plus whatever the strategy stack
@@ -277,6 +279,28 @@ class MeshSimulation:
                 # current state, so whole-mesh models survive vertex-count
                 # changes.
                 self.deformation.bind(self.mesh)
+            # Corruption (here and of the deformation delta below) happens
+            # AFTER the driver's own checks: the injected faults model a lying
+            # delta producer, and what reaches the strategies is exactly what
+            # such a producer would emit.
+            if self.fault_plan is not None and topology is not None:
+                topology, fault_kind = self.fault_plan.corrupt_topology(topology, step)
+                if fault_kind is not None:
+                    self._injected_faults.append((step, fault_kind))
+
+        # The topology delta reaches every strategy before the mesh deforms,
+        # while its dirty box still covers the dirty vertices' positions.
+        entries_before: list[int] = []
+        restructure_time: list[float] = []
+        for strategy in self.strategies:
+            note_step = getattr(strategy, "note_step", None)
+            if note_step is not None:
+                note_step(step)
+            entries_before.append(strategy.maintenance_entries)
+            restructure_time.append(
+                strategy.on_restructure(topology) if topology is not None else 0.0
+            )
+
         delta = self.deformation.apply(step)
         if not isinstance(delta, DeformationDelta):
             raise SimulationError(
@@ -284,13 +308,6 @@ class MeshSimulation:
                 "return a DeformationDelta (the delta-aware lifecycle contract)"
             )
         if self.fault_plan is not None:
-            # Corruption happens AFTER the driver's own checks above: the
-            # injected faults model a lying delta producer, and what reaches
-            # the strategies is exactly what such a producer would emit.
-            if topology is not None:
-                topology, fault_kind = self.fault_plan.corrupt_topology(topology, step)
-                if fault_kind is not None:
-                    self._injected_faults.append((step, fault_kind))
             delta, fault_kind = self.fault_plan.corrupt_deformation(delta, step)
             if fault_kind is not None:
                 self._injected_faults.append((step, fault_kind))
@@ -300,19 +317,12 @@ class MeshSimulation:
         reference_ids: list[np.ndarray] | None = None
         for index, strategy in enumerate(self.strategies):
             report = self._reports[strategy.name]
-            note_step = getattr(strategy, "note_step", None)
-            if note_step is not None:
-                note_step(step)
-            entries_before = strategy.maintenance_entries
-            maintenance = 0.0
-            if topology is not None:
-                maintenance += strategy.on_restructure(topology)
-            maintenance += strategy.on_step(delta)
+            maintenance = restructure_time[index] + strategy.on_step(delta)
             counts = {
                 "simulation.moved": delta.n_moved,
                 "simulation.restructurings": int(restructured),
                 "simulation.topology_dirty": topology.n_dirty if restructured else 0,
-                "maintenance.entries": strategy.maintenance_entries - entries_before,
+                "maintenance.entries": strategy.maintenance_entries - entries_before[index],
             }
 
             start = time.perf_counter()
@@ -345,8 +355,8 @@ class MeshSimulation:
                             )
 
             drain = getattr(strategy, "drain_degradation_events", None)
-            if drain is not None:
-                fallback_events = drain()
+            fallback_events = drain() if drain is not None else None
+            if fallback_events is not None:
                 counts["resilience.fallbacks"] = len(fallback_events)
                 report.degradation_events.extend(event.as_dict() for event in fallback_events)
             for layer in ("cache", "standing"):

@@ -172,9 +172,17 @@ class StandingStrategy(StrategyWrapper):
         self._step = step
         super().note_step(step)
 
-    def drain_degradation_events(self) -> list:
+    def drain_degradation_events(self) -> list | None:
+        """Own ``standing-reeval`` events plus the inner stack's.
+
+        A paranoid wrapper is a ladder itself, so it always returns a list;
+        otherwise ``None`` when the inner stack has no ladder either.
+        """
         events, self._events = self._events, []
-        return events + super().drain_degradation_events()
+        inner = super().drain_degradation_events()
+        if inner is None and not self.paranoid:
+            return None
+        return events + (inner or [])
 
     def drain_standing_stats(self) -> StandingStats:
         """Counters since the last drain, merged with any nested registry's."""

@@ -1,6 +1,6 @@
 """Docs stay navigable: the documented corpus exists and its links resolve.
 
-The CI docs job runs this module (plus ``examples/quickstart.py``) so a moved
+The CI docs job runs this module (plus every ``examples/*.py`` script) so a moved
 file or a renamed doc page fails the build instead of silently breaking the
 README's navigation.  Only intra-repo links are checked — external URLs are
 deliberately left alone (no network in CI).

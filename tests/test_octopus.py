@@ -206,3 +206,15 @@ class TestApproximation:
             exact_ids = set(exact.query(box).vertex_ids.tolist())
             approx_ids = set(approx.query(box).vertex_ids.tolist())
             assert approx_ids <= exact_ids
+
+    def test_approximate_results_are_flagged_incomplete(self, neuron_small):
+        # A sampled probe can miss in-box components, so no answer may claim
+        # to be the whole range (Figure 12 shows recall below 100%).
+        workload = random_query_workload(neuron_small, selectivity=0.02, n_queries=4, seed=5)
+        approx = OctopusExecutor(surface_sample_fraction=0.2, seed=2)
+        approx.prepare(neuron_small)
+        results = [*approx.query_many(workload.boxes), approx.query(workload.boxes[0])]
+        assert not any(result.complete for result in results)
+        exact = OctopusExecutor(surface_sample_fraction=1.0)
+        exact.prepare(neuron_small)
+        assert all(result.complete for result in exact.query_many(workload.boxes))

@@ -10,7 +10,6 @@ from repro.core import OctopusExecutor, QueryBudget, ResilientStrategy
 from repro.core.delta import DeformationDelta, TopologyDelta
 from repro.core.resilience import (
     audit_adjacency,
-    audit_surface_index,
     check_query_box,
     check_query_boxes,
     screen_positions,
@@ -263,27 +262,6 @@ class TestStructuralAudits:
         )
         with pytest.raises(MeshConnectivityError, match="itself"):
             audit_adjacency(looped, vertex_ids=np.asarray([0], dtype=np.int64))
-
-    def test_surface_index_audit_passes_on_prepared_octopus(self, grid_mesh):
-        executor = OctopusExecutor()
-        executor.prepare(grid_mesh.copy())
-        audit_surface_index(executor)
-
-    def test_surface_index_audit_catches_staleness_and_divergence(self, grid_mesh):
-        stale = SimpleNamespace(
-            surface_index=SimpleNamespace(is_stale=lambda: True), mesh=grid_mesh
-        )
-        with pytest.raises(MeshConnectivityError, match="stale"):
-            audit_surface_index(stale)
-        diverged = SimpleNamespace(
-            surface_index=SimpleNamespace(
-                is_stale=lambda: False,
-                surface_ids=lambda: np.asarray([0, 1], dtype=np.int64),
-            ),
-            mesh=grid_mesh,
-        )
-        with pytest.raises(MeshConnectivityError, match="differ"):
-            audit_surface_index(diverged)
 
 
 # ----------------------------------------------------------------------

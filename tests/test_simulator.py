@@ -7,7 +7,7 @@ from repro.core import OctopusConExecutor, OctopusExecutor, ResilientStrategy
 from repro.errors import SimulationError
 from repro.experiments import make_strategy, per_step_workload_provider, run_comparison
 from repro.factory import build_strategy
-from repro.generators import structured_tetrahedral_mesh
+from repro.generators import neuron_mesh, structured_tetrahedral_mesh
 from repro.simulation import (
     FaultPlan,
     FaultyBatchStrategy,
@@ -247,7 +247,11 @@ class TestCountsLedger:
         boxes = random_query_workload(mesh, selectivity=0.05, n_queries=3, seed=0).boxes
         return run_comparison(
             mesh,
-            [make_strategy("linear-scan"), build_strategy("octopus", caching=True, standing=boxes)],
+            [
+                make_strategy("linear-scan"),
+                build_strategy("octopus", caching=True, standing=boxes),
+                build_strategy("octopus-con", resilience=True),
+            ],
             LocalizedPulseDeformation(sparsity=0.05, amplitude=0.02, rest_every=2, seed=0),
             n_steps=6,
             query_provider=repeated_query_provider(0.02, 4, repoll_fraction=0.9, seed=0),
@@ -295,3 +299,29 @@ class TestCountsLedger:
         for report in [stacked["linear-scan"], *chaos.strategies.values()]:
             assert not any(key.startswith(("cache.", "standing.")) for key in report.counts)
         assert "resilience.fallbacks" not in stacked["linear-scan"].counts
+        # a stack without a ladder reports no fallback count, not a zero one
+        assert "resilience.fallbacks" not in layered
+        assert stacked["octopus-con"].counts["resilience.fallbacks"] == 0
+
+
+class TestDeliveryOrder:
+    def test_paranoid_restructuring_without_faults_logs_no_fallback(self):
+        # The topology delta reaches the strategies before the mesh deforms,
+        # so a paranoid audit checks its dirty box against the positions it
+        # was taken from, and no valid restructure is quarantined.
+        strategies = [
+            build_strategy(name, resilience="paranoid")
+            for name in ("octopus", "octopus-con", "lur-tree", "grid")
+        ]
+        report = run_comparison(
+            neuron_mesh(14),
+            strategies,
+            RandomWalkDeformation(amplitude=0.002, seed=0),
+            n_steps=8,
+            query_provider=per_step_workload_provider(0.02, 4, seed=0),
+            restructuring=periodic_restructuring(every=2, kind="mixed", n_cells=8, seed=0),
+        )
+        for name, strategy_report in report.strategies.items():
+            assert strategy_report.counts["simulation.restructurings"] == 4, name
+            assert strategy_report.counts["resilience.fallbacks"] == 0, name
+            assert strategy_report.degradation_events == [], name

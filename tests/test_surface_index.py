@@ -1,10 +1,9 @@
 """Tests for the surface index (build, probe, maintenance)."""
 
 import numpy as np
-import pytest
 
-from repro.core import QueryCounters, SurfaceIndex
-from repro.errors import SpatialIndexError
+from repro.baselines import LinearScanExecutor
+from repro.core import OctopusExecutor, QueryCounters, SurfaceIndex
 from repro.mesh import Box3D
 from repro.simulation import remove_cells
 
@@ -12,11 +11,10 @@ from repro.simulation import remove_cells
 class TestBuild:
     def test_contains_exactly_the_surface_vertices(self, grid_mesh):
         index = SurfaceIndex(grid_mesh)
-        expected = set(grid_mesh.surface_vertices().tolist())
-        assert len(index) == len(expected)
-        assert all(v in index for v in expected)
-        interior = set(range(grid_mesh.n_vertices)) - expected
-        assert all(v not in index for v in interior)
+        expected = grid_mesh.surface_vertices()
+        assert len(index) == expected.size
+        assert index.surface_ids() is expected  # the mesh's array, not a copy
+        assert index.surface_ids().dtype == np.int64
 
     def test_surface_ids_sorted(self, neuron_small):
         index = SurfaceIndex(neuron_small)
@@ -29,7 +27,7 @@ class TestBuild:
 
     def test_memory_accounted(self, grid_mesh):
         index = SurfaceIndex(grid_mesh)
-        assert index.memory_bytes() > len(index) * 8
+        assert index.memory_bytes() == len(index) * 8
 
 
 class TestProbe:
@@ -68,35 +66,38 @@ class TestProbe:
         index = SurfaceIndex(mesh)
         before = len(index)
         mesh.displace(rng.normal(scale=0.01, size=mesh.vertices.shape))
-        assert not index.is_stale()
         assert len(index) == before
 
 
 class TestMaintenance:
-    def test_insert_and_remove(self, grid_mesh):
-        index = SurfaceIndex(grid_mesh)
-        # Vertices 0, 1, 2 lie on the lattice boundary and are surface vertices.
-        ids = [0, 1, 2]
-        assert index.remove(ids) == 3
-        assert all(v not in index for v in ids)
-        assert index.insert(ids) == 3
-        # Idempotence: inserting again adds nothing, removing a non-member removes nothing.
-        assert index.insert(ids) == 0
-        assert index.remove([grid_mesh.n_vertices - 1, grid_mesh.n_vertices - 1]) <= 1
-
-    def test_stale_after_restructuring_and_refresh(self, grid_mesh):
+    def test_unannounced_restructure_needs_no_hook(self, grid_mesh):
         mesh = grid_mesh.copy()
-        index = SurfaceIndex(mesh)
-        # Drop a batch of cells: the connectivity version changes and the
-        # surface typically gains vertices.
-        new_mesh, _ = remove_cells(mesh, np.arange(0, 30))
+        exact = OctopusExecutor()
+        approx = OctopusExecutor(surface_sample_fraction=0.3, seed=2)
+        exact.prepare(mesh)
+        approx.prepare(mesh)
+        linear = LinearScanExecutor()
+        linear.prepare(mesh)
+        # Drop a batch of cells behind the executors' backs: no on_step, no
+        # on_restructure.  The probe reads the mesh's surface when it runs.
+        new_mesh, event = remove_cells(mesh, np.arange(0, 30))
         mesh.replace_cells(new_mesh.cells)
-        assert index.is_stale()
-        with pytest.raises(SpatialIndexError):
-            index.probe(mesh.bounding_box())
-        index.refresh_from_mesh()
-        assert not index.is_stale()
-        assert set(index.surface_ids().tolist()) == set(mesh.surface_vertices().tolist())
+        assert event.inserted_surface_vertices.size > 0
+        boxes = [
+            Box3D((0.0, 0.0, 0.0), (0.9, 0.9, 0.9)),
+            Box3D((0.1, 0.1, 0.1), (0.6, 0.6, 0.6)),
+        ]
+        # The scan also returns vertices no longer referenced by any cell.
+        referenced = np.unique(mesh.cells)
+        expected = [np.intersect1d(r.vertex_ids, referenced) for r in linear.query_many(boxes)]
+        for got, want in zip(exact.query_many(boxes), expected):
+            assert np.array_equal(got.vertex_ids, want)
+        for box, want in zip(boxes, expected):
+            assert np.array_equal(exact.query(box).vertex_ids, want)
+        # The approximate probe redraws its sample from the new surface.
+        surface = mesh.surface_vertices()
+        assert approx.query(boxes[0]).counters.surface_probed == round(0.3 * surface.size)
+        assert np.all(np.isin(approx._probe_ids(), surface))
 
     def test_refresh_matches_restructuring_event(self, grid_mesh):
         mesh = grid_mesh.copy()
@@ -124,32 +125,13 @@ class TestMaintenance:
         assert inserted == full_inserted == event.inserted_surface_vertices.size
         assert removed == full_removed == event.removed_surface_vertices.size
         assert np.array_equal(narrowed.surface_ids(), full.surface_ids())
-        assert not narrowed.is_stale()
 
     def test_dirty_refresh_with_no_changes_is_a_noop(self, grid_mesh):
         mesh = grid_mesh.copy()
-        index = SurfaceIndex(mesh)
-        before = index.surface_ids().copy()
+        narrowed = SurfaceIndex(mesh)
+        full = SurfaceIndex(mesh)
+        before = narrowed.surface_ids().copy()
         mesh.replace_cells(mesh.cells.copy())     # version bump, same surface
-        inserted, removed = index.refresh_from_mesh(dirty_ids=np.arange(8))
-        assert (inserted, removed) == (0, 0)
-        assert np.array_equal(index.surface_ids(), before)
-        assert not index.is_stale()
-
-    def test_dirty_refresh_with_delta_arena_matches_isin_path(self, grid_mesh):
-        from repro.core import CrawlScratch
-
-        mesh_a = grid_mesh.copy()
-        mesh_b = grid_mesh.copy()
-        with_arena = SurfaceIndex(mesh_a)
-        without = SurfaceIndex(mesh_b)
-        new_mesh, _ = remove_cells(mesh_a, np.arange(0, 60))
-        mesh_a.replace_cells(new_mesh.cells)
-        mesh_b.replace_cells(new_mesh.cells)
-        dirty = np.unique(grid_mesh.cells[np.arange(0, 60)])
-        scratch = CrawlScratch()
-        a = with_arena.refresh_from_mesh(dirty_ids=dirty, scratch=scratch)
-        b = without.refresh_from_mesh(dirty_ids=dirty)
-        assert a == b
-        assert np.array_equal(with_arena.surface_ids(), without.surface_ids())
-        assert scratch.delta_epoch == 1    # the arena really was used
+        assert narrowed.refresh_from_mesh(dirty_ids=np.arange(8)) == (0, 0)
+        assert full.refresh_from_mesh() == (0, 0)
+        assert np.array_equal(narrowed.surface_ids(), before)
