@@ -19,7 +19,7 @@ from .resilience import (
     validate_topology_delta,
 )
 from .result import QueryCounters, QueryResult
-from .scratch import CrawlScratch, ThreadLocalScratch, WalkArena
+from .scratch import CrawlScratch, ThreadLocalScratch
 from .surface_index import SurfaceIndex, SurfaceProbeOutcome
 from .uniform_grid import UniformGrid
 
@@ -45,7 +45,6 @@ __all__ = [
     "ThreadLocalScratch",
     "TopologyDelta",
     "UniformGrid",
-    "WalkArena",
     "WalkOutcome",
     "audit_adjacency",
     "calibrate_cost_model",

@@ -7,38 +7,31 @@ towards the box until it either enters the box (success: the reached vertex
 seeds the crawl) or can no longer get closer (the query does not intersect the
 mesh; the result is empty).
 
-The walk is vectorised as a greedy beam: each step gathers the neighbours of
-up to ``beam_width`` frontier candidates in one CSR gather, evaluates all
-their box distances in one NumPy pass, and keeps the ``beam_width`` closest
-strict improvements.  The default width of 1 reproduces the paper's
-single-vertex greedy walk (Algorithm 1) exactly — same steps, same stuck
-condition, same work counters; wider beams are opt-in, amortise NumPy
-dispatch over several candidates per step, and are strictly more robust (a
-beam only gets stuck where every candidate is a local minimum).  Either way
-the bounded outer loop over steps remains, but no per-vertex Python work
-happens inside it.
+Each step is vectorised: the current vertex's neighbours come out of one CSR
+gather, their box distances out of one NumPy pass, and the closest strict
+improvement becomes the next vertex — the paper's single-vertex greedy walk
+(Algorithm 1), with its stuck condition and work counters.  The box distance
+strictly falls at every accepted step, so no vertex is visited twice and a
+walk ends within ``n_vertices`` steps.
 
-The walk also accepts multiple start vertices (multi-source): OCTOPUS-CON can
-seed it with several grid candidates and the batched query path can reuse one
-call per query box.
+The walk also accepts multiple start vertices (multi-source): it begins at the
+one closest to the box.
 
 :func:`directed_walk_many` fuses the walks of a whole query batch: all
-per-box beams advance in lockstep, so each round performs **one** CSR
-neighbour gather over the union of the active frontiers and **one**
-vectorised distance kernel over all (query, candidate) pairs — per-query work
-(dedup, strict-improvement test, arg-sorted beam selection) operates on
-segment views of those shared arrays.  Candidate positions are gathered once
-per distinct vertex per round, however many queries reach it, which is the
-batch's *unique* walk work; the per-query counters remain bit-identical to
-sequential :func:`directed_walk` calls and sum to the *attributed* work.  The
-per-query walk state lives in a :class:`~repro.core.scratch.WalkArena` owned
-by the scratch, so the batched path allocates nothing proportional to the
-mesh or the batch.
+per-box walks advance in lockstep, so each round performs **one** CSR
+neighbour gather over the union of the active walkers' current vertices and
+**one** vectorised distance kernel over all (query, candidate) pairs —
+per-query work (dedup, strict-improvement test, closest-candidate selection)
+operates on segment views of those shared arrays.  Candidate positions are
+gathered once per distinct vertex per round, however many queries reach it,
+which is the batch's *unique* walk work; the per-query counters remain
+bit-identical to sequential :func:`directed_walk` calls and sum to the
+*attributed* work.  The per-query walk state is a handful of arrays the size
+of the batch, allocated per call.
 """
 
 from __future__ import annotations
 
-import time
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -55,7 +48,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (no runtime cycle)
 __all__ = [
     "directed_walk",
     "directed_walk_many",
-    "fused_walk_phase",
     "WalkOutcome",
     "BatchWalkOutcome",
 ]
@@ -126,8 +118,8 @@ class BatchWalkOutcome:
         Adjacency entries the fused walk's CSR gathers physically read vs.
         what per-query gathers would have read: per round, the frontier is
         deduplicated *across queries* before the gather, so a vertex that
-        sits on several queries' beams has its neighbour slice gathered once
-        for all of them.  Equal when no beams coincide; strictly smaller when
+        several walks stand on has its neighbour slice gathered once for all
+        of them.  Equal when no walks coincide; strictly smaller when
         overlapping walks travel the same corridor.
     """
 
@@ -163,12 +155,10 @@ def directed_walk(
     box: Box3D,
     start_vertex: int | np.ndarray,
     counters: QueryCounters | None = None,
-    max_steps: int | None = None,
-    beam_width: int = 1,
     scratch: CrawlScratch | None = None,
     budget: "BudgetTracker | None" = None,
 ) -> WalkOutcome:
-    """Greedy beam walk along mesh edges towards the query box.
+    """Greedy walk along mesh edges towards the query box.
 
     Parameters
     ----------
@@ -178,17 +168,10 @@ def directed_walk(
         Target query box.
     start_vertex:
         Vertex id — or array of vertex ids (multi-source) — to start walking
-        from (typically the surface vertex closest to the box, or vertices
+        from (typically the surface vertex closest to the box, or the vertex
         suggested by the stale grid in OCTOPUS-CON).
     counters:
         Optional counter record updated in place.
-    max_steps:
-        Safety bound on the number of accepted steps (defaults to the vertex
-        count, so the walk always terminates even on adversarial inputs).
-    beam_width:
-        Number of candidate vertices carried per step; the default of 1 is
-        the paper's single-vertex greedy walk, wider beams trade extra
-        distance computations for robustness on non-convex meshes.
     scratch:
         Optional shared arena whose gather buffers the CSR neighbour gather
         reuses.
@@ -198,22 +181,18 @@ def directed_walk(
         crosses the limit is fully counted, then the walk stops).  The fused
         :func:`directed_walk_many` truncates at the identical round.
     """
-    if beam_width < 1:
-        raise ValueError("beam_width must be at least 1")
     adjacency = mesh.adjacency
     positions = mesh.vertices
     indptr, indices = adjacency.indptr, adjacency.indices
-    limit = max_steps if max_steps is not None else mesh.n_vertices + 1
 
     starts = np.unique(np.atleast_1d(np.asarray(start_vertex, dtype=np.int64)))
     if starts.size == 0:
         return WalkOutcome(None, 0, [])
     start_distances = points_box_distance(positions[starts], box)
     n_distance = int(starts.size)
-    order = np.argsort(start_distances)[:beam_width]
-    frontier = starts[order]
-    best_distance = float(start_distances[order[0]])
-    best_id = int(frontier[0])
+    pick = np.argsort(start_distances)[0]
+    best_distance = float(start_distances[pick])
+    best_id = int(starts[pick])
     n_steps = 1
     path = [best_id]
 
@@ -221,7 +200,8 @@ def directed_walk(
     truncated = False
     if budget is not None and not budget.spend(distances=int(starts.size)):
         truncated = True
-    while not truncated and found is None and n_steps < limit:
+    while not truncated and found is None:
+        frontier = np.array([best_id], dtype=np.int64)
         neighbors = _gather_neighbors(indptr, indices, frontier, scratch)
         if neighbors.size == 0:
             break
@@ -238,10 +218,9 @@ def directed_walk(
             break
         candidates = candidates[improving]
         distances = distances[improving]
-        order = np.argsort(distances)[:beam_width]
-        frontier = candidates[order]
-        best_distance = float(distances[order[0]])
-        best_id = int(frontier[0])
+        pick = np.argsort(distances)[0]
+        best_distance = float(distances[pick])
+        best_id = int(candidates[pick])
         n_steps += 1
         path.append(best_id)
         if best_distance == 0.0:
@@ -258,19 +237,18 @@ def directed_walk_many(
     boxes: Sequence[Box3D],
     start_lists: Sequence[int | np.ndarray],
     counters_list: Sequence[QueryCounters | None] | None = None,
-    max_steps: int | None = None,
-    beam_width: int = 1,
     scratch: CrawlScratch | None = None,
     budgets: "Sequence[BudgetTracker | None] | None" = None,
 ) -> BatchWalkOutcome:
-    """Fused greedy beam walks for a whole batch of query boxes.
+    """Fused greedy walks for a whole batch of query boxes.
 
     All per-box walks advance in lockstep: each round performs one CSR
-    neighbour gather over the union of the active frontiers and one
-    vectorised distance kernel over all (query, candidate) pairs, then every
-    active query selects its next beam from a segment view of the shared
-    arrays.  Seed vertices, step counts, paths and counters are bit-identical
-    to calling :func:`directed_walk` once per box with the same arguments.
+    neighbour gather over the union of the active walkers' current vertices
+    and one vectorised distance kernel over all (query, candidate) pairs,
+    then every active query picks its next vertex from a segment view of the
+    shared arrays.  Seed vertices, step counts, paths and counters are
+    bit-identical to calling :func:`directed_walk` once per box with the same
+    arguments.
 
     Parameters
     ----------
@@ -284,18 +262,14 @@ def directed_walk_many(
     counters_list:
         Optional per-query counter records updated in place (entries may be
         ``None`` to skip a query's accounting).
-    max_steps / beam_width:
-        As in :func:`directed_walk`, applied to every query.
     scratch:
-        Reusable arena providing the per-query :class:`WalkArena` rows and
-        gather buffers; a throwaway arena is allocated when omitted.
+        Reusable arena providing the gather buffers; a throwaway arena is
+        allocated when omitted.
     budgets:
         Optional per-query :class:`~repro.core.resilience.BudgetTracker`
         records (entries may be ``None``); each query truncates (or raises)
         on exactly the round its sequential :func:`directed_walk` would.
     """
-    if beam_width < 1:
-        raise ValueError("beam_width must be at least 1")
     box_list = list(boxes)
     if len(start_lists) != len(box_list):
         raise ValueError(
@@ -319,29 +293,20 @@ def directed_walk_many(
     positions = mesh.vertices
     indptr, indices = adjacency.indptr, adjacency.indices
     n_vertices = mesh.n_vertices
-    limit = max_steps if max_steps is not None else n_vertices + 1
     n_queries = len(box_list)
     los, his = boxes_to_arrays(box_list)
 
-    arena = scratch.acquire_walk(n_queries, beam_width)
-    generation = arena.generation
-    best_distance = arena.best_distance
-    best_id = arena.best_id
-    found = arena.found
-    n_steps = arena.n_steps
-    n_distance = arena.n_distance
-    active = arena.active
-    frontier = arena.frontier
-    frontier_len = arena.frontier_len
-    best_distance[:n_queries] = np.inf
-    best_id[:n_queries] = -1
-    found[:n_queries] = -1
-    n_steps[:n_queries] = 0
-    n_distance[:n_queries] = 0
-    active[:n_queries] = False
-    frontier_len[:n_queries] = 0
-    paths: list[list[int]] = [[] for _ in range(n_queries)]
+    # Per-query walk state: the closest vertex so far (each round's frontier
+    # is best_id[active]), the vertex reached inside the box (-1 while
+    # searching) and the work counters the sequential walk would report.
+    best_distance = np.full(n_queries, np.inf)
+    best_id = np.full(n_queries, -1, dtype=np.int64)
+    found = np.full(n_queries, -1, dtype=np.int64)
+    n_steps = np.zeros(n_queries, dtype=np.int64)
+    n_distance = np.zeros(n_queries, dtype=np.int64)
+    active = np.zeros(n_queries, dtype=bool)
     truncated = np.zeros(n_queries, dtype=bool)
+    paths: list[list[int]] = [[] for _ in range(n_queries)]
 
     def charge_budget(query: int, n_evaluations: int) -> bool:
         """Charge one round's distance evaluations; False deactivates the walk.
@@ -357,25 +322,19 @@ def directed_walk_many(
         active[query] = False
         return False
 
-    def select_beam(query: int, candidates: np.ndarray, distances: np.ndarray) -> None:
-        """Accept a step for ``query`` from its candidate segment.
+    def step(query: int, candidates: np.ndarray, distances: np.ndarray) -> None:
+        """Accept a step for ``query``: the closest candidate of its segment.
 
-        Mirrors the sequential walk's beam update exactly: arg-sorted
-        ``beam_width`` closest candidates, best-so-far update, path append,
-        found/stuck bookkeeping.
+        Mirrors the sequential walk exactly: arg-sorted closest candidate,
+        best-so-far update, path append, found bookkeeping.
         """
-        order = np.argsort(distances)[:beam_width]
-        chosen = candidates[order]
-        frontier[query, : chosen.size] = chosen
-        frontier_len[query] = chosen.size
-        best_distance[query] = float(distances[order[0]])
-        best_id[query] = int(chosen[0])
+        pick = np.argsort(distances)[0]
+        best_distance[query] = float(distances[pick])
+        best_id[query] = int(candidates[pick])
         n_steps[query] += 1
-        paths[query].append(int(chosen[0]))
+        paths[query].append(int(candidates[pick]))
         if best_distance[query] == 0.0:
             found[query] = best_id[query]
-            active[query] = False
-        elif n_steps[query] >= limit:
             active[query] = False
 
     # Round 0: every query's deduplicated start vertices, distance-tested in
@@ -403,26 +362,21 @@ def directed_walk_many(
             query = int(owners[0])
             segment = distances[offset : offset + starts.size]
             n_distance[query] = starts.size
-            select_beam(query, starts, segment)
+            step(query, starts, segment)
             charge_budget(query, int(starts.size))
             offset += starts.size
 
     # Lockstep rounds: one union gather + one distance kernel per round, then
     # per-query strict-improvement selection on segment views.
     while True:
-        arena.check_generation(generation)
-        active_queries = np.nonzero(active[:n_queries])[0]
+        active_queries = np.nonzero(active)[0]
         if active_queries.size == 0:
             break
-        flat_frontier = np.concatenate(
-            [frontier[query, : frontier_len[query]] for query in active_queries]
-        )
-        frontier_owners = np.repeat(active_queries, frontier_len[active_queries])
         # Share CSR gathers *across* queries: the union frontier is
         # deduplicated first, each distinct vertex's neighbour slice is
         # gathered once, and the per-entry views are fanned back out with a
         # second (cheap, index-space) CSR gather over the unique slices.
-        unique_frontier, inverse = np.unique(flat_frontier, return_inverse=True)
+        unique_frontier, inverse = np.unique(best_id[active_queries], return_inverse=True)
         unique_neighbors, unique_degrees = _gather_neighbors(
             indptr, indices, unique_frontier, scratch, return_counts=True
         )
@@ -435,7 +389,7 @@ def directed_walk_many(
         )
         batch.n_unique_csr_gather_entries += int(unique_neighbors.size)
         batch.n_attributed_csr_gather_entries += int(neighbors.size)
-        neighbor_owners = np.repeat(frontier_owners, degrees)
+        neighbor_owners = np.repeat(active_queries, degrees)
         # Deduplicate per (query, vertex): unique keys sort by query then by
         # vertex id, so each query's segment is exactly its np.unique() set.
         keys = np.unique(neighbor_owners * np.int64(n_vertices) + neighbors)
@@ -452,7 +406,7 @@ def directed_walk_many(
         for query in active_queries:
             size = int(segment_sizes[query])
             if size == 0:
-                # This walker's frontier had no neighbours at all.
+                # This walker's vertex has no neighbours at all.
                 active[query] = False
                 continue
             end = int(segment_ends[query])
@@ -467,7 +421,7 @@ def directed_walk_many(
                 # that the query box does not intersect the mesh).
                 active[query] = False
                 continue
-            select_beam(query, candidates[improving], segment[improving])
+            step(query, candidates[improving], segment[improving])
 
     for query in range(n_queries):
         steps = int(n_steps[query])
@@ -482,44 +436,3 @@ def directed_walk_many(
             counters_list[query].walk_vertices_visited += steps
             counters_list[query].walk_distance_computations += int(n_distance[query])
     return batch
-
-
-def fused_walk_phase(
-    mesh: PolyhedralMesh,
-    box_list: Sequence[Box3D],
-    walk_indices: Sequence[int],
-    start_ids: Sequence[int | np.ndarray | None],
-    counters_list: Sequence[QueryCounters],
-    scratch: CrawlScratch,
-    budgets: "Sequence[BudgetTracker | None] | None" = None,
-) -> tuple[list[float], dict[int, np.ndarray], BatchWalkOutcome | None]:
-    """The batched executors' walk phase: one fused walk over selected boxes.
-
-    Runs :func:`directed_walk_many` for the boxes named by ``walk_indices``
-    (whose per-box starts are ``start_ids[i]``), updating their counter
-    records in place.  Returns per-box walk seconds (the shared fused-walk
-    wall-clock apportioned evenly over the boxes that walked, 0.0 elsewhere),
-    the crawl start vertices produced by successful walks (keyed by box
-    index), and the :class:`BatchWalkOutcome` — ``None`` when nothing walked.
-    ``budgets`` (when given) is indexed by *box*, like ``start_ids``; each
-    walking box's tracker is threaded through to the fused walk.
-    """
-    walk_times = [0.0] * len(box_list)
-    if not walk_indices:
-        return walk_times, {}, None
-    walk_start = time.perf_counter()
-    batch = directed_walk_many(
-        mesh,
-        [box_list[i] for i in walk_indices],
-        [start_ids[i] for i in walk_indices],
-        [counters_list[i] for i in walk_indices],
-        scratch=scratch,
-        budgets=[budgets[i] for i in walk_indices] if budgets is not None else None,
-    )
-    shared_time = (time.perf_counter() - walk_start) / len(walk_indices)
-    crawl_starts: dict[int, np.ndarray] = {}
-    for index, walk in zip(walk_indices, batch.outcomes):
-        walk_times[index] = shared_time
-        if walk.found_id is not None:
-            crawl_starts[index] = np.asarray([walk.found_id], dtype=np.int64)
-    return walk_times, crawl_starts, batch

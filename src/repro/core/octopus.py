@@ -12,6 +12,10 @@ A query is answered in three phases:
 3. **Crawling** — breadth-first traversal of mesh edges from the start
    vertices, restricted to the query box.
 
+Phases 2–3 are shared with OCTOPUS-CON (Section IV-F), which only swaps the
+probe for a stale-grid lookup: :class:`_SeedWalkCrawl` implements ``query``
+and ``query_many`` once over a seed phase each executor supplies.
+
 Because phases 1–3 read vertex positions directly from the mesh at query time,
 OCTOPUS needs **no maintenance whatsoever** when the simulation deforms the
 mesh.  Restructuring changes the surface, which the mesh splices itself; the
@@ -23,21 +27,16 @@ changes and redraws the approximate probe's sample.
 from __future__ import annotations
 
 import time
+from abc import abstractmethod
 from typing import Sequence
 
 import numpy as np
 
 from ..errors import QueryError
-from ..kernels import KERNELS
-from ..mesh import (
-    Box3D,
-    box_batch_chunk,
-    boxes_to_arrays,
-    points_boxes_distance_sq,
-)
-from .crawler import BatchCrawlOutcome, crawl, crawl_many
+from ..mesh import Box3D
+from .crawler import BatchCrawlOutcome, CrawlOutcome, crawl, crawl_many
 from .delta import TopologyDelta
-from .directed_walk import directed_walk, fused_walk_phase
+from .directed_walk import directed_walk, directed_walk_many
 from .executor import ExecutionStrategy
 from .resilience import check_query_box, check_query_boxes
 from .result import QueryCounters, QueryResult
@@ -47,7 +46,178 @@ from .surface_index import SurfaceIndex
 __all__ = ["OctopusExecutor"]
 
 
-class OctopusExecutor(ExecutionStrategy):
+class _SeedWalkCrawl(ExecutionStrategy):
+    """Phases 2–3 of Algorithm 1 behind an executor-specific seed phase.
+
+    A subclass supplies the seeds of a box — in-box crawl start vertices, or
+    else a vertex to walk from — through :meth:`_seeds` and
+    :meth:`_seeds_many`.  This class walks wherever a box's seeds hold no
+    in-box start vertex, crawls, and reports the seed phase as
+    ``probe_time``.  A result is complete when its walk and crawl ran to the
+    end (budgets may truncate them) and :attr:`_exact` holds.
+    """
+
+    #: whether a complete walk and crawl return the linear-scan answer
+    _exact = True
+
+    def __init__(self) -> None:
+        super().__init__()
+        #: per-thread crawl arenas (epoch-stamped visited + buffers); one
+        #: CrawlScratch per thread keeps concurrent queries off each other's
+        #: stamps — see the thread-safety contract in repro.core.scratch
+        self._scratch = ThreadLocalScratch()
+        #: fused-crawl accounting of the most recent query_many() batch
+        self.last_fused_crawl: BatchCrawlOutcome | None = None
+
+    @property
+    def scratch(self) -> CrawlScratch:
+        """The calling thread's crawl arena (created on first use)."""
+        return self._scratch.get()
+
+    # ------------------------------------------------------------------
+    # the seed phase (supplied by subclasses)
+    # ------------------------------------------------------------------
+    @abstractmethod
+    def _seeds(self, box: Box3D, counters: QueryCounters) -> tuple[np.ndarray, int | None]:
+        """One box's crawl start vertices, or (when there are none) the
+        vertex to walk from (``None``: nothing to walk from)."""
+
+    @abstractmethod
+    def _seeds_many(
+        self, box_list: list[Box3D], counters_list: list[QueryCounters]
+    ) -> tuple[list[np.ndarray], list[int | None], list[float]] | None:
+        """:meth:`_seeds` for a batch, plus each box's seed-phase seconds.
+
+        ``None`` answers the batch box by box through :meth:`query`.
+        """
+
+    # ------------------------------------------------------------------
+    # query execution
+    # ------------------------------------------------------------------
+    def query(self, box: Box3D) -> QueryResult:
+        """Answer one range query: seeds, a directed walk when they hold no
+        in-box start vertex, then the crawl.
+
+        When a :attr:`~repro.core.executor.ExecutionStrategy.query_budget` is
+        installed, one tracker meters the walk and crawl phases together (the
+        seed phase is bounded by the surface or grid size and stays
+        unbudgeted).
+        """
+        check_query_box(box)
+        counters = QueryCounters()
+        seed_start = time.perf_counter()
+        starts, origin = self._seeds(box, counters)
+        probe_time = time.perf_counter() - seed_start
+
+        mesh = self.mesh
+        scratch = self.scratch
+        budget = self._start_budget()
+        walk_time = 0.0
+        walk_complete = True
+        if starts.size == 0 and origin is not None:
+            walk_start = time.perf_counter()
+            walk = directed_walk(mesh, box, origin, counters, scratch=scratch, budget=budget)
+            walk_time = time.perf_counter() - walk_start
+            walk_complete = walk.complete
+            if walk.found_id is not None:
+                starts = np.asarray([walk.found_id], dtype=np.int64)
+
+        crawl_start = time.perf_counter()
+        outcome = crawl(mesh, box, starts, counters, scratch=scratch, budget=budget)
+        crawl_time = time.perf_counter() - crawl_start
+        return self._result(outcome, counters, probe_time, walk_time, crawl_time, walk_complete)
+
+    def query_many(self, boxes: Sequence[Box3D]) -> list[QueryResult]:
+        """Batched execution: batched seeds, fused walks, one fused crawl.
+
+        The directed walks of all boxes without an in-box seed advance in
+        lockstep (:func:`~repro.core.directed_walk.directed_walk_many`), and
+        the crawls of the whole batch are fused into one shared-frontier BFS
+        (:func:`~repro.core.crawler.crawl_many`) so overlapping boxes share
+        CSR gathers and position tests.  Results, counters and result ids are
+        identical to sequential :meth:`query` calls; the shared walk and
+        crawl wall-clock is apportioned evenly across the batch (walk time
+        across the boxes that walked).
+        """
+        box_list = check_query_boxes(boxes)
+        self.last_fused_crawl = None  # set again below iff this batch fuses
+        if len(box_list) <= 1:
+            return [self.query(box) for box in box_list]
+        counters_list = [QueryCounters() for _ in box_list]
+        seeds = self._seeds_many(box_list, counters_list)
+        if seeds is None:
+            return [self.query(box) for box in box_list]
+        start_lists, origins, probe_times = seeds
+
+        mesh = self.mesh
+        scratch = self.scratch
+        # One tracker per query, shared by its walk and crawl phases — the
+        # same metering a sequential query() applies.
+        budgets = None
+        if self.query_budget is not None:
+            budgets = [self._start_budget(query_index=i) for i in range(len(box_list))]
+
+        # Phase 2 fused across the boxes whose seeds hold no in-box start.
+        walk_indices = [
+            index
+            for index, (starts, origin) in enumerate(zip(start_lists, origins))
+            if starts.size == 0 and origin is not None
+        ]
+        walk_times = [0.0] * len(box_list)
+        walk_complete = [True] * len(box_list)
+        walk_batch = None
+        if walk_indices:
+            walk_start = time.perf_counter()
+            walk_batch = directed_walk_many(
+                mesh,
+                [box_list[i] for i in walk_indices],
+                [origins[i] for i in walk_indices],
+                [counters_list[i] for i in walk_indices],
+                scratch=scratch,
+                budgets=[budgets[i] for i in walk_indices] if budgets is not None else None,
+            )
+            walk_time = (time.perf_counter() - walk_start) / len(walk_indices)
+            for index, walk in zip(walk_indices, walk_batch.outcomes):
+                walk_times[index] = walk_time
+                walk_complete[index] = walk.complete
+                if walk.found_id is not None:
+                    start_lists[index] = np.asarray([walk.found_id], dtype=np.int64)
+
+        # Phase 3 fused across the whole batch.
+        crawl_start = time.perf_counter()
+        batch = crawl_many(mesh, box_list, start_lists, counters_list, scratch=scratch, budgets=budgets)
+        crawl_time = (time.perf_counter() - crawl_start) / len(box_list)
+        if walk_batch is not None:
+            walk_batch.attach_to(batch)
+        self.last_fused_crawl = batch
+        return [
+            self._result(outcome, counters, probe_time, walk_time, crawl_time, complete)
+            for outcome, counters, probe_time, walk_time, complete in zip(
+                batch.outcomes, counters_list, probe_times, walk_times, walk_complete
+            )
+        ]
+
+    def _result(
+        self,
+        outcome: CrawlOutcome,
+        counters: QueryCounters,
+        probe_time: float,
+        walk_time: float,
+        crawl_time: float,
+        walk_complete: bool,
+    ) -> QueryResult:
+        return QueryResult(
+            vertex_ids=outcome.result_ids,
+            counters=counters,
+            probe_time=probe_time,
+            walk_time=walk_time,
+            crawl_time=crawl_time,
+            total_time=probe_time + walk_time + crawl_time,
+            complete=walk_complete and outcome.complete and self._exact,
+        )
+
+
+class OctopusExecutor(_SeedWalkCrawl):
     """Range-query execution on dynamic meshes via surface probe + crawl.
 
     Parameters
@@ -79,17 +249,6 @@ class OctopusExecutor(ExecutionStrategy):
         self._surface_index: SurfaceIndex | None = None
         #: (connectivity version, sorted sample ids) of the approximate probe
         self._sample: tuple[int, np.ndarray] | None = None
-        #: per-thread crawl arenas (epoch-stamped visited + buffers); one
-        #: CrawlScratch per thread keeps concurrent queries off each other's
-        #: stamps — see the thread-safety contract in repro.core.scratch
-        self._scratch = ThreadLocalScratch()
-        #: fused-crawl accounting of the most recent query_many() batch
-        self.last_fused_crawl: BatchCrawlOutcome | None = None
-
-    @property
-    def scratch(self) -> CrawlScratch:
-        """The calling thread's crawl arena (created on first use)."""
-        return self._scratch.get()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -106,7 +265,7 @@ class OctopusExecutor(ExecutionStrategy):
             return
         ids = self.surface_index.surface_ids()
         rng = np.random.default_rng(self.seed)
-        sample_size = max(1, int(round(ids.size * self.surface_sample_fraction)))
+        sample_size = min(ids.size, max(1, int(round(ids.size * self.surface_sample_fraction))))
         sample = np.sort(rng.choice(ids, size=sample_size, replace=False))
         # one tuple, so a concurrent reader never pairs a version with the
         # other draw's sample
@@ -136,6 +295,10 @@ class OctopusExecutor(ExecutionStrategy):
         """True when the probe examines only a sample of the surface."""
         return self.surface_sample_fraction is not None and self.surface_sample_fraction < 1.0
 
+    @property
+    def _exact(self) -> bool:
+        return not self.is_approximate
+
     def on_restructure(self, delta: TopologyDelta) -> float:
         """Account for a restructuring event and redraw the probe sample.
 
@@ -157,206 +320,29 @@ class OctopusExecutor(ExecutionStrategy):
         return elapsed
 
     # ------------------------------------------------------------------
-    # query execution (Algorithm 1)
+    # phase 1: the surface probe
     # ------------------------------------------------------------------
-    def query(self, box: Box3D) -> QueryResult:
-        """Answer one range query via Algorithm 1: probe, walk, crawl.
-
-        When a :attr:`~repro.core.executor.ExecutionStrategy.query_budget` is
-        installed, one tracker meters the walk and crawl phases together (the
-        probe is bounded by the surface size and stays unbudgeted).
-        """
-        check_query_box(box)
-        counters = QueryCounters()
-
-        # Phase 1: surface probe over the (possibly sampled) surface vertex set.
-        probe_start = time.perf_counter()
+    def _seeds(self, box: Box3D, counters: QueryCounters) -> tuple[np.ndarray, int | None]:
         probe = self.surface_index.probe(box, counters, ids=self._probe_ids())
-        probe_time = time.perf_counter() - probe_start
+        return probe.inside_ids, probe.closest_id
 
-        # Phases 2 and 3: directed walk (only on a probe miss) and crawl.
-        return self._walk_and_crawl(box, probe.inside_ids, probe.closest_id, counters, probe_time)
-
-    def _walk_for_start(
-        self,
-        box: Box3D,
-        start_vertices: np.ndarray,
-        closest_id: int | None,
-        counters: QueryCounters,
-        budget=None,
-    ) -> tuple[np.ndarray, float, bool]:
-        """Phase 2 of Algorithm 1 (shared by the sequential and batched paths).
-
-        On a probe miss, walks from the closest surface vertex towards the
-        box; returns the (possibly updated) crawl start vertices, the walk
-        seconds, and whether the walk ran to completion (budgets may truncate
-        it).
-        """
-        walk_time = 0.0
-        complete = True
-        if start_vertices.size == 0 and closest_id is not None:
-            walk_start = time.perf_counter()
-            walk = directed_walk(
-                self.mesh, box, closest_id, counters, scratch=self.scratch, budget=budget
-            )
-            walk_time = time.perf_counter() - walk_start
-            complete = walk.complete
-            if walk.found_id is not None:
-                start_vertices = np.asarray([walk.found_id], dtype=np.int64)
-        return start_vertices, walk_time, complete
-
-    def _walk_and_crawl(
-        self,
-        box: Box3D,
-        start_vertices: np.ndarray,
-        closest_id: int | None,
-        counters: QueryCounters,
-        probe_time: float,
-    ) -> QueryResult:
-        """Phases 2–3 of Algorithm 1 for one box (the sequential tail)."""
-        mesh = self.mesh
-        budget = self._start_budget()
-        start_vertices, walk_time, walk_complete = self._walk_for_start(
-            box, start_vertices, closest_id, counters, budget
-        )
-
-        crawl_start = time.perf_counter()
-        outcome = crawl(mesh, box, start_vertices, counters, scratch=self.scratch, budget=budget)
-        crawl_time = time.perf_counter() - crawl_start
-        return QueryResult(
-            vertex_ids=outcome.result_ids,
-            counters=counters,
-            probe_time=probe_time,
-            walk_time=walk_time,
-            crawl_time=crawl_time,
-            total_time=probe_time + walk_time + crawl_time,
-            complete=walk_complete and outcome.complete and not self.is_approximate,
-        )
-
-    def query_many(self, boxes: Sequence[Box3D]) -> list[QueryResult]:
-        """Batched Algorithm 1: broadcasted probe, fused walks, one fused crawl.
-
-        The surface is tested against *all* query boxes in a single NumPy
-        pass (chunked to bound the broadcast), which amortises the probe's
-        dispatch overhead across the batch; the directed walks of all probe
-        misses advance in lockstep through one fused beam walk
-        (:func:`~repro.core.directed_walk.directed_walk_many`), and the
-        crawls of the whole batch are fused into one shared-frontier BFS
-        (:func:`~repro.core.crawler.crawl_many`) so overlapping boxes share
-        CSR gathers and position tests.  Results, counters and result ids are
-        identical to sequential :meth:`query` calls; the shared probe, walk
-        and crawl wall-clock is apportioned evenly across the batch (walk
-        time across the boxes that walked).
-        """
-        box_list = check_query_boxes(boxes)
-        self.last_fused_crawl = None  # set again below iff this batch fuses
-        if len(box_list) <= 1:
-            return [self.query(box) for box in box_list]
-        mesh = self.mesh
+    def _seeds_many(
+        self, box_list: list[Box3D], counters_list: list[QueryCounters]
+    ) -> tuple[list[np.ndarray], list[int | None], list[float]] | None:
         probe_ids = self._probe_ids()  # raises before prepare()
         if probe_ids.size == 0:
             # A surface-less mesh: keep the sequential code as the single
             # source of truth.
-            return [self.query(box) for box in box_list]
-
+            return None
         probe_start = time.perf_counter()
-        los, his = boxes_to_arrays(box_list)
-        positions = mesh.vertices[probe_ids]
-        chunk = box_batch_chunk(probe_ids.size)
-        start_lists: list[np.ndarray] = []
-        closest_ids: list[int | None] = []
-        for lo_index in range(0, len(box_list), chunk):
-            hi_index = min(lo_index + chunk, len(box_list))
-            inside = KERNELS.points_in_boxes(positions, los[lo_index:hi_index], his[lo_index:hi_index])
-            hits = inside.any(axis=1)
-            misses = np.nonzero(~hits)[0]
-            closest_of_miss: dict[int, int] = {}
-            if misses.size:
-                distances = points_boxes_distance_sq(
-                    positions, los[lo_index + misses], his[lo_index + misses]
-                )
-                nearest = np.argmin(distances, axis=1)
-                closest_of_miss = {
-                    int(row): int(probe_ids[nearest[k]]) for k, row in enumerate(misses)
-                }
-            for row in range(hi_index - lo_index):
-                if hits[row]:
-                    start_lists.append(probe_ids[inside[row]])
-                    closest_ids.append(None)
-                else:
-                    start_lists.append(np.empty(0, dtype=np.int64))
-                    closest_ids.append(closest_of_miss[row])
+        probes = self.surface_index.probe_many(box_list, counters_list, ids=probe_ids)
         # The probe cost is shared by the whole batch; apportion it evenly.
         probe_time = (time.perf_counter() - probe_start) / len(box_list)
-
-        # Phase 2 fused across the probe misses, then phase 3 fused across the
-        # whole batch.
-        counters_list: list[QueryCounters] = []
-        crawl_starts: list[np.ndarray] = []
-        walk_indices: list[int] = []
-        for index, (start_vertices, closest_id) in enumerate(zip(start_lists, closest_ids)):
-            counters = QueryCounters()
-            counters.surface_probed += int(probe_ids.size)
-            if start_vertices.size == 0 and closest_id is not None:
-                # Mirrors probe(): the closest-vertex pass costs one distance
-                # evaluation per probed vertex.
-                counters.probe_distance_computations += int(probe_ids.size)
-                walk_indices.append(index)
-            counters_list.append(counters)
-            crawl_starts.append(start_vertices)
-
-        # One tracker per query, shared by its walk and crawl phases — the
-        # same metering a sequential query() applies.
-        budgets = None
-        if self.query_budget is not None:
-            budgets = [self._start_budget(query_index=i) for i in range(len(box_list))]
-
-        walk_times, walk_starts, walk_batch = fused_walk_phase(
-            mesh,
-            box_list,
-            walk_indices,
-            closest_ids,
-            counters_list,
-            self.scratch,
-            budgets,
+        return (
+            [probe.inside_ids for probe in probes],
+            [probe.closest_id for probe in probes],
+            [probe_time] * len(box_list),
         )
-        for index, start_vertices in walk_starts.items():
-            crawl_starts[index] = start_vertices
-        walk_complete = [True] * len(box_list)
-        if walk_batch is not None:
-            for index, walk in zip(walk_indices, walk_batch.outcomes):
-                walk_complete[index] = walk.complete
-
-        crawl_start = time.perf_counter()
-        batch = crawl_many(
-            mesh,
-            box_list,
-            crawl_starts,
-            counters_list,
-            scratch=self.scratch,
-            budgets=budgets,
-        )
-        crawl_time = (time.perf_counter() - crawl_start) / len(box_list)
-        if walk_batch is not None:
-            walk_batch.attach_to(batch)
-        self.last_fused_crawl = batch
-
-        results: list[QueryResult] = []
-        for index, (outcome, counters, walk_time) in enumerate(
-            zip(batch.outcomes, counters_list, walk_times)
-        ):
-            results.append(
-                QueryResult(
-                    vertex_ids=outcome.result_ids,
-                    counters=counters,
-                    probe_time=probe_time,
-                    walk_time=walk_time,
-                    crawl_time=crawl_time,
-                    total_time=probe_time + walk_time + crawl_time,
-                    complete=walk_complete[index] and outcome.complete and not self.is_approximate,
-                )
-            )
-        return results
 
     # ------------------------------------------------------------------
     # accounting

@@ -9,30 +9,28 @@ positions and never updates it.  The grid is allowed to go stale: it only has
 to suggest a vertex *near* the query centre, and the directed walk (which uses
 live positions) closes the remaining gap.  Using a stale index to find a
 starting point is safe; using a stale index to answer the query would not be.
+
+The grid lookup is OCTOPUS-CON's seed phase; the directed walk and the crawl
+are OCTOPUS's own (:class:`~repro.core.octopus._SeedWalkCrawl`).
 """
 
 from __future__ import annotations
 
 import time
-from typing import Sequence
 
 import numpy as np
 
-from ..errors import QueryError
-from ..mesh import Box3D
-from .crawler import BatchCrawlOutcome, crawl, crawl_many
+from ..errors import MeshError, QueryError
+from ..mesh import Box3D, mesh_is_convex
 from .delta import DeformationDelta, TopologyDelta
-from .directed_walk import directed_walk, fused_walk_phase
-from .executor import ExecutionStrategy
-from .resilience import check_query_box, check_query_boxes
-from .result import QueryCounters, QueryResult
-from .scratch import CrawlScratch, ThreadLocalScratch
+from .octopus import _SeedWalkCrawl
+from .result import QueryCounters
 from .uniform_grid import UniformGrid
 
 __all__ = ["OctopusConExecutor"]
 
 
-class OctopusConExecutor(ExecutionStrategy):
+class OctopusConExecutor(_SeedWalkCrawl):
     """Range-query execution for meshes that remain convex during simulation.
 
     Parameters
@@ -62,9 +60,14 @@ class OctopusConExecutor(ExecutionStrategy):
 
     Notes
     -----
-    Correctness requires the mesh to remain convex throughout the simulation;
-    on non-convex meshes results may be incomplete (use
-    :class:`~repro.core.octopus.OctopusExecutor` there instead).
+    Correctness requires the mesh to remain convex throughout the simulation.
+    ``prepare`` checks the mesh with :func:`~repro.mesh.mesh_is_convex`; on a
+    mesh that is not convex then (or whose convex hull cannot be computed)
+    every result says ``complete=False`` — use
+    :class:`~repro.core.octopus.OctopusExecutor` there instead.  A mesh that
+    is convex at ``prepare`` but loses convexity later (say, under large
+    deformation pulses) is not detected: its results may miss vertices and
+    still say ``complete=True``.
     """
 
     name = "octopus-con"
@@ -87,28 +90,26 @@ class OctopusConExecutor(ExecutionStrategy):
         self.grid_resolution = grid_resolution
         self.grid_maintenance = grid_maintenance
         self._grid: UniformGrid | None = None
-        #: per-thread crawl arenas (epoch-stamped visited + buffers); one
-        #: CrawlScratch per thread keeps concurrent queries off each other's
-        #: stamps — see the thread-safety contract in repro.core.scratch
-        self._scratch = ThreadLocalScratch()
-        #: fused-crawl accounting of the most recent query_many() batch
-        self.last_fused_crawl: BatchCrawlOutcome | None = None
-
-    @property
-    def scratch(self) -> CrawlScratch:
-        """The calling thread's crawl arena (created on first use)."""
-        return self._scratch.get()
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def _build(self) -> float:
+        # One in-box seed crawls to the whole answer only on a convex mesh;
+        # an empty mesh answers exactly (empty), and a mesh whose hull
+        # cannot be computed counts as not convex.
+        start = time.perf_counter()
+        try:
+            self._exact = self.mesh.n_vertices == 0 or mesh_is_convex(self.mesh)
+        except MeshError:
+            self._exact = False
+        convexity_time = time.perf_counter() - start
         self._grid = UniformGrid(self.grid_resolution)
         if self.mesh.n_vertices == 0:
             # Empty meshes carry no grid; queries short-circuit to empty
             # results (consistent degenerate handling across strategies).
-            return 0.0
-        return self._grid.build(self.mesh.vertices)
+            return convexity_time
+        return convexity_time + self._grid.build(self.mesh.vertices)
 
     @property
     def grid(self) -> UniformGrid:
@@ -210,176 +211,40 @@ class OctopusConExecutor(ExecutionStrategy):
         return elapsed
 
     # ------------------------------------------------------------------
-    # query execution
+    # the seed phase: the stale-grid lookup
     # ------------------------------------------------------------------
-    def query(self, box: Box3D) -> QueryResult:
-        """Answer one range query: grid-located start, walk, crawl.
-
-        When a :attr:`~repro.core.executor.ExecutionStrategy.query_budget` is
-        installed, one tracker meters the walk and crawl together (the grid
-        lookup is bounded by the grid resolution and stays unbudgeted).
-        """
-        check_query_box(box)
-        counters = QueryCounters()
+    def _seeds(self, box: Box3D, counters: QueryCounters) -> tuple[np.ndarray, int | None]:
+        """No in-box starts; walk from a vertex near the box centre."""
         if self.mesh.n_vertices == 0:
-            return QueryResult(vertex_ids=np.empty(0, dtype=np.int64), counters=counters)
+            return np.empty(0, dtype=np.int64), None
+        return np.empty(0, dtype=np.int64), self._ensure_grid().any_vertex_near(box.center, counters)
 
-        # Locate a starting vertex near the query centre using the stale grid.
-        locate_start = time.perf_counter()
-        start_id = self._ensure_grid().any_vertex_near(box.center, counters)
-        locate_time = time.perf_counter() - locate_start
-
-        return self._walk_and_crawl(box, start_id, counters, locate_time)
-
-    def _walk_for_start(
-        self,
-        box: Box3D,
-        start_id: int | None,
-        counters: QueryCounters,
-        budget=None,
-    ) -> tuple[np.ndarray, float, bool]:
-        """Directed-walk phase (shared by the sequential and batched paths).
-
-        Walks from the grid-suggested vertex towards the box; returns the
-        crawl start vertices (empty when the walk got stuck or the grid was
-        empty), the walk seconds, and whether the walk ran to completion
-        (budgets may truncate it).
-        """
-        walk_time = 0.0
-        complete = True
-        start_vertices = np.empty(0, dtype=np.int64)
-        if start_id is not None:
-            walk_start = time.perf_counter()
-            walk = directed_walk(
-                self.mesh, box, start_id, counters, scratch=self.scratch, budget=budget
-            )
-            walk_time = time.perf_counter() - walk_start
-            complete = walk.complete
-            if walk.found_id is not None:
-                start_vertices = np.asarray([walk.found_id], dtype=np.int64)
-        return start_vertices, walk_time, complete
-
-    def _walk_and_crawl(
-        self,
-        box: Box3D,
-        start_id: int | None,
-        counters: QueryCounters,
-        locate_time: float,
-    ) -> QueryResult:
-        """Walk-then-crawl tail for one box (the sequential path)."""
-        mesh = self.mesh
-        budget = self._start_budget()
-        start_vertices, walk_time, walk_complete = self._walk_for_start(
-            box, start_id, counters, budget
-        )
-
-        crawl_start = time.perf_counter()
-        outcome = crawl(mesh, box, start_vertices, counters, scratch=self.scratch, budget=budget)
-        crawl_time = time.perf_counter() - crawl_start
-        return QueryResult(
-            vertex_ids=outcome.result_ids,
-            counters=counters,
-            probe_time=locate_time,   # grid lookup takes the place of the probe phase
-            walk_time=walk_time,
-            crawl_time=crawl_time,
-            total_time=locate_time + walk_time + crawl_time,
-            complete=walk_complete and outcome.complete,
-        )
-
-    def query_many(self, boxes: Sequence[Box3D]) -> list[QueryResult]:
-        """Batched execution: vectorised grid lookup, fused walks, fused crawl.
-
-        All box centres are located in the stale grid in a single pass (only
-        the boxes whose centre cell is empty fall back to the sequential ring
-        search), the directed walks of the whole batch advance in lockstep
-        through one fused beam walk
-        (:func:`~repro.core.directed_walk.directed_walk_many`), and the
-        crawls are fused into one shared-frontier BFS
-        (:func:`~repro.core.crawler.crawl_many`) against the shared scratch
-        arena.  Results and counters match sequential :meth:`query` calls
-        exactly.
-        """
-        box_list = check_query_boxes(boxes)
-        self.last_fused_crawl = None  # set again below iff this batch fuses
-        if len(box_list) <= 1 or self.mesh.n_vertices == 0:
-            return [self.query(box) for box in box_list]
-        mesh = self.mesh
+    def _seeds_many(
+        self, box_list: list[Box3D], counters_list: list[QueryCounters]
+    ) -> tuple[list[np.ndarray], list[int | None], list[float]] | None:
+        """All box centres located in the grid in one pass; only the boxes
+        whose centre cell is empty fall back to the ring search."""
+        if self.mesh.n_vertices == 0:
+            return None
         locate_start = time.perf_counter()
         centers = np.stack([box.center for box in box_list])
         first_hits = self._ensure_grid().locate_batch(centers)
         shared_locate_time = (time.perf_counter() - locate_start) / len(box_list)
 
-        counters_list: list[QueryCounters] = []
+        origins: list[int | None] = []
         locate_times: list[float] = []
-        start_ids: list[int | None] = []
-        for box, hit in zip(box_list, first_hits):
-            counters = QueryCounters()
+        for box, hit, counters in zip(box_list, first_hits, counters_list):
             locate_time = shared_locate_time
             if hit >= 0:
                 counters.index_nodes_visited += 1  # the centre cell, as in ring 0
-                start_id: int | None = int(hit)
+                origins.append(int(hit))
             else:
                 ring_start = time.perf_counter()
-                start_id = self.grid.any_vertex_near(box.center, counters)
+                origins.append(self.grid.any_vertex_near(box.center, counters))
                 locate_time += time.perf_counter() - ring_start
-            counters_list.append(counters)
             locate_times.append(locate_time)
-            start_ids.append(start_id)
-
-        walk_indices = [index for index, start_id in enumerate(start_ids) if start_id is not None]
-        # One tracker per query, shared by its walk and crawl phases — the
-        # same metering a sequential query() applies.
-        budgets = None
-        if self.query_budget is not None:
-            budgets = [self._start_budget(query_index=i) for i in range(len(box_list))]
-        walk_times, walk_starts, walk_batch = fused_walk_phase(
-            mesh,
-            box_list,
-            walk_indices,
-            start_ids,
-            counters_list,
-            self.scratch,
-            budgets,
-        )
-        crawl_starts = [
-            walk_starts.get(index, np.empty(0, dtype=np.int64))
-            for index in range(len(box_list))
-        ]
-        walk_complete = [True] * len(box_list)
-        if walk_batch is not None:
-            for index, walk in zip(walk_indices, walk_batch.outcomes):
-                walk_complete[index] = walk.complete
-
-        crawl_start = time.perf_counter()
-        batch = crawl_many(
-            mesh,
-            box_list,
-            crawl_starts,
-            counters_list,
-            scratch=self.scratch,
-            budgets=budgets,
-        )
-        crawl_time = (time.perf_counter() - crawl_start) / len(box_list)
-        if walk_batch is not None:
-            walk_batch.attach_to(batch)
-        self.last_fused_crawl = batch
-
-        results: list[QueryResult] = []
-        for index, (outcome, counters, locate_time, walk_time) in enumerate(
-            zip(batch.outcomes, counters_list, locate_times, walk_times)
-        ):
-            results.append(
-                QueryResult(
-                    vertex_ids=outcome.result_ids,
-                    counters=counters,
-                    probe_time=locate_time,  # grid lookup takes the place of the probe phase
-                    walk_time=walk_time,
-                    crawl_time=crawl_time,
-                    total_time=locate_time + walk_time + crawl_time,
-                    complete=walk_complete[index] and outcome.complete,
-                )
-            )
-        return results
+        no_starts = np.empty(0, dtype=np.int64)
+        return [no_starts] * len(box_list), origins, locate_times
 
     # ------------------------------------------------------------------
     # accounting

@@ -22,14 +22,13 @@ again a single increment (a stale stamp means the row is garbage and is
 treated as all-zeros).  The word axis widens on demand, so one fused crawl
 serves arbitrarily large batches — there is no 64-query ceiling.
 
-The fused directed walk keeps its per-query state (best distance, best
-vertex, step counts, frontier slots) in a :class:`WalkArena` owned by the
-scratch, so batched walks allocate nothing per call either.
+The directed walks use only the identity ramp; their per-query state is a
+few batch-sized arrays allocated per call.
 
 A scratch instance is owned by one thread at a time and is **not**
 thread-safe; two concurrent queries must use two scratches.  That contract
-used to be documentation only — now it is enforced: the crawl and walk round
-loops re-check the arena epoch every round and raise
+used to be documentation only — now it is enforced: the crawl round loops
+re-check the arena epoch every round and raise
 :class:`~repro.errors.ConcurrencyError` when another acquisition moved it
 mid-query (the signature of a second thread sharing the arena), and
 executors route concurrent callers onto distinct arenas through
@@ -45,88 +44,11 @@ import numpy as np
 
 from ..errors import ConcurrencyError
 
-__all__ = ["CrawlScratch", "ThreadLocalScratch", "WalkArena"]
+__all__ = ["CrawlScratch", "ThreadLocalScratch"]
 
 #: stamp value reserved for "never visited" (fresh arenas are zero-filled)
 _NEVER = 0
 _EPOCH_LIMIT = np.iinfo(np.int32).max - 1
-
-
-class WalkArena:
-    """Per-query state arrays for the fused directed walk.
-
-    One row per query of the current batch; all arrays are overwritten by
-    :func:`~repro.core.directed_walk.directed_walk_many` at batch start, so no
-    epoch guard is needed.  ``frontier`` holds up to ``beam_width`` candidate
-    vertices per query (``frontier_len`` of them valid), ``best_distance`` /
-    ``best_id`` the closest vertex seen so far, ``found`` the vertex reached
-    inside the box (-1 while searching), and ``n_steps`` / ``n_distance`` the
-    per-query work counters the sequential walk would have reported.
-    """
-
-    __slots__ = (
-        "best_distance",
-        "best_id",
-        "found",
-        "n_steps",
-        "n_distance",
-        "active",
-        "frontier",
-        "frontier_len",
-        "generation",
-    )
-
-    def __init__(self) -> None:
-        self.best_distance = np.empty(0, dtype=np.float64)
-        self.best_id = np.empty(0, dtype=np.int64)
-        self.found = np.empty(0, dtype=np.int64)
-        self.n_steps = np.empty(0, dtype=np.int64)
-        self.n_distance = np.empty(0, dtype=np.int64)
-        self.active = np.empty(0, dtype=bool)
-        self.frontier = np.empty((0, 1), dtype=np.int64)
-        self.frontier_len = np.empty(0, dtype=np.int64)
-        #: bumped by every :meth:`~CrawlScratch.acquire_walk`; the fused walk
-        #: re-checks it each round to detect a second thread taking the arena
-        self.generation = 0
-
-    def check_generation(self, generation: int) -> None:
-        """Assert the arena still belongs to the walk batch that acquired it."""
-        if self.generation != generation:
-            raise ConcurrencyError(
-                f"WalkArena re-acquired mid-batch (generation moved "
-                f"{generation} -> {self.generation}); a scratch serves one thread "
-                "at a time — use one scratch per thread (see ThreadLocalScratch)"
-            )
-
-    def reserve(self, n_queries: int, beam_width: int) -> None:
-        """Grow the per-query rows to cover ``n_queries`` × ``beam_width``."""
-        if self.best_distance.size < n_queries:
-            capacity = max(n_queries, 2 * self.best_distance.size)
-            self.best_distance = np.empty(capacity, dtype=np.float64)
-            self.best_id = np.empty(capacity, dtype=np.int64)
-            self.found = np.empty(capacity, dtype=np.int64)
-            self.n_steps = np.empty(capacity, dtype=np.int64)
-            self.n_distance = np.empty(capacity, dtype=np.int64)
-            self.active = np.empty(capacity, dtype=bool)
-            self.frontier_len = np.empty(capacity, dtype=np.int64)
-        rows, cols = self.frontier.shape
-        if rows < self.best_distance.size or cols < beam_width:
-            self.frontier = np.empty(
-                (self.best_distance.size, max(beam_width, cols)), dtype=np.int64
-            )
-
-    def memory_bytes(self) -> int:
-        """Current footprint of the per-query walk state arrays."""
-        return int(
-            self.best_distance.nbytes
-            + self.best_id.nbytes
-            + self.found.nbytes
-            + self.n_steps.nbytes
-            + self.n_distance.nbytes
-            + self.active.nbytes
-            + self.frontier.nbytes
-            + self.frontier_len.nbytes
-        )
 
 
 class CrawlScratch:
@@ -150,7 +72,6 @@ class CrawlScratch:
         "_batch_stamps",
         "_batch_words",
         "_batch_epoch",
-        "_walk_arena",
     )
 
     def __init__(self) -> None:
@@ -160,7 +81,6 @@ class CrawlScratch:
         self._batch_stamps = np.empty(0, dtype=np.int32)
         self._batch_words = np.empty((0, 1), dtype=np.uint64)
         self._batch_epoch = _NEVER
-        self._walk_arena = WalkArena()
 
     # ------------------------------------------------------------------
     # the visited arena
@@ -236,20 +156,6 @@ class CrawlScratch:
         return self._batch_stamps, self._batch_words, self._batch_epoch
 
     # ------------------------------------------------------------------
-    # the fused directed-walk arena
-    # ------------------------------------------------------------------
-    def acquire_walk(self, n_queries: int, beam_width: int = 1) -> WalkArena:
-        """Per-query state rows for a fused directed walk over ``n_queries``.
-
-        The returned arena is reused (and regrown geometrically) across
-        batches; its arrays carry garbage from earlier walks and must be fully
-        initialised by the caller for rows ``[0, n_queries)``.
-        """
-        self._walk_arena.reserve(n_queries, beam_width)
-        self._walk_arena.generation += 1
-        return self._walk_arena
-
-    # ------------------------------------------------------------------
     # single-owner enforcement
     # ------------------------------------------------------------------
     def check_epoch(self, epoch: int) -> None:
@@ -295,7 +201,6 @@ class CrawlScratch:
             + self._iota.nbytes
             + self._batch_stamps.nbytes
             + self._batch_words.nbytes
-            + self._walk_arena.memory_bytes()
         )
 
     #: steady-state arena bytes per vertex: 4 (visited stamps) + 4 (batch

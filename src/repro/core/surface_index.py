@@ -17,10 +17,19 @@ the surface per event (the paper's maintenance entries).
 from __future__ import annotations
 
 import time
+from typing import Sequence
 
 import numpy as np
 
-from ..mesh import Box3D, PolyhedralMesh, points_boxes_distance_sq, points_in_box
+from ..kernels import KERNELS
+from ..mesh import (
+    Box3D,
+    PolyhedralMesh,
+    box_batch_chunk,
+    boxes_to_arrays,
+    points_boxes_distance_sq,
+    points_in_box,
+)
 from .result import QueryCounters
 
 __all__ = ["SurfaceIndex", "SurfaceProbeOutcome"]
@@ -178,3 +187,57 @@ class SurfaceIndex:
             float(np.sqrt(distances_sq[closest_pos])),
             n_probed,
         )
+
+    def probe_many(
+        self,
+        boxes: Sequence[Box3D],
+        counters_list: Sequence[QueryCounters] | None = None,
+        ids: np.ndarray | None = None,
+    ) -> list[SurfaceProbeOutcome]:
+        """:meth:`probe` for a batch of boxes, one outcome per box.
+
+        The surface is tested against all boxes in one broadcast pass
+        (chunked to bound the broadcast), and one more pass finds the closest
+        surface vertex of every box that holds none, on the squared distances
+        :meth:`probe` selects on.  Outcomes and counters equal per-box
+        :meth:`probe` calls; ``counters_list`` and ``ids`` are as there.
+        """
+        if ids is None:
+            ids = self.surface_ids()
+        n_probed = int(ids.size)
+        n_boxes = len(boxes)
+        if counters_list is not None:
+            for counters in counters_list:
+                counters.surface_probed += n_probed
+        if n_probed == 0:
+            return [SurfaceProbeOutcome(np.empty(0, dtype=np.int64), None, float("inf"), 0) for _ in range(n_boxes)]
+        los, his = boxes_to_arrays(boxes)
+        positions = self._mesh.vertices[ids]
+        chunk = box_batch_chunk(n_probed)
+        outcomes: list[SurfaceProbeOutcome] = []
+        for first in range(0, n_boxes, chunk):
+            last = min(first + chunk, n_boxes)
+            inside = KERNELS.points_in_boxes(positions, los[first:last], his[first:last])
+            hits = inside.any(axis=1)
+            misses = np.nonzero(~hits)[0]
+            if misses.size:
+                distances_sq = points_boxes_distance_sq(positions, los[first + misses], his[first + misses])
+                nearest = np.argmin(distances_sq, axis=1)
+            miss = 0
+            for row in range(last - first):
+                if hits[row]:
+                    outcomes.append(SurfaceProbeOutcome(ids[inside[row]], None, 0.0, n_probed))
+                    continue
+                closest_pos = int(nearest[miss])
+                outcomes.append(
+                    SurfaceProbeOutcome(
+                        np.empty(0, dtype=np.int64),
+                        int(ids[closest_pos]),
+                        float(np.sqrt(distances_sq[miss, closest_pos])),
+                        n_probed,
+                    )
+                )
+                if counters_list is not None:
+                    counters_list[first + row].probe_distance_computations += n_probed
+                miss += 1
+        return outcomes

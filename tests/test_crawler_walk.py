@@ -119,8 +119,3 @@ class TestDirectedWalk:
         outcome = directed_walk(grid_mesh, box, start_vertex=0)
         distances = [point_box_distance(grid_mesh.vertices[v], box) for v in outcome.path]
         assert all(b < a for a, b in zip(distances, distances[1:]))
-
-    def test_walk_respects_max_steps(self, grid_mesh):
-        box = Box3D.cube((0.9, 0.9, 0.9), 0.05)
-        outcome = directed_walk(grid_mesh, box, start_vertex=0, max_steps=2)
-        assert outcome.n_steps <= 2

@@ -51,8 +51,14 @@ def strategy_name(request):
 
 
 class TestEmptyMesh:
-    def test_lifecycle_and_queries_are_silently_empty(self, strategy_name):
-        strategy = make_strategy(strategy_name)
+    @pytest.mark.parametrize(
+        "strategy_name, options",
+        [(name, {}) for name in ALL_STRATEGIES]
+        + [("octopus", {"surface_sample_fraction": 0.5})],  # samples zero of zero surface ids
+        ids=[*ALL_STRATEGIES, "octopus-sampled"],
+    )
+    def test_lifecycle_and_queries_are_silently_empty(self, strategy_name, options):
+        strategy = make_strategy(strategy_name, **options)
         strategy.prepare(empty_mesh())
         assert strategy.on_step(DeformationDelta.full(0)) >= 0.0
         assert strategy.on_restructure(TopologyDelta.full(0)) >= 0.0

@@ -182,3 +182,44 @@ class TestMaintainedGrid:
         con.prepare(earthquake_small.copy())
         con.on_step(DeformationDelta.empty(earthquake_small.n_vertices))
         assert con.maintenance_entries == 0
+
+
+def _vertex_centred_boxes(mesh, n_boxes: int, seed: int) -> list[Box3D]:
+    """Boxes centred on random vertices, half-sides 2–15% of the bounding diagonal."""
+    rng = np.random.default_rng(seed)
+    diagonal = float(np.linalg.norm(mesh.bounding_box().extents))
+    centres = mesh.vertices[rng.integers(0, mesh.n_vertices, size=n_boxes)]
+    halves = rng.uniform(0.02, 0.15, size=(n_boxes, 3)) * diagonal
+    return [Box3D(centre - half, centre + half) for centre, half in zip(centres, halves)]
+
+
+class TestCompleteness:
+    """Every answer is the linear-scan answer, or says ``complete=False``."""
+
+    @staticmethod
+    def _answers(mesh, boxes):
+        con = OctopusConExecutor()
+        con.prepare(mesh)
+        scan = LinearScanExecutor()
+        scan.prepare(mesh)
+        expected = scan.query_many(boxes)
+        return expected, [con.query(box) for box in boxes], con.query_many(boxes)
+
+    def test_short_answers_on_a_non_convex_mesh_are_flagged(self, neuron_small):
+        boxes = _vertex_centred_boxes(neuron_small, 600, seed=17)
+        expected, sequential, batched = self._answers(neuron_small, boxes)
+        for results in (sequential, batched):
+            differing = [result for result, want in zip(results, expected) if not result.same_vertices_as(want)]
+            # one in-box seed cannot crawl to every in-box part of a non-convex mesh
+            assert differing
+            assert not any(result.complete for result in differing)
+
+    @pytest.mark.parametrize("mesh_fixture", ["grid_mesh", "earthquake_small"])
+    def test_convex_meshes_answer_exactly(self, mesh_fixture, request):
+        mesh = request.getfixturevalue(mesh_fixture)
+        boxes = _vertex_centred_boxes(mesh, 600, seed=17)
+        expected, sequential, batched = self._answers(mesh, boxes)
+        for results in (sequential, batched):
+            for result, want in zip(results, expected):
+                assert result.same_vertices_as(want)
+                assert result.complete

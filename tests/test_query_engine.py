@@ -7,7 +7,7 @@ Covers the performance layer added around the crawl:
   mesh restructuring epochs);
 * the batched ``query_many`` API (equality with sequential ``query`` for
   OCTOPUS, OCTOPUS-CON and baselines, counter parity, harness wiring);
-* the vectorised hot paths (the beam ``directed_walk``, the grid's
+* the vectorised hot paths (the ``directed_walk``, the grid's
   ``locate_batch``).
 """
 
@@ -309,15 +309,6 @@ class TestVectorisedHotPaths:
         outcome = directed_walk(grid_mesh, box, np.array([0, 124]))
         assert outcome.found_id is not None
         assert box.contains_point(grid_mesh.vertices[outcome.found_id])
-
-    def test_directed_walk_beam_width_one_still_finds(self, grid_mesh):
-        box = Box3D.cube((0.5, 0.5, 0.5), 0.3)
-        outcome = directed_walk(grid_mesh, box, 0, beam_width=1)
-        assert outcome.found_id is not None
-
-    def test_directed_walk_rejects_bad_beam(self, grid_mesh):
-        with pytest.raises(ValueError):
-            directed_walk(grid_mesh, Box3D.cube((0.5, 0.5, 0.5), 0.3), 0, beam_width=0)
 
     def test_grid_locate_batch_matches_any_vertex_near(self, earthquake_small):
         executor = OctopusConExecutor()

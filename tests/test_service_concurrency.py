@@ -201,15 +201,6 @@ class TestConcurrencyErrorGuard:
         with pytest.raises(ConcurrencyError):
             scratch.check_batch_epoch(epoch - 1)
 
-    def test_walk_arena_generation_guard(self):
-        scratch = CrawlScratch()
-        arena = scratch.acquire_walk(4, 8)
-        generation = arena.generation
-        arena.check_generation(generation)
-        scratch.acquire_walk(4, 8)  # another round steals the arena
-        with pytest.raises(ConcurrencyError):
-            arena.check_generation(generation)
-
     def test_shared_scratch_across_rounds_is_detected(self, neuron_small):
         # two interleaved crawls sharing one arena: the second round moves the
         # epoch, so resuming the first must fail loudly instead of corrupting

@@ -1,6 +1,6 @@
 """Parity and work invariants of the fused directed walk (``directed_walk_many``).
 
-The fused lockstep beam walk must be a pure *dispatch/work-sharing*
+The fused lockstep walk must be a pure *dispatch/work-sharing*
 optimisation over per-box :func:`~repro.core.directed_walk.directed_walk`
 calls:
 
@@ -89,17 +89,15 @@ def _walk_families(mesh, seed: int) -> dict[str, tuple[list[Box3D], list]]:
     }
 
 
-def _assert_walk_parity(mesh, boxes, starts, **kwargs) -> None:
+def _assert_walk_parity(mesh, boxes, starts) -> None:
     sequential_scratch = CrawlScratch()
     expected_counters = [QueryCounters() for _ in boxes]
     expected = [
-        directed_walk(mesh, box, start, counters, scratch=sequential_scratch, **kwargs)
+        directed_walk(mesh, box, start, counters, scratch=sequential_scratch)
         for box, start, counters in zip(boxes, starts, expected_counters)
     ]
     fused_counters = [QueryCounters() for _ in boxes]
-    batch = directed_walk_many(
-        mesh, boxes, starts, fused_counters, scratch=CrawlScratch(), **kwargs
-    )
+    batch = directed_walk_many(mesh, boxes, starts, fused_counters, scratch=CrawlScratch())
     assert len(batch.outcomes) == len(boxes)
     for index, (got, want) in enumerate(zip(batch.outcomes, expected)):
         context = f"box {index}"
@@ -122,11 +120,6 @@ class TestFusedWalkParity:
         for family, (boxes, starts) in _walk_families(mesh, seed=PARITY_SEED + 13).items():
             _assert_walk_parity(mesh, boxes, starts)
 
-    def test_parity_with_wider_beam_and_max_steps(self, neuron_small):
-        boxes, starts = _walk_families(neuron_small, seed=PARITY_SEED + 29)["mixed"]
-        _assert_walk_parity(neuron_small, boxes, starts, beam_width=3)
-        _assert_walk_parity(neuron_small, boxes, starts, max_steps=4)
-
     def test_empty_batch_and_empty_starts(self, grid_mesh):
         empty = directed_walk_many(grid_mesh, [], [])
         assert empty.outcomes == [] and empty.n_rounds == 0
@@ -137,14 +130,14 @@ class TestFusedWalkParity:
         assert batch.outcomes[0].path == []
         assert batch.n_attributed_distance_computations == 0
 
-    def test_length_mismatch_and_bad_beam_rejected(self, grid_mesh):
+    def test_length_mismatch_rejected(self, grid_mesh):
         box = Box3D.cube((0.5, 0.5, 0.5), 0.2)
         with pytest.raises(ValueError):
             directed_walk_many(grid_mesh, [box], [])
         with pytest.raises(ValueError):
             directed_walk_many(grid_mesh, [box], [0], counters_list=[])
         with pytest.raises(ValueError):
-            directed_walk_many(grid_mesh, [box], [0], beam_width=0)
+            directed_walk_many(grid_mesh, [box], [0], budgets=[])
 
     def test_batch_larger_than_64_queries(self, grid_mesh):
         """Parity holds for >64 walks in one batch (multi-word crawl scale)."""
@@ -171,17 +164,6 @@ class TestFusedWalkWork:
         # Start round plus at most one expansion round per accepted step, plus
         # a possible final stuck round for the longest walker.
         assert batch.n_rounds <= longest + 1
-
-    def test_walk_arena_is_reused_across_batches(self, grid_mesh):
-        scratch = CrawlScratch()
-        boxes, starts = _walk_families(grid_mesh, seed=PARITY_SEED + 7)["interior"]
-        directed_walk_many(grid_mesh, boxes, starts, scratch=scratch)
-        arena_first = scratch.acquire_walk(len(boxes))
-        first_frontier = arena_first.frontier
-        directed_walk_many(grid_mesh, boxes, starts, scratch=scratch)
-        arena_second = scratch.acquire_walk(len(boxes))
-        assert arena_second is arena_first
-        assert arena_second.frontier is first_frontier
 
 
 class TestExecutorFusedWalks:
@@ -246,7 +228,7 @@ class TestCrossQueryGatherSharing:
         boxes, starts = _walk_families(neuron_small, seed=9)["shared"]
         batch = directed_walk_many(neuron_small, boxes, starts, scratch=CrawlScratch())
         assert batch.n_attributed_csr_gather_entries > 0
-        # Identical starts and near-identical targets keep the beams on the
+        # Identical starts and near-identical targets keep the walks on the
         # same corridor, so the deduplicated gathers do strictly less work.
         assert (
             batch.n_unique_csr_gather_entries < batch.n_attributed_csr_gather_entries
