@@ -27,8 +27,6 @@ Run it directly::
 
     REPRO_BENCH_PROFILE=tiny python benchmarks/bench_cache.py
 
-or through pytest (``pytest benchmarks/bench_cache.py -s``).
-
 CI regression gate: when ``REPRO_BENCH_FLOORS`` is set (comma-separated
 ``name=minimum`` pairs), the run fails if a gated value drops below its
 floor.  Gates: ``cache_hit_speedup`` (steady-state wall-clock query-time
@@ -237,32 +235,6 @@ def main() -> int:
     _print_record(record)
     print(f"record written to {RECORD_PATH}")
     return 1 if check_floors(record["gates"], FLOOR_SCENARIOS) else 0
-
-
-def test_cache_benchmark(profile, record_rows):
-    """Pytest entry point: run the benchmark and persist the JSON record."""
-    record = run(profile)
-    RECORD_PATH.write_text(json.dumps(record, indent=2) + "\n")
-    rows = [
-        {
-            "cell": f"{cell['scenario']}"
-            + (
-                f" repoll={cell['repoll_fraction']:.1f}"
-                if cell["repoll_fraction"] is not None
-                else ""
-            ),
-            "hit_rate": cell.get("hit_rate", 0.0),
-            "invalidations": cell.get("invalidations", 0),
-            "flushes": cell.get("flushes", 0),
-            "steady_speedup_vs_fresh": cell.get("steady_speedup_vs_fresh", 0.0),
-            "total_speedup_vs_fresh": cell.get("speedup_vs_fresh", 0.0),
-        }
-        for cell in record["cells"]
-    ]
-    record_rows("bench_cache", rows, "Delta-invalidated result cache benchmark")
-    assert record["gates"]["cache_parity"] == 1.0
-    failures = check_floors(record["gates"], FLOOR_SCENARIOS)
-    assert not failures, "; ".join(failures)
 
 
 if __name__ == "__main__":

@@ -28,8 +28,6 @@ Run it directly::
 
     REPRO_BENCH_PROFILE=tiny python benchmarks/bench_standing.py
 
-or through pytest (``pytest benchmarks/bench_standing.py -s``).
-
 CI regression gate: when ``REPRO_BENCH_FLOORS`` is set (comma-separated
 ``name=minimum`` pairs), the run fails if a gated value drops below its
 floor.  Gates: ``standing_speedup`` (steady-state naive / incremental
@@ -264,28 +262,6 @@ def main() -> int:
     _print_record(record)
     print(f"record written to {RECORD_PATH}")
     return 1 if check_floors(record["gates"], FLOOR_SCENARIOS) else 0
-
-
-def test_standing_benchmark(profile, record_rows):
-    """Pytest entry point: run the benchmark and persist the JSON record."""
-    record = run(profile)
-    RECORD_PATH.write_text(json.dumps(record, indent=2) + "\n")
-    rows = [
-        {
-            "cell": cell["cell"],
-            "resteer_per_step": cell.get("resteer_per_step", 0),
-            "updates": cell.get("n_update_events", 0),
-            "skips": cell.get("skips", 0),
-            "recrawls": cell.get("recrawls", 0),
-            "steady_speedup_vs_naive": cell.get("steady_speedup_vs_naive", 0.0),
-            "total_speedup_vs_naive": cell.get("speedup_vs_naive", 0.0),
-        }
-        for cell in record["cells"]
-    ]
-    record_rows("bench_standing", rows, "Standing-query incremental evaluation benchmark")
-    assert record["gates"]["standing_parity"] == 1.0
-    failures = check_floors(record["gates"], FLOOR_SCENARIOS)
-    assert not failures, "; ".join(failures)
 
 
 if __name__ == "__main__":

@@ -25,8 +25,6 @@ mistaken for a regression.  Run it directly::
 
     REPRO_BENCH_PROFILE=tiny python benchmarks/bench_traffic.py
 
-or through pytest (``pytest benchmarks/bench_traffic.py -s``).
-
 CI regression gate: when ``REPRO_BENCH_FLOORS`` is set (comma-separated
 ``name=minimum`` pairs), the run fails if a gated value drops below its
 floor.  Gates: ``traffic_qps`` (absolute queries/s of the sharded 4-shard
@@ -176,26 +174,6 @@ def main() -> int:
     _print_record(record)
     print(f"record written to {RECORD_PATH}")
     return 1 if check_floors(record["gates"], FLOOR_SCENARIOS) else 0
-
-
-def test_traffic_benchmark(profile, record_rows):
-    """Pytest entry point: run the benchmark and persist the JSON record."""
-    record = run(profile)
-    RECORD_PATH.write_text(json.dumps(record, indent=2) + "\n")
-    rows = [
-        {
-            "cell": f"{cell['strategy']} K={cell['n_shards']} C={cell['n_clients']}",
-            "throughput_qps": cell["throughput_qps"],
-            "p50_ms": cell["p50_ms"],
-            "p99_ms": cell["p99_ms"],
-            "speedup": cell["speedup_vs_sequential"],
-        }
-        for cell in record["cells"]
-    ]
-    record_rows("bench_traffic", rows, "Sharded service traffic benchmark")
-    assert record["gates"]["traffic_parity"] == 1.0
-    failures = check_floors(record["gates"], FLOOR_SCENARIOS)
-    assert not failures, "; ".join(failures)
 
 
 if __name__ == "__main__":

@@ -9,9 +9,9 @@ Usage (after installing the package)::
 
 Each sub-command runs the corresponding driver from
 :mod:`repro.experiments.figures`, prints the resulting series as a text table
-and optionally writes it to a file.  This is a convenience wrapper around the
-same functions the ``benchmarks/`` suite calls; use ``pytest benchmarks/
---benchmark-only`` when timing information is needed.
+and optionally writes it to a file.  ``benchmarks/paper_results.py`` runs the
+same drivers and records which of the paper's claims hold in
+``PAPER_RESULTS.json``.
 """
 
 from __future__ import annotations

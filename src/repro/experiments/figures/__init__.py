@@ -1,8 +1,9 @@
 """Per-figure experiment drivers.
 
 Each function regenerates the data series of one table or figure of the
-paper's evaluation; the ``benchmarks/`` directory calls them and prints the
-resulting rows so they can be compared against the published numbers.
+paper's evaluation; ``python -m repro.cli`` prints their rows, and
+``benchmarks/paper_results.py`` checks the paper's claims on them and records
+which hold in ``PAPER_RESULTS.json``.
 """
 
 from .fig04_05 import figure4_rows, figure5_rows

@@ -143,7 +143,7 @@ def figure7_selectivity(
     The paper sweeps 0.01%-0.2%; on the scaled-down meshes those selectivities
     return almost no vertices, so the default sweep here covers 0.1%-5% — the
     same relative position with respect to the crossover selectivity of
-    Equation 6 (see EXPERIMENTS.md).
+    Equation 6.
     """
     series = neuron_series(profile)
     mesh = series[-1]

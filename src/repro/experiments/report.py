@@ -1,9 +1,8 @@
 """Plain-text rendering of experiment results.
 
 Every figure driver returns rows of dictionaries; :func:`format_table` renders
-them the way the paper's tables/figures list their series, so the benchmark
-output can be compared side by side with the published numbers (recorded in
-EXPERIMENTS.md).
+them the way the paper's tables/figures list their series, so the output can
+be compared side by side with the published numbers.
 """
 
 from __future__ import annotations

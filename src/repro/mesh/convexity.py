@@ -14,8 +14,37 @@ from scipy.spatial import ConvexHull, QhullError
 
 from ..errors import MeshError
 from .base import PolyhedralMesh
+from .geometry import box_batch_chunk
 
 __all__ = ["is_convex_point_set", "mesh_is_convex", "convexity_defect"]
+
+
+def _hull_facet_distances(points: np.ndarray, surface_points: np.ndarray) -> np.ndarray:
+    """Distance from each surface point to its nearest facet plane of the convex hull of ``points``.
+
+    ``hull.equations`` rows are ``(a, b, c, d)`` with ``a*x + b*y + c*z + d <= 0``
+    inside, so entry ``i`` is ``-max_f (normal_f . s_i + d_f)``: zero for a
+    point on the hull, positive for one inside it by that much.  The surface
+    points go through in row chunks of :func:`~repro.mesh.geometry.box_batch_chunk`
+    size into one reused (chunk x facets) buffer, which stays within the
+    batched kernels' element budget however large the surface is.
+    """
+    try:
+        hull = ConvexHull(points)
+    except QhullError as exc:  # degenerate (flat) point set
+        raise MeshError(f"cannot compute convex hull: {exc}") from exc
+    normals = hull.equations[:, :3]
+    offsets = hull.equations[:, 3]
+    n_surface = surface_points.shape[0]
+    distances = np.empty(n_surface)
+    chunk = box_batch_chunk(offsets.size)
+    signed = np.empty((min(chunk, n_surface), offsets.size))
+    for start in range(0, n_surface, chunk):
+        block = signed[: min(chunk, n_surface - start)]
+        np.matmul(surface_points[start : start + chunk], normals.T, out=block)
+        block += offsets
+        distances[start : start + chunk] = -block.max(axis=1)
+    return distances
 
 
 def is_convex_point_set(
@@ -33,18 +62,9 @@ def is_convex_point_set(
     surf = np.asarray(surface_points, dtype=np.float64)
     if pts.shape[0] < 4:
         return True
-    try:
-        hull = ConvexHull(pts)
-    except QhullError as exc:  # degenerate (flat) point set
-        raise MeshError(f"cannot compute convex hull: {exc}") from exc
+    nearest_facet_distance = _hull_facet_distances(pts, surf)
     diag = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
     abs_tol = tolerance * max(diag, 1.0)
-    # hull.equations rows are (a, b, c, d) with a*x + b*y + c*z + d <= 0 inside.
-    normals = hull.equations[:, :3]
-    offsets = hull.equations[:, 3]
-    # Distance of every surface point to its nearest hull facet plane.
-    signed = surf @ normals.T + offsets          # (n_surface, n_facets)
-    nearest_facet_distance = -signed.max(axis=1)  # >= 0 means inside by that much
     return bool(np.all(nearest_facet_distance <= abs_tol))
 
 
@@ -58,15 +78,7 @@ def convexity_defect(mesh: PolyhedralMesh) -> float:
     pts = mesh.vertices
     if pts.shape[0] < 4:
         return 0.0
-    surf = pts[mesh.surface_vertices()]
-    try:
-        hull = ConvexHull(pts)
-    except QhullError as exc:
-        raise MeshError(f"cannot compute convex hull: {exc}") from exc
-    normals = hull.equations[:, :3]
-    offsets = hull.equations[:, 3]
-    signed = surf @ normals.T + offsets
-    nearest_facet_distance = -signed.max(axis=1)
+    nearest_facet_distance = _hull_facet_distances(pts, pts[mesh.surface_vertices()])
     diag = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
     if diag <= 0:
         return 0.0

@@ -2,9 +2,7 @@
 
 CI sweeps extra seeds through the environment; the helpers take an explicit
 env mapping so tests can assert the extension behaviour itself (see
-docs/robustness.md, "Seed families").  This lives in its own module (not
-``conftest.py``) because ``benchmarks/`` has a conftest of its own and a
-full-repo pytest run must not make ``import conftest`` ambiguous.
+docs/robustness.md, "Seed families").
 """
 
 from __future__ import annotations

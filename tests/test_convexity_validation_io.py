@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 from repro.errors import MeshError
 from repro.generators import structured_tetrahedral_mesh
+from repro.mesh import convexity
 from repro.mesh import (
     TetrahedralMesh,
     convexity_defect,
@@ -51,6 +53,30 @@ class TestConvexity:
         mesh = TetrahedralMesh(np.empty((0, 3)), np.empty((0, 4), dtype=np.int64))
         with pytest.raises(MeshError):
             mesh_is_convex(mesh)
+
+
+def _dense_hull_facet_distances(points, surface_points):
+    """The reference: every surface point against every hull facet in one matrix."""
+    equations = ConvexHull(points).equations
+    return -(surface_points @ equations[:, :3].T + equations[:, 3]).max(axis=1), equations
+
+
+class TestHullFacetDistances:
+    @pytest.mark.parametrize("mesh_fixture", ["earthquake_small", "neuron_small"])
+    @pytest.mark.parametrize("chunk", [None, 1, 7])
+    def test_chunked_rows_match_the_dense_matrix(self, request, monkeypatch, mesh_fixture, chunk):
+        mesh = request.getfixturevalue(mesh_fixture)
+        if chunk is not None:
+            monkeypatch.setattr(convexity, "box_batch_chunk", lambda n_facets: chunk)
+        surface = mesh.vertices[mesh.surface_vertices()]
+        dense, equations = _dense_hull_facet_distances(mesh.vertices, surface)
+        # One dot product of three terms plus an offset per entry: BLAS may
+        # round differently for another row count, by a few ulps of the
+        # largest term, and by nothing more.
+        scale = np.abs(surface).sum(axis=1).max() + np.abs(equations[:, 3]).max()
+        atol = 8 * np.finfo(np.float64).eps * scale
+        chunked = convexity._hull_facet_distances(mesh.vertices, surface)
+        np.testing.assert_allclose(chunked, dense, rtol=0, atol=atol)
 
 
 class TestValidation:

@@ -1,48 +1,32 @@
-"""Smoke tests for every per-figure experiment driver.
+"""Smoke tests for the per-figure experiment drivers.
 
 Each driver is run on the ``tiny`` profile with minimal parameters; the tests
-check the structure of the returned rows and the qualitative relations the
-paper's evaluation reports (who wins, which direction trends go), not absolute
-numbers.
+check the structure of the returned rows (row counts, dataset and strategy
+names).  The qualitative relations the paper's evaluation reports (who wins,
+which direction trends go) are the claims of ``benchmarks/paper_results.py``,
+which ``benchmarks/test_paper_results.py`` checks at ``tiny``.
 """
 
-import pytest
-
-from repro.experiments import figures
+from repro.experiments import earthquake_pair, figures
 from repro.workloads import NEUROSCIENCE_BENCHMARKS
-
-
-pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
 
 class TestCharacterisationTables:
     def test_figure4(self):
-        rows = figures.figure4_rows("tiny")
-        assert len(rows) == 5
-        assert [r["n_vertices"] for r in rows] == sorted(r["n_vertices"] for r in rows)
-        ratios = [r["surface_to_volume"] for r in rows]
-        assert ratios == sorted(ratios, reverse=True)
-        degrees = [r["mesh_degree"] for r in rows]
-        assert all(8 < d < 15 for d in degrees)
+        assert len(figures.figure4_rows("tiny")) == 5
 
     def test_figure5(self):
         rows = figures.figure5_rows()
         assert [r["benchmark"] for r in rows] == ["A", "B", "C", "D"]
 
     def test_figure8_via_figure14_style_pair(self):
-        # Figure 8 is the earthquake characterisation; covered by the dataset
-        # registry test, and its benchmark prints the same rows.
-        from repro.experiments import earthquake_pair
-
-        sf2, sf1 = earthquake_pair("tiny")
-        assert sf1.surface_to_volume_ratio() < sf2.surface_to_volume_ratio()
+        # Figure 8 is the earthquake characterisation: the coarse mesh first.
+        assert [mesh.name for mesh in earthquake_pair("tiny")] == ["SF2", "SF1"]
 
     def test_figure14(self):
         rows = figures.figure14_rows("tiny")
         assert len(rows) == 3
-        assert {r["dataset"] for r in rows} == {
-            "horse-gallop", "facial-expression", "camel-compress"
-        }
+        assert {r["dataset"] for r in rows} == {"horse-gallop", "facial-expression", "camel-compress"}
         assert [r["time_steps"] for r in rows] == [48, 9, 53]
 
 
@@ -52,136 +36,35 @@ class TestComparisonFigures:
             profile="tiny",
             n_steps=1,
             strategies=("octopus", "linear-scan", "octree"),
-            benchmarks=NEUROSCIENCE_BENCHMARKS[1:2],   # benchmark B: fewest queries
+            benchmarks=NEUROSCIENCE_BENCHMARKS[1:2],  # benchmark B: fewest queries
         )
         assert {r["strategy"] for r in rows} == {"octopus", "linear-scan", "octree"}
-        by_name = {r["strategy"]: r for r in rows}
-        # OCTOPUS does less machine-independent work than the linear scan,
-        # which in turn beats the rebuild-every-step octree.
-        assert by_name["octopus"]["total_work"] < by_name["linear-scan"]["total_work"]
-        assert by_name["octopus"]["speedup_vs_baseline_work"] > 1.0
-        # Memory: linear scan has none, OCTOPUS less than the octree (6b).
-        assert by_name["linear-scan"]["memory_overhead_mb"] == 0.0
-        assert by_name["octopus"]["memory_overhead_mb"] > 0.0
 
-    def test_figure7_fixed_query_speedup_increases_with_detail(self):
-        rows = figures.figure7_mesh_detail_fixed_query(
-            profile="tiny", n_steps=1, queries_per_step=3
-        )
+    def test_figure7_fixed_query(self):
+        rows = figures.figure7_mesh_detail_fixed_query(profile="tiny", n_steps=1, queries_per_step=3)
         assert len(rows) == 5
-        speedups = [r["speedup_work"] for r in rows]
-        assert speedups[-1] > speedups[0]
-        linear_work = [r["linear_scan_work"] for r in rows]
-        assert linear_work == sorted(linear_work)
-
-    def test_figure7_fixed_results_speedup_increases_more(self):
-        rows = figures.figure7_mesh_detail_fixed_results(
-            profile="tiny", n_steps=1, queries_per_step=3, results_per_query=50
-        )
-        speedups = [r["speedup_work"] for r in rows]
-        assert speedups[-1] > speedups[0]
-
-    def test_figure7_time_steps_scale_linearly_with_flat_speedup(self):
-        rows = figures.figure7_time_steps(
-            profile="tiny", steps_list=(1, 2, 4), queries_per_step=3
-        )
-        work = [r["octopus_work"] for r in rows]
-        assert work[1] == pytest.approx(2 * work[0], rel=0.01)
-        assert work[2] == pytest.approx(4 * work[0], rel=0.01)
-        speedups = [r["speedup_work"] for r in rows]
-        assert max(speedups) / min(speedups) < 1.1
-
-    def test_figure7_selectivity_speedup_decreases(self):
-        rows = figures.figure7_selectivity(
-            profile="tiny", selectivities=(0.001, 0.01, 0.05), n_steps=1, queries_per_step=3
-        )
-        speedups = [r["speedup_work"] for r in rows]
-        assert speedups[0] > speedups[-1]
 
 
 class TestConvexAndOverheadFigures:
     def test_figure9_convex_comparison(self):
-        rows = figures.figure9_convex_comparison(
-            profile="tiny", n_steps=1, queries_per_step=3
-        )
+        rows = figures.figure9_convex_comparison(profile="tiny", n_steps=1, queries_per_step=3)
         assert {r["dataset"] for r in rows} == {"SF1", "SF2"}
-        for dataset in ("SF1", "SF2"):
-            subset = {r["strategy"]: r for r in rows if r["dataset"] == dataset}
-            # OCTOPUS-CON skips the surface probe entirely.
-            assert subset["octopus-con"]["surface_probed"] == 0
-            assert subset["octopus"]["surface_probed"] > 0
-            # and consequently beats plain OCTOPUS in work-based speedup.
-            assert (
-                subset["octopus-con"]["speedup_vs_linear_work"]
-                >= subset["octopus"]["speedup_vs_linear_work"]
-            )
 
     def test_figure9_grid_resolution_tradeoff(self):
-        rows = figures.figure9_grid_resolution(
-            profile="tiny", resolutions=(2, 6, 10), n_queries=4
-        )
-        walks = [r["directed_walk_vertices"] for r in rows]
-        memory = [r["grid_memory_mb"] for r in rows]
-        assert walks[-1] <= walks[0]          # finer grid -> shorter walks
-        assert memory == sorted(memory)        # finer grid -> more memory
+        rows = figures.figure9_grid_resolution(profile="tiny", resolutions=(2, 6, 10), n_queries=4)
+        assert [r["grid_resolution_per_axis"] for r in rows] == [2, 6, 10]
+        assert [r["grid_cells_total"] for r in rows] == [8, 216, 1000]
 
     def test_figure10_breakdown(self):
-        rows = figures.figure10_breakdown(
-            profile="tiny", n_steps=1, queries_per_step=3, selectivity=0.01
-        )
+        rows = figures.figure10_breakdown(profile="tiny", n_steps=1, queries_per_step=3, selectivity=0.01)
         assert len(rows) == 5
-        probes = [r["surface_probed"] for r in rows]
-        crawls = [r["crawl_vertices"] for r in rows]
-        # Crawl work grows with detail (fixed query volume); probe grows sublinearly.
-        assert crawls[-1] > crawls[0]
-        sizes = [r["n_tetrahedra"] for r in rows]
-        assert probes[-1] / probes[0] < sizes[-1] / sizes[0]
-
-    def test_figure10_footprint_correlates_with_results(self):
-        rows = figures.figure10_footprint(profile="tiny", queries_counts=(2, 6))
-        assert rows[1]["total_results"] >= rows[0]["total_results"]
-        assert rows[1]["total_footprint_mb"] >= rows[0]["total_footprint_mb"]
 
 
 class TestModelAndOptimisationFigures:
     def test_figure11_model_accuracy(self):
-        rows = figures.figure11_model_validation(
-            profile="tiny", selectivities=(0.005,), n_queries=3
-        )
+        rows = figures.figure11_model_validation(profile="tiny", selectivities=(0.005,), n_queries=3)
         assert len(rows) == 5
-        for row in rows:
-            assert row["work_error_pct"] < 60.0
-            assert row["predicted_speedup"] > 0
 
-    def test_figure12_accuracy_increases_with_fraction(self):
-        rows = figures.figure12_surface_approximation(
-            profile="tiny", fractions=(0.01, 0.1, 1.0), selectivities=(0.01,), n_queries=3
-        )
-        accuracies = [r["accuracy_pct"] for r in rows]
-        assert accuracies[-1] == pytest.approx(100.0)
-        assert accuracies == sorted(accuracies)
-        speedups = [r["speedup_vs_exact"] for r in rows]
-        assert speedups[0] >= speedups[-1]
-
-    def test_figure13_hilbert_improves_locality(self):
-        rows = figures.figure13_hilbert_layout(
-            profile="tiny", selectivities=(0.01,), n_queries=3
-        )
-        row = rows[0]
-        assert row["locality_with_layout"] < row["locality_without_layout"]
-        assert row["crawl_vertices_with"] == row["crawl_vertices_without"]
-
-    def test_figure15_speedup_ordered_by_surface_ratio(self):
-        rows = figures.figure15_animation(
-            profile="tiny", queries_per_step=3, max_steps=2
-        )
+    def test_figure15(self):
+        rows = figures.figure15_animation(profile="tiny", queries_per_step=3, max_steps=2)
         assert len(rows) == 3
-        # The paper's Figure 15(b) finding: the lower the surface-to-volume
-        # ratio, the larger OCTOPUS's speedup.  The tiny meshes are so small
-        # that the high-ratio sequences may not beat the linear scan at all,
-        # but the ordering and the best sequence's win must hold.
-        by_ratio = sorted(rows, key=lambda r: r["surface_to_volume"])
-        speedups = [r["speedup_work"] for r in by_ratio]
-        assert speedups[0] == max(speedups)
-        assert by_ratio[0]["dataset"] == "facial-expression"
-        assert speedups[0] > 1.0
