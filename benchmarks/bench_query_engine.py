@@ -17,18 +17,16 @@ random mesh vertices, microbenchmark-B selectivity):
   ``directed_walk`` loop, plus the walk-phase work sharing;
 * **sparse deformation maintenance** — delta-keyed incremental maintenance
   (``on_step(delta)`` with an explicit moved set) against the full-recompute
-  reference (the same strategy driven with ``delta.as_full()``), for
-  OCTOPUS-CON's maintained grid and the three updatable R-tree baselines on a
-  ``LocalizedPulseDeformation`` workload where only a small fraction of the
-  vertices moves per step.  The gated ``speedup`` is the *minimum* across
-  those strategies.
+  reference (the same strategy driven with ``delta.as_full()``), for the
+  three updatable R-tree baselines on a ``LocalizedPulseDeformation``
+  workload where only a small fraction of the vertices moves per step.  The
+  gated ``speedup`` is the *minimum* across those strategies.
 * **restructuring maintenance** — topology-delta-keyed incremental
   maintenance (``on_restructure(delta)`` with an explicit dirty set) against
   the delta-blind reference (the same strategy driven with
-  ``delta.as_full()``: whole-surface count, full grid re-bin, STR
-  bulk reload), for OCTOPUS's surface count, OCTOPUS-CON's maintained grid
-  and the LUR-Tree, on rounds of localized cell splits.  The gated
-  ``speedup`` is again the minimum across strategies.
+  ``delta.as_full()``: whole-surface count, STR bulk reload), for OCTOPUS's
+  surface count and the LUR-Tree, on rounds of localized cell splits.  The
+  gated ``speedup`` is again the minimum across strategies.
 * **paranoid overhead** — a clean run through the paranoid
   :class:`ResilientStrategy` wrapper against the bare strategy (same deltas,
   same queries).  The gated ``speedup`` is ``plain_s / paranoid_s``, so a
@@ -370,13 +368,6 @@ def bench_sparse_deformation_maintenance() -> dict:
     mesh = neuron_mesh(SPARSE_MESH_RESOLUTION, name="sparse-bench")
     rum_mesh = neuron_mesh(SPARSE_RUM_MESH_RESOLUTION, name="sparse-bench-rum")
     strategies = {
-        "octopus-con": run_pair(
-            lambda: OctopusConExecutor(grid_maintenance="incremental"),
-            lambda: OctopusConExecutor(grid_maintenance="rebuild"),
-            mesh,
-            SPARSE_STEPS,
-            SPARSE_REPS,
-        ),
         "lur-tree": run_pair(
             LURTreeExecutor, LURTreeExecutor, mesh, SPARSE_STEPS, SPARSE_REPS
         ),
@@ -400,10 +391,9 @@ def bench_restructuring_maintenance() -> dict:
     Each round splits a localized clump of cells in place and hands the
     resulting :class:`TopologyDelta` to two instances of the same strategy:
     one receives the real sparse delta (incremental path — the surface
-    membership count over the dirty ids for OCTOPUS, a frozen-geometry tail
-    splice for OCTOPUS-CON's maintained grid, ascending-id inserts of the
-    appended centroids for the LUR-Tree), the other ``delta.as_full()`` (the
-    delta-blind path: whole-array count / full re-bin / STR bulk reload).
+    membership count over the dirty ids for OCTOPUS, ascending-id inserts of
+    the appended centroids for the LUR-Tree), the other ``delta.as_full()``
+    (the delta-blind path: whole-array count / STR bulk reload).
     The mesh-side surface re-extraction is warmed before timing either
     contender, so the ratio isolates the *index* maintenance.  Each
     ``on_restructure`` call returns its maintenance seconds, and a
@@ -458,12 +448,6 @@ def bench_restructuring_maintenance() -> dict:
         "octopus": run_pair(
             OctopusExecutor, OctopusExecutor, mesh, RESTRUCTURE_REPS
         ),
-        "octopus-con": run_pair(
-            lambda: OctopusConExecutor(grid_maintenance="incremental"),
-            lambda: OctopusConExecutor(grid_maintenance="rebuild"),
-            mesh,
-            RESTRUCTURE_REPS,
-        ),
         "lur-tree": run_pair(
             LURTreeExecutor, LURTreeExecutor, mesh, RESTRUCTURE_REPS
         ),
@@ -479,9 +463,9 @@ def bench_restructuring_maintenance() -> dict:
 def bench_paranoid_overhead() -> dict:
     """Paranoid :class:`ResilientStrategy` wrapper vs. the bare strategy.
 
-    Both contenders are OCTOPUS-CON with incremental grid maintenance, driven
-    through the same clean sparse-deformation steps and per-step query
-    batches.  The recorded ``speedup`` is ``plain_s / paranoid_s`` — at most
+    Both contenders are OCTOPUS-CON with its stale grid, driven through the
+    same clean sparse-deformation steps and per-step query batches.  The
+    recorded ``speedup`` is ``plain_s / paranoid_s`` — at most
     ~1.0 by construction, since the wrapper only *adds* O(dirty) delta
     validation and dispatch indirection on top of the same work.  The CI
     floor (0.9) therefore caps the paranoid tax at roughly 10% of the fast
@@ -494,10 +478,8 @@ def bench_paranoid_overhead() -> dict:
 
     def run_once() -> tuple[list[float], list[float]]:
         mesh = base_mesh.copy()
-        plain = OctopusConExecutor(grid_maintenance="incremental")
-        paranoid = ResilientStrategy(
-            OctopusConExecutor(grid_maintenance="incremental"), paranoid=True
-        )
+        plain = OctopusConExecutor()
+        paranoid = ResilientStrategy(OctopusConExecutor(), paranoid=True)
         plain.prepare(mesh)
         paranoid.prepare(mesh)
         model = LocalizedPulseDeformation(
@@ -556,6 +538,7 @@ def run(profile: str | None = None) -> dict:
         "profile": profile,
         "mesh_vertices": mesh.n_vertices,
         "selectivity": POINT_QUERY_SELECTIVITY,
+        "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "batched_vs_sequential": bench_batched_vs_sequential(mesh, workload.boxes),
@@ -574,7 +557,10 @@ def _print_record(record: dict) -> None:
     scratch = record["scratch_vs_naive_crawl"]
     fused = record["fused_vs_sequential_crawl"]
     walk = record["fused_vs_sequential_walk"]
-    print(f"profile={record['profile']}  mesh_vertices={record['mesh_vertices']}")
+    print(
+        f"profile={record['profile']}  mesh_vertices={record['mesh_vertices']}  "
+        f"cpu_count={record['cpu_count']}"
+    )
     print(
         f"batched vs sequential: {batched['sequential_s'] * 1e3:.2f} ms -> "
         f"{batched['batched_s'] * 1e3:.2f} ms  ({batched['speedup']:.2f}x)"

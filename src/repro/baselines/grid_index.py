@@ -9,22 +9,13 @@ uses it to pick a crawl starting vertex.
 
 from __future__ import annotations
 
-import time
-from typing import Sequence
-
-import numpy as np
-
-from ..core.delta import DeformationDelta, TopologyDelta
-from ..core.executor import ExecutionStrategy
-from ..core.resilience import check_query_box, check_query_boxes
-from ..core.result import QueryCounters, QueryResult
 from ..core.uniform_grid import UniformGrid
-from ..mesh import Box3D
+from .index_executor import _ThrowawayIndexExecutor
 
 __all__ = ["ThrowawayGridExecutor"]
 
 
-class ThrowawayGridExecutor(ExecutionStrategy):
+class ThrowawayGridExecutor(_ThrowawayIndexExecutor):
     """Uniform grid rebuilt after every simulation step."""
 
     name = "grid"
@@ -32,85 +23,6 @@ class ThrowawayGridExecutor(ExecutionStrategy):
     def __init__(self, resolution: int = 16) -> None:
         super().__init__()
         self.resolution = resolution
-        self._grid: UniformGrid | None = None
 
-    def _build(self) -> float:
-        self._grid = UniformGrid(self.resolution)
-        if self.mesh.n_vertices == 0:
-            # Empty meshes carry no grid; queries short-circuit to empty
-            # results (consistent degenerate handling across strategies).
-            return 0.0
-        return self._grid.build(self.mesh.vertices)
-
-    @property
-    def grid(self) -> UniformGrid:
-        if self._grid is None:
-            raise RuntimeError("grid: prepare() has not been called")
-        return self._grid
-
-    def on_step(self, delta: DeformationDelta) -> float:
-        """Full-rebuild fallback; skipped entirely when nothing moved.
-
-        The skip is guarded by the built size: a restructuring that changed
-        the vertex set forces a rebuild even on a zero-motion step.
-        """
-        if self.mesh.n_vertices == 0:
-            return 0.0
-        if delta.n_moved == 0 and self.grid.n_points == self.mesh.n_vertices:
-            return 0.0
-        elapsed = self.grid.build(self.mesh.vertices)
-        self.maintenance_time += elapsed
-        self.maintenance_entries += self.mesh.n_vertices
-        return elapsed
-
-    def on_restructure(self, delta: TopologyDelta) -> float:
-        """Rebuild only when the restructuring changed the vertex set.
-
-        A throwaway index over vertex positions is untouched by cell removal
-        — ids and positions are preserved — so a sparse delta with no
-        appended vertices skips the rebuild entirely; splits (or a full
-        delta) rebuild over the grown vertex array.
-        """
-        if self.mesh.n_vertices == 0:
-            return 0.0
-        if (
-            not delta.is_full
-            and delta.n_vertices_added == 0
-            and self.grid.n_points == self.mesh.n_vertices
-        ):
-            return 0.0
-        elapsed = self.grid.build(self.mesh.vertices)
-        self.maintenance_time += elapsed
-        self.maintenance_entries += self.mesh.n_vertices
-        return elapsed
-
-    def query(self, box: Box3D) -> QueryResult:
-        check_query_box(box)
-        counters = QueryCounters()
-        if self.mesh.n_vertices == 0:
-            return QueryResult(vertex_ids=np.empty(0, dtype=np.int64), counters=counters)
-        start = time.perf_counter()
-        ids = self.grid.query(box, self.mesh.vertices, counters)
-        elapsed = time.perf_counter() - start
-        return QueryResult(
-            vertex_ids=ids, counters=counters, index_time=elapsed, total_time=elapsed
-        )
-
-    def query_many(self, boxes: Sequence[Box3D]) -> list[QueryResult]:
-        """Batched queries sharing one candidate gather across all boxes.
-
-        Results and counters are identical to sequential :meth:`query` calls;
-        the shared gather's wall-clock is apportioned evenly.
-        """
-        box_list = check_query_boxes(boxes)
-        if self.mesh.n_vertices == 0:
-            return [self.query(box) for box in box_list]
-        return self._shared_index_batch(
-            box_list,
-            lambda batch, counters: self.grid.query_many(
-                batch, self.mesh.vertices, counters
-            ),
-        )
-
-    def memory_overhead_bytes(self) -> int:
-        return self.grid.memory_bytes() if self._grid is not None else 0
+    def _new_index(self) -> UniformGrid:
+        return UniformGrid(self.resolution)

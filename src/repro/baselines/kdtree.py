@@ -12,12 +12,10 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.delta import DeformationDelta, TopologyDelta
-from ..core.executor import ExecutionStrategy
-from ..core.resilience import check_query_box, check_query_boxes
-from ..core.result import QueryCounters, QueryResult
+from ..core.result import QueryCounters
 from ..errors import SpatialIndexError
 from ..mesh import Box3D, boxes_to_arrays, points_in_box, points_in_boxes
+from .index_executor import _ThrowawayIndexExecutor
 
 __all__ = ["KDTree", "ThrowawayKDTreeExecutor"]
 
@@ -173,7 +171,7 @@ class KDTree:
         return self.n_nodes * 64 + stored_entries * 8
 
 
-class ThrowawayKDTreeExecutor(ExecutionStrategy):
+class ThrowawayKDTreeExecutor(_ThrowawayIndexExecutor):
     """k-d tree rebuilt from scratch after every simulation step."""
 
     name = "kd-tree"
@@ -181,84 +179,6 @@ class ThrowawayKDTreeExecutor(ExecutionStrategy):
     def __init__(self, bucket_size: int = 128) -> None:
         super().__init__()
         self.bucket_size = bucket_size
-        self._tree: KDTree | None = None
 
-    def _build(self) -> float:
-        self._tree = KDTree(bucket_size=self.bucket_size)
-        if self.mesh.n_vertices == 0:
-            # Empty meshes carry no tree; queries short-circuit to empty
-            # results (consistent degenerate handling across strategies).
-            return 0.0
-        return self._tree.build(self.mesh.vertices)
-
-    @property
-    def kdtree(self) -> KDTree:
-        if self._tree is None:
-            raise RuntimeError("kd-tree: prepare() has not been called")
-        return self._tree
-
-    def on_step(self, delta: DeformationDelta) -> float:
-        """Full-rebuild fallback; skipped entirely when nothing moved.
-
-        The skip is guarded by the built size: a restructuring that changed
-        the vertex set forces a rebuild even on a zero-motion step.
-        """
-        if self.mesh.n_vertices == 0:
-            return 0.0
-        if delta.n_moved == 0 and self.kdtree.n_points == self.mesh.n_vertices:
-            return 0.0
-        elapsed = self.kdtree.build(self.mesh.vertices)
-        self.maintenance_time += elapsed
-        self.maintenance_entries += self.mesh.n_vertices
-        return elapsed
-
-    def on_restructure(self, delta: TopologyDelta) -> float:
-        """Rebuild only when the restructuring changed the vertex set.
-
-        Cell removal preserves ids and positions, so a sparse delta with no
-        appended vertices skips the rebuild; splits (or a full delta) rebuild
-        over the grown vertex array.
-        """
-        if self.mesh.n_vertices == 0:
-            return 0.0
-        if (
-            not delta.is_full
-            and delta.n_vertices_added == 0
-            and self.kdtree.n_points == self.mesh.n_vertices
-        ):
-            return 0.0
-        elapsed = self.kdtree.build(self.mesh.vertices)
-        self.maintenance_time += elapsed
-        self.maintenance_entries += self.mesh.n_vertices
-        return elapsed
-
-    def query(self, box: Box3D) -> QueryResult:
-        check_query_box(box)
-        counters = QueryCounters()
-        if self.mesh.n_vertices == 0:
-            return QueryResult(vertex_ids=np.empty(0, dtype=np.int64), counters=counters)
-        start = time.perf_counter()
-        ids = self.kdtree.query(box, self.mesh.vertices, counters)
-        elapsed = time.perf_counter() - start
-        return QueryResult(
-            vertex_ids=ids, counters=counters, index_time=elapsed, total_time=elapsed
-        )
-
-    def query_many(self, boxes: Sequence[Box3D]) -> list[QueryResult]:
-        """Batched queries through one shared kd-tree descent.
-
-        Results and counters are identical to sequential :meth:`query` calls;
-        the shared descent's wall-clock is apportioned evenly.
-        """
-        box_list = check_query_boxes(boxes)
-        if self.mesh.n_vertices == 0:
-            return [self.query(box) for box in box_list]
-        return self._shared_index_batch(
-            box_list,
-            lambda batch, counters: self.kdtree.query_many(
-                batch, self.mesh.vertices, counters
-            ),
-        )
-
-    def memory_overhead_bytes(self) -> int:
-        return self.kdtree.memory_bytes() if self._tree is not None else 0
+    def _new_index(self) -> KDTree:
+        return KDTree(bucket_size=self.bucket_size)

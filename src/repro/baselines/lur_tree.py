@@ -17,22 +17,18 @@ spending ~80% of its time on maintenance (Figure 6a).
 
 from __future__ import annotations
 
-import time
-from typing import Sequence
-
 import numpy as np
 
-from ..core.delta import DeformationDelta, TopologyDelta
-from ..core.executor import ExecutionStrategy
-from ..core.resilience import check_query_box, check_query_boxes
-from ..core.result import QueryCounters, QueryResult
+from ..core.delta import DeformationDelta
+from ..core.result import QueryCounters
 from ..mesh import Box3D
-from .rtree import RTree, RTreeNode
+from .index_executor import _RTreeExecutor
+from .rtree import RTreeNode
 
 __all__ = ["LURTreeExecutor"]
 
 
-class LURTreeExecutor(ExecutionStrategy):
+class LURTreeExecutor(_RTreeExecutor):
     """Lazy-update R-tree over the mesh vertices.
 
     Parameters
@@ -48,119 +44,37 @@ class LURTreeExecutor(ExecutionStrategy):
     name = "lur-tree"
 
     def __init__(self, fanout: int = 110, extension_fraction: float = 0.02) -> None:
-        super().__init__()
-        self.fanout = fanout
+        super().__init__(fanout)
         self.extension_fraction = extension_fraction
-        self._tree: RTree | None = None
         self._extension_distance = 0.0
         #: objects handled by delete + reinsert (as opposed to MBR extension)
         self.n_reinserts = 0
         #: objects handled by the cheap MBR-extension path
         self.n_extensions = 0
 
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
     def _build(self) -> float:
-        self._tree = RTree(fanout=self.fanout)
-        if self.mesh.n_vertices == 0:
-            # Empty meshes carry no tree; queries short-circuit to empty
-            # results (consistent degenerate handling across strategies).
-            self._extension_distance = 0.0
-            return 0.0
-        seconds = self._tree.bulk_load(self.mesh.vertices)
-        diagonal = float(np.linalg.norm(self.mesh.bounding_box().extents))
+        seconds, diagonal = self._load_tree()
         self._extension_distance = self.extension_fraction * diagonal
         return seconds
 
-    @property
-    def tree(self) -> RTree:
-        if self._tree is None:
-            raise RuntimeError("lur-tree: prepare() has not been called")
-        return self._tree
+    def _escapees(
+        self, delta: DeformationDelta, positions: np.ndarray
+    ) -> tuple[np.ndarray, int]:
+        """Lazy maintenance: vertices still inside their leaf MBR need
+        nothing, vertices slightly outside extend the leaf MBR (and its
+        ancestors), and vertices that moved far are returned for reinsertion.
 
-    def on_step(self, delta: DeformationDelta) -> float:
-        """Lazy maintenance keyed off the step's deformation delta.
-
-        Vertices still inside their leaf MBR need nothing.  Vertices slightly
-        outside are absorbed by extending the leaf MBR (and its ancestors).
-        Vertices that moved far are deleted and reinserted.
-
-        Only *moved* vertices can escape their leaf MBR (every entry ends each
-        step inside its leaf's rectangle), so a sparse delta narrows the check
-        to the moved set — cost proportional to the motion — while a full
-        delta falls back to the classic all-leaves scan.  Both paths find the
-        same escapees, apply the same extensions, and relocate the far movers
-        in the same ascending-id order, leaving bit-identical tree state.
+        Every entry ends each step inside its leaf's rectangle, so a sparse
+        delta checks only the moved set, at a cost proportional to the
+        motion; a full delta scans every leaf.  Both paths apply the same
+        extensions.  Returns the far escapees and the extensions applied.
         """
-        if self.mesh.n_vertices == 0:
-            return 0.0
-        tree = self.tree
-        positions = self.mesh.vertices
-        start = time.perf_counter()
-        touched = 0
-        escapees = np.empty(0, dtype=np.int64)
-        if len(tree._leaf_of) != positions.shape[0]:
-            # Restructuring changed the vertex set — entries appeared or
-            # vanished, which lazy maintenance cannot express: rebuild.
-            tree.bulk_load(positions)
-            touched += positions.shape[0]
-        elif delta.n_moved == 0:
-            pass
-        elif not delta.is_full:
-            escapees, extended = self._check_moved(delta.moved_ids, positions)
-            touched += extended
-        else:
+        if delta.is_full:
             escapees, extended = self._check_all_leaves(positions)
-            touched += extended
-        if escapees.size:
-            touched += tree.reinsert(escapees, positions)
-            self.n_reinserts += int(escapees.size)
-        elapsed = time.perf_counter() - start
-        self.maintenance_time += elapsed
-        self.maintenance_entries += touched
-        return elapsed
-
-    def on_restructure(self, delta: TopologyDelta) -> float:
-        """Topology maintenance keyed off the restructuring delta.
-
-        Restructuring never moves a pre-existing vertex, so the tree's
-        entries and MBRs remain exact: a removal-only delta costs nothing,
-        and appended vertices are inserted one by one in ascending id order
-        (the canonical order shared with :meth:`RTree.reinsert`) at a cost
-        proportional to the additions.  A full delta — the delta-blind
-        reference — bulk-loads from scratch; the incremental inserts answer
-        queries identically but legitimately grow a different tree *shape*
-        than an STR re-pack, so the restructuring-parity suite holds this
-        strategy to result parity (not counter parity) across split events.
-        """
-        if self.mesh.n_vertices == 0:
-            return 0.0
-        tree = self.tree
-        positions = self.mesh.vertices
-        start = time.perf_counter()
-        touched = 0
-        n = positions.shape[0]
-        if (
-            not delta.is_full
-            and len(tree._leaf_of)
-            and len(tree._leaf_of) + delta.n_vertices_added == n
-        ):
-            # The mesh preserves the position array object across
-            # equal-count restructurings, but re-bind defensively either way
-            # so every later MBR recompute reads the live array.
-            tree.rebind_positions(positions)
-            if delta.n_vertices_added:
-                for vertex_id in delta.added_vertex_ids():
-                    tree.insert(int(vertex_id), positions[int(vertex_id)])
-                touched = delta.n_vertices_added
         else:
-            tree.bulk_load(positions)
-            touched = n
-        elapsed = time.perf_counter() - start
-        self.maintenance_time += elapsed
-        self.maintenance_entries += touched
-        return elapsed
+            escapees, extended = self._check_moved(delta.moved_ids, positions)
+        self.n_reinserts += int(escapees.size)
+        return escapees, extended
 
     def _extend_leaf(self, leaf: RTreeNode, near_pts: np.ndarray) -> None:
         """Lazy MBR extension: grow ``leaf`` (and ancestors) over ``near_pts``
@@ -241,36 +155,10 @@ class LURTreeExecutor(ExecutionStrategy):
                 extended += len(rows)
         return moved_ids[escaped & ~near], extended
 
-    # ------------------------------------------------------------------
-    # querying
-    # ------------------------------------------------------------------
-    def query(self, box: Box3D) -> QueryResult:
-        check_query_box(box)
-        counters = QueryCounters()
-        if self.mesh.n_vertices == 0:
-            return QueryResult(vertex_ids=np.empty(0, dtype=np.int64), counters=counters)
-        start = time.perf_counter()
-        ids = self.tree.query(box, self.mesh.vertices, counters)
-        elapsed = time.perf_counter() - start
-        return QueryResult(
-            vertex_ids=ids, counters=counters, index_time=elapsed, total_time=elapsed
-        )
+    def _search(self, box: Box3D, counters: QueryCounters) -> np.ndarray:
+        return self.tree.query(box, self.mesh.vertices, counters)
 
-    def query_many(self, boxes: Sequence[Box3D]) -> list[QueryResult]:
-        """Batched queries through one shared R-tree traversal.
-
-        Results and counters are identical to sequential :meth:`query` calls;
-        the shared traversal's wall-clock is apportioned evenly.
-        """
-        box_list = check_query_boxes(boxes)
-        if self.mesh.n_vertices == 0:
-            return [self.query(box) for box in box_list]
-        return self._shared_index_batch(
-            box_list,
-            lambda batch, counters: self.tree.query_many(
-                batch, self.mesh.vertices, counters
-            ),
-        )
-
-    def memory_overhead_bytes(self) -> int:
-        return self.tree.memory_bytes() if self._tree is not None else 0
+    def _search_many(
+        self, boxes: list[Box3D], counters_list: list[QueryCounters]
+    ) -> list[np.ndarray]:
+        return self.tree.query_many(boxes, self.mesh.vertices, counters_list)

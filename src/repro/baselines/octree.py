@@ -15,12 +15,10 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.delta import DeformationDelta, TopologyDelta
-from ..core.executor import ExecutionStrategy
-from ..core.resilience import check_query_box, check_query_boxes
-from ..core.result import QueryCounters, QueryResult
+from ..core.result import QueryCounters
 from ..errors import SpatialIndexError
 from ..mesh import Box3D, boxes_to_arrays, points_in_box, points_in_boxes
+from .index_executor import _ThrowawayIndexExecutor
 
 __all__ = ["Octree", "ThrowawayOctreeExecutor"]
 
@@ -185,7 +183,7 @@ class Octree:
         return self.n_nodes * per_node + stored_entries * 8
 
 
-class ThrowawayOctreeExecutor(ExecutionStrategy):
+class ThrowawayOctreeExecutor(_ThrowawayIndexExecutor):
     """Octree rebuilt from scratch after every simulation step."""
 
     name = "octree"
@@ -193,87 +191,6 @@ class ThrowawayOctreeExecutor(ExecutionStrategy):
     def __init__(self, bucket_size: int = 256) -> None:
         super().__init__()
         self.bucket_size = bucket_size
-        self._octree: Octree | None = None
 
-    def _build(self) -> float:
-        self._octree = Octree(bucket_size=self.bucket_size)
-        if self.mesh.n_vertices == 0:
-            # Empty meshes carry no tree; queries short-circuit to empty
-            # results (consistent degenerate handling across strategies).
-            return 0.0
-        return self._octree.build(self.mesh.vertices)
-
-    @property
-    def octree(self) -> Octree:
-        if self._octree is None:
-            raise RuntimeError("octree: prepare() has not been called")
-        return self._octree
-
-    def on_step(self, delta: DeformationDelta) -> float:
-        """Throw the old tree away and rebuild it on the new positions.
-
-        A throwaway index has no incremental path — its full-rebuild fallback
-        *is* the strategy — but a delta reporting zero moved vertices skips
-        the rebuild entirely (the old tree is still exact).  The skip is
-        guarded by the built size: a restructuring that changed the vertex
-        set forces a rebuild even on a zero-motion step.
-        """
-        if self.mesh.n_vertices == 0:
-            return 0.0
-        if delta.n_moved == 0 and self.octree.n_points == self.mesh.n_vertices:
-            return 0.0
-        elapsed = self.octree.build(self.mesh.vertices)
-        self.maintenance_time += elapsed
-        self.maintenance_entries += self.mesh.n_vertices
-        return elapsed
-
-    def on_restructure(self, delta: TopologyDelta) -> float:
-        """Rebuild only when the restructuring changed the vertex set.
-
-        Cell removal preserves ids and positions, so a sparse delta with no
-        appended vertices skips the rebuild; splits (or a full delta) rebuild
-        over the grown vertex array.
-        """
-        if self.mesh.n_vertices == 0:
-            return 0.0
-        if (
-            not delta.is_full
-            and delta.n_vertices_added == 0
-            and self.octree.n_points == self.mesh.n_vertices
-        ):
-            return 0.0
-        elapsed = self.octree.build(self.mesh.vertices)
-        self.maintenance_time += elapsed
-        self.maintenance_entries += self.mesh.n_vertices
-        return elapsed
-
-    def query(self, box: Box3D) -> QueryResult:
-        check_query_box(box)
-        counters = QueryCounters()
-        if self.mesh.n_vertices == 0:
-            return QueryResult(vertex_ids=np.empty(0, dtype=np.int64), counters=counters)
-        start = time.perf_counter()
-        ids = self.octree.query(box, self.mesh.vertices, counters)
-        elapsed = time.perf_counter() - start
-        return QueryResult(
-            vertex_ids=ids, counters=counters, index_time=elapsed, total_time=elapsed
-        )
-
-    def query_many(self, boxes: Sequence[Box3D]) -> list[QueryResult]:
-        """Batched queries through one shared octree traversal.
-
-        Results and counters are identical to sequential :meth:`query` calls;
-        the shared traversal's wall-clock is apportioned evenly.
-        """
-        box_list = check_query_boxes(boxes)
-        if self.mesh.n_vertices == 0:
-            return [self.query(box) for box in box_list]
-        return self._shared_index_batch(
-            box_list,
-            lambda batch, counters: self.octree.query_many(
-                batch, self.mesh.vertices, counters
-            ),
-        )
-
-    def memory_overhead_bytes(self) -> int:
-        return self.octree.memory_bytes() if self._octree is not None else 0
+    def _new_index(self) -> Octree:
+        return Octree(bucket_size=self.bucket_size)

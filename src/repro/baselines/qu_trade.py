@@ -15,23 +15,18 @@ position updates trigger R-tree maintenance.
 
 from __future__ import annotations
 
-import time
-from typing import Sequence
-
 import numpy as np
 
-from ..core.delta import DeformationDelta, TopologyDelta
-from ..core.executor import ExecutionStrategy
-from ..core.resilience import check_query_box, check_query_boxes
-from ..core.result import QueryCounters, QueryResult
+from ..core.delta import DeformationDelta
+from ..core.result import QueryCounters
 from ..errors import SpatialIndexError
 from ..mesh import Box3D
-from .rtree import RTree
+from .index_executor import _RTreeExecutor
 
 __all__ = ["QUTradeExecutor"]
 
 
-class QUTradeExecutor(ExecutionStrategy):
+class QUTradeExecutor(_RTreeExecutor):
     """R-tree with grace windows around leaf MBRs.
 
     Parameters
@@ -45,34 +40,16 @@ class QUTradeExecutor(ExecutionStrategy):
     name = "qu-trade"
 
     def __init__(self, window_fraction: float = 0.05, fanout: int = 110) -> None:
-        super().__init__()
+        super().__init__(fanout)
         if window_fraction < 0:
             raise SpatialIndexError("window_fraction must be non-negative")
         self.window_fraction = window_fraction
-        self.fanout = fanout
-        self._tree: RTree | None = None
         self._window = 0.0
 
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
     def _build(self) -> float:
-        self._tree = RTree(fanout=self.fanout)
-        if self.mesh.n_vertices == 0:
-            # Empty meshes carry no tree; queries short-circuit to empty
-            # results (consistent degenerate handling across strategies).
-            self._window = 0.0
-            return 0.0
-        seconds = self._tree.bulk_load(self.mesh.vertices)
-        diagonal = float(np.linalg.norm(self.mesh.bounding_box().extents))
+        seconds, diagonal = self._load_tree()
         self._window = self.window_fraction * diagonal
         return seconds
-
-    @property
-    def tree(self) -> RTree:
-        if self._tree is None:
-            raise RuntimeError("qu-trade: prepare() has not been called")
-        return self._tree
 
     @property
     def window(self) -> float:
@@ -94,130 +71,43 @@ class QUTradeExecutor(ExecutionStrategy):
             raise SpatialIndexError("invalid tuning parameters")
         self._window = max(self._window, per_step_displacement / target_update_fraction)
 
-    def on_step(self, delta: DeformationDelta) -> float:
-        """Reinsert only the vertices that escaped their leaf's grace window.
+    def _escapees(
+        self, delta: DeformationDelta, positions: np.ndarray
+    ) -> tuple[np.ndarray, int]:
+        """The vertices that left their leaf's grace window.
 
         Every entry ends a step inside its leaf's window (escapees are
         reinserted exactly, and tightened MBRs still cover their remaining
-        entries), so only *moved* vertices can escape: a sparse delta narrows
-        the window check to the moved set, a full delta falls back to the
-        all-leaves scan.  Both paths find the same escapees and relocate them
-        in ascending-id order, leaving bit-identical tree state.
+        entries), so a sparse delta checks only the moved set and a full
+        delta scans every leaf.  Touches no entry while checking.
         """
-        if self.mesh.n_vertices == 0:
-            return 0.0
         tree = self.tree
-        positions = self.mesh.vertices
         window = self._window
-        start = time.perf_counter()
-        touched = 0
-        if len(tree._leaf_of) != positions.shape[0]:
-            # Restructuring changed the vertex set: rebuild outright.
-            tree.bulk_load(positions)
-            touched += positions.shape[0]
-            escapees = np.empty(0, dtype=np.int64)
-        elif delta.n_moved == 0:
-            escapees = np.empty(0, dtype=np.int64)
-        elif not delta.is_full:
+        if not delta.is_full:
             moved_ids = delta.moved_ids
             lo = np.array([tree._leaf_of[int(i)].lo for i in moved_ids])
             hi = np.array([tree._leaf_of[int(i)].hi for i in moved_ids])
             pts = positions[moved_ids]
             inside = np.all((pts >= lo - window) & (pts <= hi + window), axis=1)
-            escapees = moved_ids[~inside]
-        else:
-            leaves = {id(leaf): leaf for leaf in tree._leaf_of.values()}
-            pieces: list[np.ndarray] = []
-            for leaf in leaves.values():
-                if not leaf.entries:
-                    continue
-                ids = np.asarray(leaf.entries, dtype=np.int64)
-                pts = positions[ids]
-                inside = np.all(
-                    (pts >= leaf.lo - window) & (pts <= leaf.hi + window), axis=1
-                )
-                if not inside.all():
-                    pieces.append(ids[~inside])
-            escapees = np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int64)
-        if escapees.size:
-            touched += tree.reinsert(escapees, positions)
-        elapsed = time.perf_counter() - start
-        self.maintenance_time += elapsed
-        self.maintenance_entries += touched
-        return elapsed
+            return moved_ids[~inside], 0
+        leaves = {id(leaf): leaf for leaf in tree._leaf_of.values()}
+        pieces: list[np.ndarray] = []
+        for leaf in leaves.values():
+            if not leaf.entries:
+                continue
+            ids = np.asarray(leaf.entries, dtype=np.int64)
+            pts = positions[ids]
+            inside = np.all((pts >= leaf.lo - window) & (pts <= leaf.hi + window), axis=1)
+            if not inside.all():
+                pieces.append(ids[~inside])
+        return (np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int64)), 0
 
-    def on_restructure(self, delta: TopologyDelta) -> float:
-        """Topology maintenance keyed off the restructuring delta.
+    def _search(self, box: Box3D, counters: QueryCounters) -> np.ndarray:
+        return self.tree.query(box, self.mesh.vertices, counters, mbr_expansion=self._window)
 
-        As with the LUR-Tree, pre-existing entries are untouched by
-        restructuring: a removal-only delta costs nothing and appended
-        vertices are inserted in ascending id order (grace windows apply to
-        them from the next step on).  A full delta bulk-loads from scratch;
-        the incremental inserts answer queries identically but grow a
-        different tree shape than an STR re-pack, so the restructuring-parity
-        suite holds this strategy to result parity across split events.
-        """
-        if self.mesh.n_vertices == 0:
-            return 0.0
-        tree = self.tree
-        positions = self.mesh.vertices
-        start = time.perf_counter()
-        touched = 0
-        n = positions.shape[0]
-        if (
-            not delta.is_full
-            and len(tree._leaf_of)
-            and len(tree._leaf_of) + delta.n_vertices_added == n
-        ):
-            # The mesh preserves the position array object across
-            # equal-count restructurings, but re-bind defensively either way
-            # so every later MBR recompute reads the live array.
-            tree.rebind_positions(positions)
-            if delta.n_vertices_added:
-                for vertex_id in delta.added_vertex_ids():
-                    tree.insert(int(vertex_id), positions[int(vertex_id)])
-                touched = delta.n_vertices_added
-        else:
-            tree.bulk_load(positions)
-            touched = n
-        elapsed = time.perf_counter() - start
-        self.maintenance_time += elapsed
-        self.maintenance_entries += touched
-        return elapsed
-
-    # ------------------------------------------------------------------
-    # querying
-    # ------------------------------------------------------------------
-    def query(self, box: Box3D) -> QueryResult:
-        check_query_box(box)
-        counters = QueryCounters()
-        if self.mesh.n_vertices == 0:
-            return QueryResult(vertex_ids=np.empty(0, dtype=np.int64), counters=counters)
-        start = time.perf_counter()
-        ids = self.tree.query(
-            box, self.mesh.vertices, counters, mbr_expansion=self._window
+    def _search_many(
+        self, boxes: list[Box3D], counters_list: list[QueryCounters]
+    ) -> list[np.ndarray]:
+        return self.tree.query_many(
+            boxes, self.mesh.vertices, counters_list, mbr_expansion=self._window
         )
-        elapsed = time.perf_counter() - start
-        return QueryResult(
-            vertex_ids=ids, counters=counters, index_time=elapsed, total_time=elapsed
-        )
-
-    def query_many(self, boxes: Sequence[Box3D]) -> list[QueryResult]:
-        """Batched queries through one shared grace-window R-tree traversal.
-
-        Every node MBR is expanded by the grace window exactly as in
-        sequential :meth:`query`; results and counters are identical, with
-        the shared traversal's wall-clock apportioned evenly.
-        """
-        box_list = check_query_boxes(boxes)
-        if self.mesh.n_vertices == 0:
-            return [self.query(box) for box in box_list]
-        return self._shared_index_batch(
-            box_list,
-            lambda batch, counters: self.tree.query_many(
-                batch, self.mesh.vertices, counters, mbr_expansion=self._window
-            ),
-        )
-
-    def memory_overhead_bytes(self) -> int:
-        return self.tree.memory_bytes() if self._tree is not None else 0

@@ -39,26 +39,6 @@ class RTreeNode:
         self.entries: list[int] = []
         self.parent: Optional["RTreeNode"] = None
 
-    # ------------------------------------------------------------------
-    # geometry helpers
-    # ------------------------------------------------------------------
-    def mbr(self) -> Box3D:
-        return Box3D(self.lo, self.hi)
-
-    def contains_point(self, point: np.ndarray) -> bool:
-        return bool(np.all(point >= self.lo) and np.all(point <= self.hi))
-
-    def intersects_box(self, box: Box3D) -> bool:
-        return bool(np.all(self.lo <= box.hi) and np.all(box.lo <= self.hi))
-
-    def enlargement_for(self, point: np.ndarray) -> float:
-        """Volume increase required to include ``point`` in this node's MBR."""
-        new_lo = np.minimum(self.lo, point)
-        new_hi = np.maximum(self.hi, point)
-        old_volume = float(np.prod(np.maximum(self.hi - self.lo, 0.0)))
-        new_volume = float(np.prod(np.maximum(new_hi - new_lo, 0.0)))
-        return new_volume - old_volume
-
     def extend_to_point(self, point: np.ndarray) -> None:
         self.lo = np.minimum(self.lo, point)
         self.hi = np.maximum(self.hi, point)
@@ -244,9 +224,7 @@ class RTree:
         node = root
         while not node.is_leaf:
             visited += 1
-            best = min(node.children, key=lambda child: (child.enlargement_for(point),
-                                                         float(np.prod(np.maximum(child.hi - child.lo, 0.0)))))
-            node = best
+            node = self._choose_child(node.children, point)
         visited += 1
         node.entries.append(int(entry_id))
         self._leaf_of[int(entry_id)] = node
@@ -254,6 +232,19 @@ class RTree:
         if len(node.entries) > self.fanout:
             self._split_leaf(node)
         return visited
+
+    @staticmethod
+    def _choose_child(children: list[RTreeNode], point: np.ndarray) -> RTreeNode:
+        """The child whose MBR grows least in volume to cover ``point``.
+
+        Ties go to the smaller volume, then to the first child.  One pass
+        over the children's corner arrays.
+        """
+        los = np.array([child.lo for child in children])
+        his = np.array([child.hi for child in children])
+        volume = np.prod(np.maximum(his - los, 0.0), axis=1)
+        grown = np.prod(np.maximum(np.maximum(his, point) - np.minimum(los, point), 0.0), axis=1)
+        return children[int(np.lexsort((volume, grown - volume))[0])]
 
     def _enlarge_upwards(self, node: RTreeNode, point: np.ndarray) -> None:
         current: Optional[RTreeNode] = node

@@ -17,22 +17,20 @@ executor performs the garbage-collection rebuild.
 from __future__ import annotations
 
 import time
-from typing import Sequence
 
 import numpy as np
 
 from ..core.delta import DeformationDelta, TopologyDelta
-from ..core.executor import ExecutionStrategy
-from ..core.resilience import check_query_box, check_query_boxes
-from ..core.result import QueryCounters, QueryResult
+from ..core.result import QueryCounters
 from ..errors import SpatialIndexError
 from ..mesh import Box3D
+from .index_executor import _IndexExecutor
 from .rtree import RTree
 
 __all__ = ["RUMTreeExecutor"]
 
 
-class RUMTreeExecutor(ExecutionStrategy):
+class RUMTreeExecutor(_IndexExecutor):
     """Memo-based R-tree over the mesh vertices.
 
     Parameters
@@ -199,18 +197,16 @@ class RUMTreeExecutor(ExecutionStrategy):
     # ------------------------------------------------------------------
     # querying
     # ------------------------------------------------------------------
-    def query(self, box: Box3D) -> QueryResult:
-        check_query_box(box)
-        counters = QueryCounters()
-        if self.mesh.n_vertices == 0:
-            return QueryResult(vertex_ids=np.empty(0, dtype=np.int64), counters=counters)
-        start = time.perf_counter()
-        keys = self.tree.query(box, self._stored_positions, counters)
-        vertex_ids = self._filter_obsolete(keys)
-        elapsed = time.perf_counter() - start
-        return QueryResult(
-            vertex_ids=vertex_ids, counters=counters, index_time=elapsed, total_time=elapsed
-        )
+    def _search(self, box: Box3D, counters: QueryCounters) -> np.ndarray:
+        return self._filter_obsolete(self.tree.query(box, self._stored_positions, counters))
+
+    def _search_many(
+        self, boxes: list[Box3D], counters_list: list[QueryCounters]
+    ) -> list[np.ndarray]:
+        return [
+            self._filter_obsolete(keys)
+            for keys in self.tree.query_many(boxes, self._stored_positions, counters_list)
+        ]
 
     def _filter_obsolete(self, keys: np.ndarray) -> np.ndarray:
         """Entry keys -> vertex ids, keeping only the memo's current entries."""
@@ -219,23 +215,6 @@ class RUMTreeExecutor(ExecutionStrategy):
         vertices = self._entry_vertex[keys]
         live = self._memo[vertices] == keys
         return np.unique(vertices[live])
-
-    def query_many(self, boxes: Sequence[Box3D]) -> list[QueryResult]:
-        """Batched queries: one shared R-tree traversal plus per-box memo filters.
-
-        Results and counters are identical to sequential :meth:`query` calls;
-        the shared traversal's wall-clock is apportioned evenly.
-        """
-        box_list = check_query_boxes(boxes)
-        if self.mesh.n_vertices == 0:
-            return [self.query(box) for box in box_list]
-        return self._shared_index_batch(
-            box_list,
-            lambda batch, counters: [
-                self._filter_obsolete(keys)
-                for keys in self.tree.query_many(batch, self._stored_positions, counters)
-            ],
-        )
 
     # ------------------------------------------------------------------
     # accounting

@@ -29,15 +29,12 @@ maintenance ledger cover deformation *and* restructuring work.
 
 from __future__ import annotations
 
-import time
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from ..mesh import Box3D, PolyhedralMesh
 from .delta import DeformationDelta, TopologyDelta
-from .result import QueryCounters, QueryResult
+from .result import QueryResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (no runtime cycle)
     from .resilience import QueryBudget
@@ -188,32 +185,6 @@ class ExecutionStrategy(ABC):
                     )
                 raise
         return results
-
-    def _shared_index_batch(
-        self,
-        boxes: Sequence[Box3D],
-        run: Callable[[list[Box3D], list[QueryCounters]], list[np.ndarray]],
-    ) -> list[QueryResult]:
-        """Common ``query_many`` shape for the index-based strategies.
-
-        ``run(box_list, counters_list)`` answers the whole batch with one
-        shared traversal of the strategy's index, returning one vertex-id
-        array per box and filling one counter record per box.  The shared
-        traversal's wall-clock is apportioned evenly across the batch; single
-        boxes short-circuit to :meth:`query` so the sequential code stays the
-        single source of truth for that case.
-        """
-        box_list = list(boxes)
-        if len(box_list) <= 1:
-            return [self.query(box) for box in box_list]
-        counters_list = [QueryCounters() for _ in box_list]
-        start = time.perf_counter()
-        ids_list = run(box_list, counters_list)
-        elapsed = (time.perf_counter() - start) / len(box_list)
-        return [
-            QueryResult(vertex_ids=ids, counters=counters, index_time=elapsed, total_time=elapsed)
-            for ids, counters in zip(ids_list, counters_list)
-        ]
 
     # ------------------------------------------------------------------
     # accounting

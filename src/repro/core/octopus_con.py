@@ -22,7 +22,6 @@ import numpy as np
 
 from ..errors import MeshError, QueryError
 from ..mesh import Box3D, mesh_is_convex
-from .delta import DeformationDelta, TopologyDelta
 from .octopus import _SeedWalkCrawl
 from .result import QueryCounters
 from .uniform_grid import UniformGrid
@@ -38,25 +37,10 @@ class OctopusConExecutor(_SeedWalkCrawl):
     grid_resolution:
         Cells per axis of the stale grid (total cells = resolution³; the paper
         sweeps 8–5832 total cells and settles on 1000, i.e. resolution 10).
-    grid_maintenance:
-        How the grid reacts to deformation deltas:
-
-        * ``"stale"`` (default, the paper's choice) — never maintained; the
-          directed walk closes the growing gap between the stale suggestion
-          and the live positions.
-        * ``"incremental"`` — kept fresh at a cost proportional to the
-          motion: sparse deltas relocate only the moved vertices between
-          cells (:meth:`UniformGrid.relocate`), full deltas re-bin everything
-          into the frozen cell geometry.
-        * ``"rebuild"`` — kept fresh the expensive way: every step re-bins
-          every vertex (:meth:`UniformGrid.rebin`).  The full-recompute
-          reference for ``"incremental"``: both modes yield bit-identical
-          grid arrays, hence bit-identical queries and counters.
-
-        The maintained modes keep the cell geometry frozen at its build-time
-        bounds (positions drifting outside clamp to border cells), so the
-        incremental path never has to re-derive bounds; freshness only
-        shortens the directed walks, correctness never depends on it.
+        The grid is built over the positions at ``prepare`` and never
+        maintained: deformation and restructuring cost it nothing, and the
+        directed walk closes the growing gap between its suggestion and the
+        live positions.
 
     Notes
     -----
@@ -72,23 +56,11 @@ class OctopusConExecutor(_SeedWalkCrawl):
 
     name = "octopus-con"
 
-    GRID_MAINTENANCE_MODES = ("stale", "incremental", "rebuild")
-
-    def __init__(
-        self,
-        grid_resolution: int = 10,
-        grid_maintenance: str = "stale",
-    ) -> None:
+    def __init__(self, grid_resolution: int = 10) -> None:
         super().__init__()
         if grid_resolution < 1:
             raise QueryError("grid_resolution must be at least 1")
-        if grid_maintenance not in self.GRID_MAINTENANCE_MODES:
-            raise QueryError(
-                f"grid_maintenance must be one of {self.GRID_MAINTENANCE_MODES}, "
-                f"got {grid_maintenance!r}"
-            )
         self.grid_resolution = grid_resolution
-        self.grid_maintenance = grid_maintenance
         self._grid: UniformGrid | None = None
 
     # ------------------------------------------------------------------
@@ -122,93 +94,10 @@ class OctopusConExecutor(_SeedWalkCrawl):
         """The grid, lazily derived if prepare() ran on an empty mesh."""
         grid = self.grid
         if grid.n_points == 0 and self.mesh.n_vertices > 0:
-            # Prepared on an empty mesh (no geometry to freeze then); derive
-            # it on first use and charge it to preprocessing like prepare().
+            # Prepared on an empty mesh (nothing to bin then); build it on
+            # first use and charge it to preprocessing like prepare().
             self.preprocessing_time += grid.build(self.mesh.vertices)
         return grid
-
-    def on_step(self, delta: DeformationDelta) -> float:
-        """Grid maintenance keyed off the step's deformation delta.
-
-        In the default ``"stale"`` mode this is the paper's no-op.  The
-        maintained modes charge their work here: ``"incremental"`` relocates
-        only the delta's moved vertices (falling back to a full re-bin on
-        whole-mesh deltas or after restructuring changed the vertex count),
-        ``"rebuild"`` re-bins everything every step.  Either way the grid
-        arrays — and therefore every query and counter — end up bit-identical.
-        """
-        if self.grid_maintenance == "stale":
-            return 0.0
-        grid = self.grid
-        start = time.perf_counter()
-        if delta.n_moved == 0 and grid.n_points == self.mesh.n_vertices:
-            touched = 0
-        elif (
-            self.grid_maintenance == "incremental"
-            and not delta.is_full
-            and grid.n_points == self.mesh.n_vertices
-        ):
-            # The delta carries the moved vertices' new positions (aligned
-            # with its sorted ids); fall back to a mesh gather for hand-built
-            # deltas that omit them.
-            new_positions = delta.new_positions
-            if new_positions is None:
-                new_positions = self.mesh.vertices[delta.moved_ids]
-            touched = grid.relocate(delta.moved_ids, new_positions)
-        elif grid.n_points == self.mesh.n_vertices:
-            touched = grid.rebin(self.mesh.vertices)
-        else:
-            # Restructuring changed the vertex count behind the event
-            # pipeline's back (no on_restructure call): re-derive the
-            # geometry.
-            grid.build(self.mesh.vertices)
-            touched = grid.n_points
-        elapsed = time.perf_counter() - start
-        self.maintenance_time += elapsed
-        self.maintenance_entries += touched
-        return elapsed
-
-    def on_restructure(self, delta: TopologyDelta) -> float:
-        """Grid maintenance keyed off a restructuring's topology delta.
-
-        Restructuring never moves a pre-existing vertex, so the maintained
-        grids only care about *appended* vertices: in ``"incremental"`` mode
-        a sparse delta splices the new tail vertices into the frozen cell
-        geometry (:meth:`UniformGrid.append_points`) at a cost proportional
-        to the additions, and a removal-only delta costs nothing.  The
-        ``"rebuild"`` mode — and the ``full()`` fallback of either maintained
-        mode — re-bins every vertex into the *same* frozen geometry
-        (:meth:`UniformGrid.rebin`), so the incremental splice and the full
-        re-bin produce bit-identical grid arrays, hence bit-identical queries
-        and counters.  The default ``"stale"`` mode stays the paper's no-op:
-        pre-existing ids remain valid start-vertex suggestions and the
-        directed walk closes any gap.
-        """
-        if self.grid_maintenance == "stale":
-            return 0.0
-        if self.mesh.n_vertices == 0:
-            return 0.0
-        grid = self.grid
-        start = time.perf_counter()
-        if delta.is_empty and grid.n_points == self.mesh.n_vertices:
-            touched = 0
-        elif grid.n_points == 0:
-            # The executor was prepared on an empty mesh (no grid geometry to
-            # splice into); derive it now that vertices exist.
-            grid.build(self.mesh.vertices)
-            touched = grid.n_points
-        elif (
-            self.grid_maintenance == "incremental"
-            and not delta.is_full
-            and grid.n_points + delta.n_vertices_added == self.mesh.n_vertices
-        ):
-            touched = grid.append_points(self.mesh.vertices[delta.added_vertex_ids()])
-        else:
-            touched = grid.rebin(self.mesh.vertices)
-        elapsed = time.perf_counter() - start
-        self.maintenance_time += elapsed
-        self.maintenance_entries += touched
-        return elapsed
 
     # ------------------------------------------------------------------
     # the seed phase: the stale-grid lookup

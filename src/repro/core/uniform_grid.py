@@ -3,32 +3,14 @@
 Two consumers share this structure:
 
 * **OCTOPUS-CON** (Section IV-F) builds the grid once before the simulation
-  and by default never updates it — a deliberately *stale* index whose only
-  job is to suggest a starting vertex near the query centre for the directed
-  walk;
+  and never updates it — a deliberately *stale* index whose only job is to
+  suggest a starting vertex near the query centre for the directed walk;
 * the **grid baseline** rebuilds it every time step and answers range queries
   from it directly (candidate cells plus a filter step).
 
 The grid stores, for each cell, the ids of the vertices whose position fell in
-that cell at build time, in CSR form (cell offsets + a flat id array).  The
-member order is canonical — ascending vertex id within each cell — which makes
-every maintenance path below reproduce bit-identical arrays:
-
-* :meth:`UniformGrid.build` — full build: recompute the bounds, bin every
-  vertex (what the throwaway grid baseline does every step);
-* :meth:`UniformGrid.rebin` — full re-bin of every vertex into the *frozen*
-  cell geometry of the original build (the full-recompute reference for
-  maintained grids);
-* :meth:`UniformGrid.relocate` — delta-keyed incremental maintenance: only
-  the moved vertices are re-binned, and only those whose cell actually
-  changed are spliced out of / into the CSR arrays.  Produces exactly the
-  arrays :meth:`rebin` would, at a cost proportional to the motion.
-* :meth:`UniformGrid.append_points` — topology-delta-keyed incremental
-  maintenance: vertices a restructuring appended to the mesh tail are binned
-  into the frozen geometry and spliced into their cells' segment ends (new
-  ids exceed every existing id, so the canonical within-cell order puts them
-  exactly there).  Produces exactly the arrays :meth:`rebin` of the grown
-  position array would, at a cost proportional to the additions.
+that cell at build time, in CSR form (cell offsets + a flat id array), in
+ascending vertex id within each cell.
 """
 
 from __future__ import annotations
@@ -69,16 +51,6 @@ class UniformGrid:
         self._cell_size: np.ndarray | None = None
         self._cell_offsets: np.ndarray | None = None
         self._cell_members: np.ndarray | None = None
-        #: maintenance-only companions of the CSR arrays, both materialised
-        #: lazily on the first relocation so consumers that only ever
-        #: build/rebuild (the throwaway grid baseline, the stale OCTOPUS-CON
-        #: grid) keep their pre-maintenance compute cost and footprint:
-        #: ``_member_key`` is the strictly increasing (cell, id) key per
-        #: member entry (lets relocation locate departures and arrival slots
-        #: with binary searches, no re-sort), ``_vertex_cell`` the current
-        #: cell of each vertex id (the relocation's "where was it").
-        self._member_key: np.ndarray | None = None
-        self._vertex_cell: np.ndarray | None = None
         self.build_time = 0.0
         self.n_points = 0
 
@@ -96,157 +68,15 @@ class UniformGrid:
         span = np.where(hi > lo, hi - lo, 1.0)
         self._lo = lo
         self._cell_size = span / self.resolution
-        self._bin_all(pts)
+        cell_ids = self._cell_of(pts)
+        counts = np.bincount(cell_ids, minlength=self.resolution**3).astype(np.int64)
+        self._cell_offsets = np.concatenate([[0], np.cumsum(counts)])
+        # the stable sort keeps ascending ids within each cell
+        self._cell_members = np.argsort(cell_ids, kind="stable").astype(np.int64)
+        self.n_points = pts.shape[0]
         self._built = True
         self.build_time = time.perf_counter() - start
         return self.build_time
-
-    def _bin_all(self, pts: np.ndarray) -> None:
-        """Assign every point to its cell under the current cell geometry.
-
-        The member order is canonical — ascending vertex id within each cell
-        (the stable argsort of an id-ordered key array guarantees it) — so
-        full and incremental maintenance produce identical arrays.
-        """
-        cell_ids = self._cell_of(pts)
-        order = np.argsort(cell_ids, kind="stable")
-        counts = np.bincount(cell_ids, minlength=self.resolution**3).astype(np.int64)
-        self._cell_offsets = np.concatenate([[0], np.cumsum(counts)])
-        self._cell_members = order.astype(np.int64)
-        self._member_key = None
-        self._vertex_cell = None
-        self.n_points = pts.shape[0]
-
-    def _ensure_vertex_cell(self) -> np.ndarray:
-        """Per-vertex current cell, derived from the CSR arrays on first use
-        and maintained incrementally by :meth:`relocate` after."""
-        if self._vertex_cell is None:
-            counts = np.diff(self._cell_offsets)
-            vertex_cell = np.empty(self.n_points, dtype=np.int64)
-            vertex_cell[self._cell_members] = np.repeat(
-                np.arange(counts.size, dtype=np.int64), counts
-            )
-            self._vertex_cell = vertex_cell
-        return self._vertex_cell
-
-    def _ensure_member_key(self) -> np.ndarray:
-        """The strictly increasing (cell, id) key per member entry, built on
-        first use and maintained incrementally by :meth:`relocate` after."""
-        if self._member_key is None:
-            self._member_key = (
-                self._ensure_vertex_cell()[self._cell_members] * np.int64(self.n_points)
-                + self._cell_members
-            )
-        return self._member_key
-
-    def rebin(self, positions: np.ndarray) -> int:
-        """Full membership recompute into the *frozen* cell geometry.
-
-        This is the maintained grid's full-recompute reference: every vertex
-        is re-binned, but the bounds fixed by :meth:`build` are kept, so
-        :meth:`relocate` (which cannot re-derive bounds) produces bit-identical
-        arrays.  Returns the number of entries touched (all of them).
-        """
-        self._require_built()
-        pts = np.asarray(positions, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] == 0:
-            raise SpatialIndexError("grid rebin needs a non-empty (n, 3) position array")
-        self._bin_all(pts)
-        return self.n_points
-
-    def relocate(self, moved_ids: np.ndarray, new_positions: np.ndarray) -> int:
-        """Move only the given vertices between cells; returns entries relocated.
-
-        ``new_positions`` are the ``(k, 3)`` current positions of
-        ``moved_ids`` (sorted ascending).  Vertices whose cell did not change
-        cost one binning each and nothing else; vertices that changed cells
-        are located in the strictly-increasing ``(cell, id)`` key array with
-        binary searches and spliced out of / back into the CSR arrays with
-        two memmove passes each, preserving the canonical within-cell id
-        order — the resulting arrays are bit-identical to a full
-        :meth:`rebin` of the same positions.
-        """
-        self._require_built()
-        ids = np.asarray(moved_ids, dtype=np.int64)
-        if ids.size == 0:
-            return 0
-        if ids.min() < 0 or ids.max() >= self.n_points:
-            raise SpatialIndexError("relocate: moved ids out of range of the built grid")
-        new_cells = self._cell_of(np.asarray(new_positions, dtype=np.float64))
-        vertex_cell = self._ensure_vertex_cell()
-        changed = new_cells != vertex_cell[ids]
-        if not changed.any():
-            return 0
-        ids = ids[changed]
-        to_cells = new_cells[changed]
-        from_cells = vertex_cell[ids]
-        member_key = self._ensure_member_key()  # before vertex_cell mutates
-        vertex_cell[ids] = to_cells
-
-        # Locate the departing entries: their (cell, id) keys all exist in
-        # the strictly increasing member-key array, so k binary searches find
-        # the exact positions to delete — no whole-array membership scan.
-        stride = np.int64(self.n_points)
-        departing_keys = np.sort(from_cells * stride + ids)
-        departing_pos = np.searchsorted(member_key, departing_keys)
-        kept_members = np.delete(self._cell_members, departing_pos)
-        kept_keys = np.delete(member_key, departing_pos)
-
-        # Splice the arrivals back in at their canonical (cell, id) slots.
-        order = np.lexsort((ids, to_cells))
-        arriving_ids = ids[order]
-        arriving_keys = to_cells[order] * stride + arriving_ids
-        slots = np.searchsorted(kept_keys, arriving_keys)
-        self._cell_members = np.insert(kept_members, slots, arriving_ids)
-        self._member_key = np.insert(kept_keys, slots, arriving_keys)
-
-        n_cells = self.resolution**3
-        counts = np.diff(self._cell_offsets)
-        counts += np.bincount(to_cells, minlength=n_cells)
-        counts -= np.bincount(from_cells, minlength=n_cells)
-        self._cell_offsets = np.concatenate([[0], np.cumsum(counts)])
-        return int(ids.size)
-
-    def append_points(self, new_positions: np.ndarray) -> int:
-        """Splice newly appended vertices into the CSR arrays; returns how many.
-
-        ``new_positions`` are the ``(k, 3)`` current positions of the
-        vertices that a restructuring appended to the mesh tail — their ids
-        are by contract the range ``[n_points, n_points + k)``.  Each new
-        vertex is binned into the *frozen* cell geometry and inserted at the
-        end of its cell's member segment: new ids exceed every existing id,
-        so the canonical ascending-id order within each cell puts them
-        exactly there, and the resulting arrays are bit-identical to a full
-        :meth:`rebin` of the grown position array — at a cost proportional to
-        the additions, not the mesh.
-        """
-        self._require_built()
-        pts = np.atleast_2d(np.asarray(new_positions, dtype=np.float64))
-        if pts.size == 0:
-            return 0
-        if pts.ndim != 2 or pts.shape[1] != 3:
-            raise SpatialIndexError("append_points needs a (k, 3) position array")
-        cells = self._cell_of(pts)
-        new_ids = np.arange(self.n_points, self.n_points + pts.shape[0], dtype=np.int64)
-        # Canonical (cell, id) arrival order; slots point at each target
-        # cell's segment end in the *current* arrays (np.insert resolves
-        # duplicate slots by inserting in the given order, i.e. id order).
-        order = np.lexsort((new_ids, cells))
-        slots = self._cell_offsets[cells[order] + 1]
-        self._cell_members = np.insert(self._cell_members, slots, new_ids[order])
-
-        n_cells = self.resolution**3
-        counts = np.diff(self._cell_offsets)
-        counts += np.bincount(cells, minlength=n_cells)
-        self._cell_offsets = np.concatenate([[0], np.cumsum(counts)])
-        if self._vertex_cell is not None:
-            # The per-id cell map extends in id order (the tail contract).
-            self._vertex_cell = np.concatenate([self._vertex_cell, cells])
-        # The (cell, id) member keys are strided by n_points, which just
-        # changed; drop them and let the next relocation rebuild lazily.
-        self._member_key = None
-        self.n_points += int(pts.shape[0])
-        return int(pts.shape[0])
 
     def _require_built(self) -> None:
         if not self._built:
@@ -266,15 +96,6 @@ class UniformGrid:
     # ------------------------------------------------------------------
     # lookups
     # ------------------------------------------------------------------
-    def cell_vertices(self, flat_cell: int) -> np.ndarray:
-        """Vertex ids stored in one grid cell."""
-        self._require_built()
-        return self._cell_members[self._cell_offsets[flat_cell]:self._cell_offsets[flat_cell + 1]]
-
-    def n_cells(self) -> int:
-        """Total number of grid cells (``resolution ** 3``)."""
-        return self.resolution**3
-
     def any_vertex_near(
         self, point: np.ndarray, counters: QueryCounters | None = None
     ) -> int | None:
@@ -428,12 +249,7 @@ class UniformGrid:
         return results
 
     def memory_bytes(self) -> int:
-        """Approximate footprint of the offsets, member and maintenance arrays."""
+        """Approximate footprint of the offsets and member arrays."""
         if not self._built:
             return 0
-        return int(
-            self._cell_offsets.nbytes
-            + self._cell_members.nbytes
-            + (self._member_key.nbytes if self._member_key is not None else 0)
-            + (self._vertex_cell.nbytes if self._vertex_cell is not None else 0)
-        )
+        return int(self._cell_offsets.nbytes + self._cell_members.nbytes)

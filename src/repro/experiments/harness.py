@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from ..core import OctopusConExecutor, ResilientStrategy
+from ..core import ResilientStrategy
 from ..core.executor import ExecutionStrategy
 from ..errors import ExperimentError
 from ..factory import build_strategy, make_strategy
@@ -53,6 +53,10 @@ __all__ = [
 
 #: strategies compared in Figure 6, in the paper's order
 PAPER_COMPARISON = ("octopus", "linear-scan", "octree", "lur-tree", "qu-trade")
+
+#: the delta-aware strategies of the maintenance scenarios, with a throwaway
+#: octree as the rebuild-everything yardstick
+MAINTENANCE_COMPARISON = ("octopus", "octopus-con", "lur-tree", "qu-trade", "rum-tree", "octree")
 
 
 def strategy_suite(names: Sequence[str] = PAPER_COMPARISON) -> list[ExecutionStrategy]:
@@ -209,27 +213,19 @@ def sparse_maintenance_rows(
     """The sparse-deformation scenario: localized motion, delta-keyed upkeep.
 
     Runs the :class:`~repro.simulation.LocalizedPulseDeformation` workload
-    (``sparsity`` of the vertices moving per step, with rest steps) over the
-    delta-aware strategy set — OCTOPUS, OCTOPUS-CON with an incrementally
-    maintained grid, the lazy/memo/grace-window R-trees, and a throwaway
-    octree as the rebuild-everything yardstick — and returns the maintenance
-    ledger, the ``simulation.*`` and ``maintenance.*`` :func:`counts_rows`,
-    one per strategy.
+    (``sparsity`` of the vertices moving per step, with rest steps) over
+    :data:`MAINTENANCE_COMPARISON` — OCTOPUS, OCTOPUS-CON with its stale
+    grid, the lazy/memo/grace-window R-trees, and a throwaway octree as the
+    rebuild-everything yardstick — and returns the maintenance ledger, the
+    ``simulation.*`` and ``maintenance.*`` :func:`counts_rows`, one per
+    strategy.
     """
     from .datasets import neuron_largest
 
     mesh = neuron_largest(profile).copy()
-    strategies = [
-        make_strategy("octopus"),
-        OctopusConExecutor(grid_maintenance="incremental"),
-        make_strategy("lur-tree"),
-        make_strategy("qu-trade"),
-        make_strategy("rum-tree"),
-        make_strategy("octree"),
-    ]
     report = run_comparison(
         mesh,
-        strategies,
+        strategy_suite(MAINTENANCE_COMPARISON),
         make_deformation("localized-pulse", sparsity=sparsity, rest_every=4, seed=seed),
         n_steps=n_steps,
         query_provider=per_step_workload_provider(selectivity, queries_per_step, seed=seed),
@@ -253,27 +249,20 @@ def restructuring_maintenance_rows(
     a :func:`~repro.simulation.periodic_restructuring` schedule (alternating
     localized splits and removals every ``restructure_every`` steps, so some
     restructurings land on zero-moved rest ticks) over the delta-aware
-    strategy set, and returns the maintenance ledger (the ``simulation.*``
-    and ``maintenance.*`` :func:`counts_rows`) — one per strategy, with the
+    strategy set (:data:`MAINTENANCE_COMPARISON`), and returns the
+    maintenance ledger (the ``simulation.*`` and ``maintenance.*``
+    :func:`counts_rows`) — one per strategy, with the
     restructuring counts populated.  OCTOPUS counts the handful of surface ids
-    each event inserted or removed, the maintained grid splices the appended
-    centroids, the updatable trees insert only the tail, and the throwaway
-    octree shows the rebuild-everything yardstick.
+    each event inserted or removed, OCTOPUS-CON's stale grid costs nothing,
+    the updatable trees insert only the tail, and the throwaway octree shows
+    the rebuild-everything yardstick.
     """
     from .datasets import neuron_largest
 
     mesh = neuron_largest(profile).copy()
-    strategies = [
-        make_strategy("octopus"),
-        OctopusConExecutor(grid_maintenance="incremental"),
-        make_strategy("lur-tree"),
-        make_strategy("qu-trade"),
-        make_strategy("rum-tree"),
-        make_strategy("octree"),
-    ]
     report = run_comparison(
         mesh,
-        strategies,
+        strategy_suite(MAINTENANCE_COMPARISON),
         make_deformation("localized-pulse", sparsity=sparsity, rest_every=4, seed=seed),
         n_steps=n_steps,
         query_provider=per_step_workload_provider(selectivity, queries_per_step, seed=seed),
@@ -308,16 +297,9 @@ def sparsity_sweep_rows(
     rows: list[dict] = []
     for sparsity in sparsities:
         mesh = neuron_largest(profile).copy()
-        strategies = [
-            make_strategy("octopus"),
-            OctopusConExecutor(grid_maintenance="incremental"),
-            make_strategy("lur-tree"),
-            make_strategy("qu-trade"),
-            make_strategy("octree"),
-        ]
         report = run_comparison(
             mesh,
-            strategies,
+            strategy_suite(("octopus", "octopus-con", "lur-tree", "qu-trade", "octree")),
             make_deformation("localized-pulse", sparsity=sparsity, rest_every=4, seed=seed),
             n_steps=n_steps,
             query_provider=per_step_workload_provider(selectivity, queries_per_step, seed=seed),
@@ -404,7 +386,7 @@ def fault_injection_rows(
     strategies: list[ExecutionStrategy] = [
         make_strategy("linear-scan"),  # the live-position reference; deliberately unwrapped
         ResilientStrategy(FaultyBatchStrategy(make_strategy("octopus"), plan), paranoid=True),
-        ResilientStrategy(OctopusConExecutor(grid_maintenance="incremental"), paranoid=True),
+        ResilientStrategy(make_strategy("octopus-con"), paranoid=True),
         ResilientStrategy(make_strategy("lur-tree"), paranoid=True),
     ]
     report = run_comparison(

@@ -6,6 +6,7 @@ import pytest
 from repro.baselines import LinearScanExecutor, LURTreeExecutor, QUTradeExecutor, RTree
 from repro.core import QueryCounters
 from repro.errors import SpatialIndexError
+from repro.generators import structured_tetrahedral_mesh
 from repro.mesh import Box3D, points_in_box
 from repro.simulation import RandomWalkDeformation
 from repro.workloads import random_query_workload
@@ -124,6 +125,74 @@ class TestRTree:
         tree.bulk_load(positions)
         assert tree.height() >= 2
         assert tree.memory_bytes() > 0
+
+
+class _MinChoiceRTree(RTree):
+    """The child choice as a Python ``min`` over each child's volumes: the
+    reference for :meth:`RTree._choose_child`.  Counts the choices that tie."""
+
+    def __init__(self, fanout: int) -> None:
+        super().__init__(fanout)
+        self.ties = 0
+
+    def _choose_child(self, children, point):
+        def volume(lo, hi):
+            return float(np.prod(np.maximum(hi - lo, 0.0)))
+
+        keys = [
+            (
+                volume(np.minimum(child.lo, point), np.maximum(child.hi, point))
+                - volume(child.lo, child.hi),
+                volume(child.lo, child.hi),
+            )
+            for child in children
+        ]
+        best = min(keys)
+        self.ties += keys.count(best) > 1
+        return children[keys.index(best)]
+
+
+def _grow(tree, base, extra):
+    """Bulk-load ``base``, insert ``extra`` as the tail ids, then relocate
+    every seventh entry; returns the tree."""
+    tree.bulk_load(base)
+    positions = np.vstack([base, extra])
+    tree.rebind_positions(positions)
+    for entry_id in range(base.shape[0], positions.shape[0]):
+        tree.insert(entry_id, positions[entry_id])
+    tree.reinsert(np.arange(0, positions.shape[0], 7), positions)
+    return tree
+
+
+def _assert_same_nodes(a, b):
+    stack = [(a.root, b.root)]
+    while stack:
+        x, y = stack.pop()
+        assert x.is_leaf == y.is_leaf
+        assert x.entries == y.entries
+        assert np.array_equal(x.lo, y.lo) and np.array_equal(x.hi, y.hi)
+        assert len(x.children) == len(y.children)
+        stack.extend(zip(x.children, y.children))
+
+
+class TestRTreeChildChoice:
+    """Inserts grow the tree the reference ``min`` choice grows, node for node."""
+
+    def test_random_points(self, rng):
+        points = rng.uniform(size=(1500, 3))
+        tree = _grow(RTree(fanout=8), points[:1000], points[1000:])
+        reference = _grow(_MinChoiceRTree(fanout=8), points[:1000], points[1000:])
+        _assert_same_nodes(tree, reference)
+
+    def test_slab_ties(self):
+        # Lattice vertices tile into congruent leaves, so cell centroids often
+        # grow several children equally: the choice must break ties the same.
+        slab = structured_tetrahedral_mesh((12, 12, 2))
+        centroids = slab.vertices[slab.cells[:300]].mean(axis=1)
+        tree = _grow(RTree(fanout=8), slab.vertices, centroids)
+        reference = _grow(_MinChoiceRTree(fanout=8), slab.vertices, centroids)
+        assert reference.ties > 0
+        _assert_same_nodes(tree, reference)
 
 
 class TestLURTree:

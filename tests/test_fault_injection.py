@@ -159,7 +159,7 @@ def chaos_strategies(plan):
         octopus = make_strategy("octopus")
     strategies += [
         ResilientStrategy(octopus, paranoid=True),
-        ResilientStrategy(OctopusConExecutor(grid_maintenance="incremental"), paranoid=True),
+        ResilientStrategy(OctopusConExecutor(), paranoid=True),
         ResilientStrategy(make_strategy("lur-tree"), paranoid=True),
     ]
     return strategies
@@ -221,16 +221,17 @@ class TestChaosParity:
             deformation=LocalizedPulseDeformation(sparsity=0.1, amplitude=0.02, seed=3),
             strategies=[
                 make_strategy("linear-scan"),
-                OctopusConExecutor(grid_maintenance="incremental"),
+                StandingStrategy(make_strategy("octopus"), boxes=workload),
             ],
             query_provider=lambda mesh, step: workload,
             validate_results=True,
             fault_plan=plan,
         )
-        # The chaos harness is not vacuous: without the paranoid wrapper the
-        # truncated delta reaches grid.relocate as mismatched id/position
-        # arrays and escapes as a raw, unclassified shape error — exactly the
-        # crash the quarantine rung absorbs in the parity runs above.
+        # The chaos harness is not vacuous: without paranoid validation the
+        # truncated delta reaches the standing registry, which indexes its
+        # full-length new positions with the shortened moved ids, and escapes
+        # as a raw, unclassified shape error — exactly the crash the
+        # quarantine rung absorbs in the parity runs above.
         with pytest.raises(Exception) as excinfo:
             simulation.run(8)
         assert not isinstance(excinfo.value, ReproError)

@@ -14,8 +14,8 @@ enforced:
   every step;
 * **state parity** (all strategies except the RUM-Tree): identical query
   *counters* and maintenance-entry totals too, because the incremental path
-  reproduces the exact index state of the full path (canonical orders in the
-  grid CSR splice and the R-tree reinsert sequence make this deterministic).
+  reproduces the exact index state of the full path (the canonical order of
+  the R-tree reinsert sequence makes this deterministic).
 
 The RUM-Tree is the documented exception: its incremental path inserts new
 entries only for moved vertices, whereas the full path re-inserts everything,
@@ -75,10 +75,6 @@ DEFORMATIONS = {
 STRATEGIES = {
     "octopus": (lambda: make_strategy("octopus"), True),
     "octopus-con-stale": (lambda: OctopusConExecutor(), True),
-    "octopus-con-incremental": (
-        lambda: OctopusConExecutor(grid_maintenance="incremental"),
-        True,
-    ),
     "linear-scan": (lambda: make_strategy("linear-scan"), True),
     "octree": (lambda: make_strategy("octree"), True),
     "kd-tree": (lambda: make_strategy("kd-tree"), True),

@@ -130,57 +130,13 @@ class TestOctopusCon:
         big.prepare(earthquake_small)
         assert big.memory_overhead_bytes() > small.memory_overhead_bytes()
 
-
-class TestMaintainedGrid:
-    """The incremental grid relocation reproduces the full re-bin exactly."""
-
-    def test_relocate_matches_rebin(self, grid_mesh, rng):
-        from repro.core import UniformGrid
-
-        positions = grid_mesh.vertices.copy()
-        incremental = UniformGrid(resolution=4)
-        incremental.build(positions)
-        reference = UniformGrid(resolution=4)
-        reference.build(positions)
-        for round_index in range(4):
-            moved = np.unique(rng.integers(0, positions.shape[0], size=30))
-            positions[moved] += rng.normal(0.0, 0.15, size=(moved.size, 3))
-            touched = incremental.relocate(moved, positions[moved])
-            reference.rebin(positions)
-            assert touched <= moved.size
-            assert np.array_equal(incremental._cell_members, reference._cell_members)
-            assert np.array_equal(incremental._cell_offsets, reference._cell_offsets)
-            assert np.array_equal(
-                incremental._ensure_vertex_cell(), reference._ensure_vertex_cell()
-            )
-
-    def test_relocate_rejects_out_of_range_ids(self, grid_mesh):
-        from repro.core import UniformGrid
-        from repro.errors import SpatialIndexError
-
-        grid = UniformGrid(resolution=4)
-        grid.build(grid_mesh.vertices)
-        with pytest.raises(SpatialIndexError):
-            grid.relocate(np.array([grid_mesh.n_vertices]), np.zeros((1, 3)))
-
-    def test_invalid_maintenance_mode_rejected(self):
-        with pytest.raises(QueryError):
-            OctopusConExecutor(grid_maintenance="eager")
-
-    def test_stale_mode_never_touches_the_grid(self, earthquake_small):
-        from repro.core import DeformationDelta
+    def test_never_maintains_the_grid(self, earthquake_small):
+        from repro.core import DeformationDelta, TopologyDelta
 
         con = OctopusConExecutor()
         con.prepare(earthquake_small.copy())
         assert con.on_step(DeformationDelta.full(earthquake_small.n_vertices)) == 0.0
-        assert con.maintenance_entries == 0
-
-    def test_incremental_mode_skips_rest_steps(self, earthquake_small):
-        from repro.core import DeformationDelta
-
-        con = OctopusConExecutor(grid_maintenance="incremental")
-        con.prepare(earthquake_small.copy())
-        con.on_step(DeformationDelta.empty(earthquake_small.n_vertices))
+        assert con.on_restructure(TopologyDelta.full(earthquake_small.n_vertices)) == 0.0
         assert con.maintenance_entries == 0
 
 

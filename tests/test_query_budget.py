@@ -28,7 +28,7 @@ def make_executor(name, mesh):
     if name == "octopus":
         executor = OctopusExecutor()
     else:
-        executor = OctopusConExecutor(grid_maintenance="incremental")
+        executor = OctopusConExecutor()
     executor.prepare(mesh)
     return executor
 

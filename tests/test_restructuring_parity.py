@@ -19,10 +19,10 @@ tick**.  Two tiers of parity are enforced, mirroring
   identical query *counters* too, because the incremental path reproduces the
   exact index state of the full path — the surface-index reconciliation
   narrowed to the event's dirty ids yields the same hash table as the
-  whole-surface diff, the grid tail splice yields the same CSR arrays as a
-  full frozen-geometry re-bin, and the throwaway indexes rebuild over
-  identical positions (or skip when removal changed neither ids nor
-  positions, which leaves the previously identical structure in place).
+  whole-surface diff, OCTOPUS-CON's stale grid is never touched, and the
+  throwaway indexes rebuild over identical positions (or skip when removal
+  changed neither ids nor positions, which leaves the previously identical
+  structure in place).
 
 The LUR-Tree, QU-Trade and RUM-Tree are the documented exceptions: their
 incremental path inserts only the appended tail vertices in canonical
@@ -104,14 +104,6 @@ DEFORMATIONS = {
 STRATEGIES = {
     "octopus": (lambda: make_strategy("octopus"), True),
     "octopus-con-stale": (lambda: OctopusConExecutor(), True),
-    "octopus-con-incremental": (
-        lambda: OctopusConExecutor(grid_maintenance="incremental"),
-        True,
-    ),
-    "octopus-con-rebuild": (
-        lambda: OctopusConExecutor(grid_maintenance="rebuild"),
-        True,
-    ),
     "linear-scan": (lambda: make_strategy("linear-scan"), True),
     "octree": (lambda: make_strategy("octree"), True),
     "kd-tree": (lambda: make_strategy("kd-tree"), True),
@@ -236,48 +228,6 @@ class TestTopologyDeltaValue:
             TopologyDelta.sparse(10, np.array([], dtype=np.int64), positions, n_cells_removed=1)
         collapsed = TopologyDelta.sparse(10, np.array([], dtype=np.int64), positions)
         assert collapsed.is_empty
-
-
-class TestGridAppendPoints:
-    def test_append_matches_rebin_bit_for_bit(self):
-        from repro.core import UniformGrid
-
-        rng = np.random.default_rng(3)
-        base = rng.uniform(-1.0, 1.0, size=(500, 3))
-        extra = rng.uniform(-1.2, 1.2, size=(37, 3))  # some outside: clamp path
-        incremental = UniformGrid(resolution=5)
-        incremental.build(base)
-        reference = UniformGrid(resolution=5)
-        reference.build(base)
-        touched = incremental.append_points(extra)
-        assert touched == 37
-        reference.rebin(np.vstack([base, extra]))
-        assert np.array_equal(incremental._cell_members, reference._cell_members)
-        assert np.array_equal(incremental._cell_offsets, reference._cell_offsets)
-        assert incremental.n_points == reference.n_points == 537
-
-    def test_append_then_relocate_stays_consistent(self):
-        from repro.core import UniformGrid
-
-        rng = np.random.default_rng(4)
-        base = rng.uniform(0.0, 1.0, size=(200, 3))
-        grid = UniformGrid(resolution=4)
-        grid.build(base)
-        moved = np.array([3, 50], dtype=np.int64)
-        positions = base.copy()
-        positions[moved] += 0.4
-        grid.relocate(moved, positions[moved])  # materialises the key arrays
-        extra = rng.uniform(0.0, 1.0, size=(9, 3))
-        grid.append_points(extra)
-        all_positions = np.vstack([positions, extra])
-        moved_again = np.array([10, 205], dtype=np.int64)  # old and appended id
-        all_positions[moved_again] += 0.3
-        grid.relocate(moved_again, all_positions[moved_again])
-        reference = UniformGrid(resolution=4)
-        reference.build(base)
-        reference.rebin(all_positions)
-        assert np.array_equal(grid._cell_members, reference._cell_members)
-        assert np.array_equal(grid._cell_offsets, reference._cell_offsets)
 
 
 class TestStalePositionRegressions:

@@ -268,7 +268,7 @@ class TestCountsLedger:
             [
                 make_strategy("linear-scan"),
                 ResilientStrategy(FaultyBatchStrategy(make_strategy("octopus"), plan), paranoid=True),
-                ResilientStrategy(OctopusConExecutor(grid_maintenance="incremental"), paranoid=True),
+                ResilientStrategy(OctopusConExecutor(), paranoid=True),
                 ResilientStrategy(make_strategy("lur-tree"), paranoid=True),
             ],
             LocalizedPulseDeformation(sparsity=0.05, amplitude=0.02, seed=7),
