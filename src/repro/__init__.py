@@ -26,7 +26,7 @@ The most common entry points are re-exported here::
     result = octopus.query(Box3D.cube(mesh.bounding_box().center, 0.5))
 
 ``build_strategy`` composes wrapper stacks (result caching, the resilience
-ladder, query budgets) uniformly; the bare executor classes remain available
+ladder, standing queries) uniformly; the bare executor classes remain available
 for direct construction.
 """
 
@@ -57,7 +57,6 @@ from .core import (
     DeformationDelta,
     OctopusConExecutor,
     OctopusExecutor,
-    QueryBudget,
     QueryCounters,
     QueryResult,
     ResilientStrategy,
@@ -75,7 +74,6 @@ from .errors import (
     GeometryError,
     MeshConnectivityError,
     MeshError,
-    QueryBudgetExceeded,
     QueryError,
     ReproError,
     SimulationError,
@@ -135,11 +133,10 @@ __all__ = [
     "ThrowawayGridExecutor",
     "ThrowawayKDTreeExecutor",
     "ThrowawayOctreeExecutor",
-    # composition surface: wrappers, budgets, factory
+    # composition surface: wrappers, factory
     "CacheStats",
     "CachingStrategy",
     "MembershipUpdate",
-    "QueryBudget",
     "QueryResultCache",
     "ResilientStrategy",
     "StandingQueryRegistry",
@@ -161,7 +158,6 @@ __all__ = [
     "GeometryError",
     "MeshConnectivityError",
     "MeshError",
-    "QueryBudgetExceeded",
     "QueryError",
     "ReproError",
     "SimulationError",

@@ -25,12 +25,12 @@ drops, the same decision the standing registry ticks on:
 * ``full()`` deltas and deltas without a dirty AABB flush the whole cache —
   there is no certificate to key off.
 
-Keys quantize the query box's six coordinates onto a :data:`QUANTUM` grid,
-but a hit additionally verifies the stored corners bit-for-bit, so two
-distinct boxes that collide in one quantum cell are a *miss*, never a wrong
-answer.  All public methods are thread-safe: the sharded service answers
-queries from several client threads while maintenance is excluded by its
-write lock, but the cache does not rely on that.
+Entries are keyed on the query box's six corner coordinates exactly, so a hit
+is a box whose corners equal the stored ones, and two distinct boxes never
+share an entry however close they are.  All public methods are thread-safe:
+the sharded service answers queries from several client threads while
+maintenance is excluded by its write lock, but the cache does not rely on
+that.
 """
 
 from __future__ import annotations
@@ -52,9 +52,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["CacheStats", "QueryResultCache"]
 
-#: grid pitch of the lookup key; corners are stored exactly and verified on
-#: every hit, so the pitch only decides which boxes share a hash bucket
-QUANTUM = 1e-9
 #: LRU capacity when the caller names none
 DEFAULT_MAX_ENTRIES = 2048
 
@@ -66,7 +63,7 @@ class CacheStats:
     Attributes
     ----------
     hits / misses:
-        Lookup outcomes (a quantum-cell collision counts as a miss).
+        Lookup outcomes.
     invalidations:
         Entries dropped because a delta's dirty region reached their box.
     flushes:
@@ -120,7 +117,7 @@ class _Entry:
 
 
 class QueryResultCache:
-    """LRU cache of range-query answers keyed by quantized query box.
+    """LRU cache of range-query answers keyed by query box corners.
 
     Parameters
     ----------
@@ -143,35 +140,26 @@ class QueryResultCache:
     # ------------------------------------------------------------------
     @staticmethod
     def _key(box: Box3D) -> tuple:
-        q = QUANTUM
-        lo, hi = box.lo, box.hi
-        return (
-            int(round(lo[0] / q)), int(round(lo[1] / q)), int(round(lo[2] / q)),
-            int(round(hi[0] / q)), int(round(hi[1] / q)), int(round(hi[2] / q)),
-        )
+        return (*box.lo.tolist(), *box.hi.tolist())
 
     def get(self, box: Box3D) -> np.ndarray | None:
         """The cached vertex ids for ``box``, or ``None`` on a miss.
 
-        A hit requires the stored corners to equal the queried corners
-        bit-for-bit; a quantum-cell collision is recorded (and answered) as a
-        miss.  Hits refresh the entry's LRU position.
+        Hits refresh the entry's LRU position.
         """
         key = self._key(box)
         with self._lock:
             entry = self._entries.get(key)
-            if entry is not None:
-                lo, hi = self._boxes.corners(entry.row)
-                if np.array_equal(lo, box.lo) and np.array_equal(hi, box.hi):
-                    self._entries.move_to_end(key)
-                    self._stats.hits += 1
-                    return entry.vertex_ids
-            self._stats.misses += 1
-            return None
+            if entry is None:
+                self._stats.misses += 1
+                return None
+            self._entries.move_to_end(key)
+            self._stats.hits += 1
+            return entry.vertex_ids
 
     def put(self, box: Box3D, result: "QueryResult") -> None:
-        """Store a complete result; partial (budget-truncated) results are not
-        cacheable and are silently ignored."""
+        """Store a complete result; a result that may miss in-box vertices
+        (``complete=False``) is not the exact answer and is silently ignored."""
         if not result.complete:
             return
         key = self._key(box)

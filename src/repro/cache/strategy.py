@@ -3,15 +3,15 @@
 :class:`CachingStrategy` composes through the
 :class:`~repro.core.executor.StrategyWrapper` surface, so it stacks with
 :class:`~repro.core.resilience.ResilientStrategy` in either order.  The
-recommended order is cache outermost —
+recommended order is the ladder outside —
 ``build_strategy("octopus", caching=True, resilience=True)`` produces
-``CachingStrategy(ResilientStrategy(octopus))`` — so a hit skips the
-degradation ladder entirely; see ``docs/caching.md``.
+``ResilientStrategy(CachingStrategy(octopus))`` — so a paranoid ladder audits
+each delta before the cache invalidates from it; see ``docs/caching.md``.
 
 Correctness stance:
 
-* only ``complete`` results are stored (a budget-truncated partial answer is
-  not the exact answer and must never be replayed);
+* only ``complete`` results are stored (an answer that may miss in-box
+  vertices is not the exact answer and must never be replayed as one);
 * invalidation runs *before* the inner maintenance forward, because by the
   time ``on_step``/``on_restructure`` fires the simulator has already mutated
   the mesh — entries are stale even if the inner maintenance then raises;

@@ -10,7 +10,6 @@ from .octopus import OctopusExecutor
 from .octopus_con import OctopusConExecutor
 from .resilience import (
     FallbackEvent,
-    QueryBudget,
     ResilientStrategy,
     audit_adjacency,
     check_query_box,
@@ -35,7 +34,6 @@ __all__ = [
     "FallbackEvent",
     "OctopusConExecutor",
     "OctopusExecutor",
-    "QueryBudget",
     "QueryCounters",
     "QueryResult",
     "ResilientStrategy",

@@ -35,7 +35,7 @@ reported separately and is never larger than the attributed total.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -49,9 +49,6 @@ from ..mesh import (
 )
 from .result import QueryCounters
 from .scratch import CrawlScratch
-
-if TYPE_CHECKING:  # pragma: no cover - typing only (no runtime cycle)
-    from .resilience import BudgetTracker
 
 __all__ = ["crawl", "crawl_many", "CrawlOutcome", "BatchCrawlOutcome"]
 
@@ -73,27 +70,16 @@ def _attribution_chunk(n_queries: int) -> int:
 
 
 class CrawlOutcome:
-    """Vertices retrieved by a crawl plus the work it performed.
+    """Vertices retrieved by a crawl plus the work it performed."""
 
-    ``complete`` is ``False`` when a query budget truncated the BFS under the
-    ``"partial"`` policy: ``result_ids`` then holds the vertices collected up
-    to and including the level on which the budget ran out — a subset of the
-    exact answer.
-    """
-
-    __slots__ = ("result_ids", "n_vertices_visited", "n_edges_followed", "complete")
+    __slots__ = ("result_ids", "n_vertices_visited", "n_edges_followed")
 
     def __init__(
-        self,
-        result_ids: np.ndarray,
-        n_vertices_visited: int,
-        n_edges_followed: int,
-        complete: bool = True,
+        self, result_ids: np.ndarray, n_vertices_visited: int, n_edges_followed: int
     ) -> None:
         self.result_ids = result_ids
         self.n_vertices_visited = n_vertices_visited
         self.n_edges_followed = n_edges_followed
-        self.complete = complete
 
 
 def _gather_neighbors(
@@ -121,7 +107,6 @@ def crawl(
     start_vertices: np.ndarray,
     counters: QueryCounters | None = None,
     scratch: CrawlScratch | None = None,
-    budget: "BudgetTracker | None" = None,
 ) -> CrawlOutcome:
     """Breadth-first crawl of the mesh restricted to the query box.
 
@@ -142,14 +127,6 @@ def crawl(
         a throwaway arena is allocated, which restores the old
         one-allocation-per-call behaviour; executors pass their own so
         repeated queries allocate only O(frontier + result) memory.
-    budget:
-        Optional :class:`~repro.core.resilience.BudgetTracker` charged once
-        per BFS level with that level's freshly stamped vertices.  Budgets
-        bound the *next* level, never split one: the level that crosses the
-        limit is fully counted and fully collected, then the BFS stops
-        (``"partial"`` policy, outcome flagged ``complete=False``) or a
-        :class:`~repro.errors.QueryBudgetExceeded` is raised (``"raise"``).
-        The fused :func:`crawl_many` truncates at the identical point.
     """
     adjacency = mesh.adjacency
     positions = mesh.vertices
@@ -169,10 +146,6 @@ def crawl(
     n_vertices_visited += int(starts.size)
     frontier = starts[inside_mask]
     collected = [frontier]
-    complete = True
-    if budget is not None and not budget.spend(vertices=int(starts.size)):
-        complete = False
-        frontier = frontier[:0]
 
     while frontier.size:
         scratch.check_epoch(epoch)
@@ -190,15 +163,12 @@ def crawl(
         frontier = candidates[inside]
         if frontier.size:
             collected.append(frontier)
-        if budget is not None and not budget.spend(vertices=int(candidates.size)):
-            complete = False
-            break
 
     result_ids = np.sort(np.concatenate(collected)) if collected else np.empty(0, dtype=np.int64)
     if counters is not None:
         counters.crawl_vertices_visited += n_vertices_visited
         counters.crawl_edges_followed += n_edges_followed
-    return CrawlOutcome(result_ids, n_vertices_visited, n_edges_followed, complete)
+    return CrawlOutcome(result_ids, n_vertices_visited, n_edges_followed)
 
 
 class BatchCrawlOutcome:
@@ -334,7 +304,6 @@ def _crawl_fused(
     start_lists: Sequence[np.ndarray],
     scratch: CrawlScratch,
     n_vertices: int,
-    budgets: "Sequence[BudgetTracker | None] | None" = None,
 ) -> tuple[list[CrawlOutcome], int, int, int]:
     """Fused shared-frontier BFS over the whole batch (any number of queries).
 
@@ -346,7 +315,6 @@ def _crawl_fused(
     """
     n_queries = len(start_lists)
     bits = _OwnershipBits(n_queries)
-    zero = np.uint64(0)
     stamps, words, epoch = scratch.acquire_batch(n_vertices, bits.n_words)
     word_columns = words[:, : bits.n_words]
 
@@ -356,41 +324,6 @@ def _crawl_fused(
     unique_edges = 0
     level_ids: list[np.ndarray] = []
     level_bits: list[np.ndarray] = []
-    complete = np.ones(n_queries, dtype=bool)
-    charged = np.zeros(n_queries, dtype=np.int64)
-
-    def apply_budgets(
-        frontier: np.ndarray, frontier_bits: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Charge each query's budget with this level's fresh visits.
-
-        Mirrors the sequential crawl exactly: the level that crosses the
-        limit is fully counted and its frontier fully collected; the
-        exhausted query merely stops expanding, so its ownership bit is
-        stripped from the *next* gather's frontier (the collected level
-        rows keep the bit — the partial result includes this level).
-        """
-        nonlocal charged
-        if budgets is None:
-            return frontier, frontier_bits
-        stripped = False
-        for query_index, tracker in enumerate(budgets):
-            if tracker is None or not complete[query_index]:
-                continue
-            spent = int(visited_per_query[query_index] - charged[query_index])
-            if spent and not tracker.spend(vertices=spent):
-                complete[query_index] = False
-                # copy-on-strip: the rows collected in level_bits must keep
-                # this query's ownership of its final level
-                frontier_bits = frontier_bits & ~bits.row_for_query(query_index)
-                stripped = True
-        charged[:] = visited_per_query
-        if stripped and frontier.size:
-            keep = (frontier_bits != zero).any(axis=1)
-            if not keep.all():
-                frontier = frontier[keep]
-                frontier_bits = frontier_bits[keep]
-        return frontier, frontier_bits
 
     def stamp_and_test(candidates: np.ndarray, reach_bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Stamp newly reached (vertex, query) pairs, count them, test positions.
@@ -439,7 +372,7 @@ def _crawl_fused(
         candidates, reach_bits = _or_duplicates(
             np.concatenate(id_chunks), np.concatenate(bit_chunks)
         )
-        frontier, frontier_bits = apply_budgets(*stamp_and_test(candidates, reach_bits))
+        frontier, frontier_bits = stamp_and_test(candidates, reach_bits)
 
         while frontier.size:
             scratch.check_batch_epoch(epoch)
@@ -459,7 +392,7 @@ def _crawl_fused(
                 break
             neighbor_bits = np.repeat(frontier_bits, degrees, axis=0)
             candidates, reach_bits = _or_duplicates(neighbors, neighbor_bits)
-            frontier, frontier_bits = apply_budgets(*stamp_and_test(candidates, reach_bits))
+            frontier, frontier_bits = stamp_and_test(candidates, reach_bits)
 
     if level_ids:
         all_ids = np.concatenate(level_ids)
@@ -475,7 +408,6 @@ def _crawl_fused(
                 np.sort(all_ids[mask]),
                 int(visited_per_query[query_index]),
                 int(edges_per_query[query_index]),
-                bool(complete[query_index]),
             )
         )
     return outcomes, unique_visited, unique_edges, bits.n_words
@@ -487,7 +419,6 @@ def crawl_many(
     start_lists: Sequence[np.ndarray],
     counters_list: Sequence[QueryCounters | None] | None = None,
     scratch: CrawlScratch | None = None,
-    budgets: "Sequence[BudgetTracker | None] | None" = None,
 ) -> BatchCrawlOutcome:
     """Fused breadth-first crawl of a whole batch of range queries.
 
@@ -514,11 +445,6 @@ def crawl_many(
     scratch:
         Reusable arena providing the (vertex, query-bitset) visited words and
         gather buffers; a throwaway arena is allocated when omitted.
-    budgets:
-        Optional per-query :class:`~repro.core.resilience.BudgetTracker`
-        records (entries may be ``None``); each query truncates (or raises)
-        at exactly the BFS level its sequential :func:`crawl` would, while
-        the remaining queries keep crawling.
     """
     box_list = list(boxes)
     if len(start_lists) != len(box_list):
@@ -528,10 +454,6 @@ def crawl_many(
     if counters_list is not None and len(counters_list) != len(box_list):
         raise ValueError(
             f"crawl_many: {len(box_list)} boxes but {len(counters_list)} counter records"
-        )
-    if budgets is not None and len(budgets) != len(box_list):
-        raise ValueError(
-            f"crawl_many: {len(box_list)} boxes but {len(budgets)} budget trackers"
         )
     if scratch is None:
         scratch = CrawlScratch()
@@ -545,7 +467,7 @@ def crawl_many(
 
     los, his = boxes_to_arrays(box_list)
     outcomes, unique_visited, unique_edges, n_words = _crawl_fused(
-        positions, indptr, indices, los, his, start_lists, scratch, mesh.n_vertices, budgets
+        positions, indptr, indices, los, his, start_lists, scratch, mesh.n_vertices
     )
     batch.outcomes.extend(outcomes)
     batch.n_unique_vertices_visited += unique_visited

@@ -32,7 +32,7 @@ of the batch, allocated per call.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -41,9 +41,6 @@ from ..mesh import Box3D, PolyhedralMesh, boxes_to_arrays, csr_gather, points_bo
 from .crawler import BatchCrawlOutcome, _gather_neighbors
 from .result import QueryCounters
 from .scratch import CrawlScratch
-
-if TYPE_CHECKING:  # pragma: no cover - typing only (no runtime cycle)
-    from .resilience import BudgetTracker
 
 __all__ = [
     "directed_walk",
@@ -68,26 +65,14 @@ class WalkOutcome:
     path:
         The best vertex id after each step, in order (useful for debugging and
         visual examples).  Distances along the path strictly decrease.
-    complete:
-        ``False`` when a query budget truncated the walk before it either
-        entered the box or got stuck — ``found_id is None`` is then "ran out
-        of budget", not "the query misses the mesh".  A walk that *found* its
-        target is complete even if the budget ran out on the same round.
     """
 
-    __slots__ = ("found_id", "n_steps", "path", "complete")
+    __slots__ = ("found_id", "n_steps", "path")
 
-    def __init__(
-        self,
-        found_id: int | None,
-        n_steps: int,
-        path: list[int],
-        complete: bool = True,
-    ) -> None:
+    def __init__(self, found_id: int | None, n_steps: int, path: list[int]) -> None:
         self.found_id = found_id
         self.n_steps = n_steps
         self.path = path
-        self.complete = complete
 
 
 class BatchWalkOutcome:
@@ -156,7 +141,6 @@ def directed_walk(
     start_vertex: int | np.ndarray,
     counters: QueryCounters | None = None,
     scratch: CrawlScratch | None = None,
-    budget: "BudgetTracker | None" = None,
 ) -> WalkOutcome:
     """Greedy walk along mesh edges towards the query box.
 
@@ -175,11 +159,6 @@ def directed_walk(
     scratch:
         Optional shared arena whose gather buffers the CSR neighbour gather
         reuses.
-    budget:
-        Optional :class:`~repro.core.resilience.BudgetTracker` charged once
-        per round with that round's distance evaluations (the round that
-        crosses the limit is fully counted, then the walk stops).  The fused
-        :func:`directed_walk_many` truncates at the identical round.
     """
     adjacency = mesh.adjacency
     positions = mesh.vertices
@@ -197,10 +176,7 @@ def directed_walk(
     path = [best_id]
 
     found: int | None = best_id if best_distance == 0.0 else None
-    truncated = False
-    if budget is not None and not budget.spend(distances=int(starts.size)):
-        truncated = True
-    while not truncated and found is None:
+    while found is None:
         frontier = np.array([best_id], dtype=np.int64)
         neighbors = _gather_neighbors(indptr, indices, frontier, scratch)
         if neighbors.size == 0:
@@ -208,9 +184,6 @@ def directed_walk(
         candidates = np.unique(neighbors)
         distances = points_box_distance(positions[candidates], box)
         n_distance += int(candidates.size)
-        if budget is not None and not budget.spend(distances=int(candidates.size)):
-            truncated = True
-            break
         improving = distances < best_distance
         if not improving.any():
             # No candidate is strictly closer: the walk is stuck, meaning the
@@ -229,7 +202,7 @@ def directed_walk(
     if counters is not None:
         counters.walk_vertices_visited += n_steps
         counters.walk_distance_computations += n_distance
-    return WalkOutcome(found, n_steps, path, complete=found is not None or not truncated)
+    return WalkOutcome(found, n_steps, path)
 
 
 def directed_walk_many(
@@ -238,7 +211,6 @@ def directed_walk_many(
     start_lists: Sequence[int | np.ndarray],
     counters_list: Sequence[QueryCounters | None] | None = None,
     scratch: CrawlScratch | None = None,
-    budgets: "Sequence[BudgetTracker | None] | None" = None,
 ) -> BatchWalkOutcome:
     """Fused greedy walks for a whole batch of query boxes.
 
@@ -265,10 +237,6 @@ def directed_walk_many(
     scratch:
         Reusable arena providing the gather buffers; a throwaway arena is
         allocated when omitted.
-    budgets:
-        Optional per-query :class:`~repro.core.resilience.BudgetTracker`
-        records (entries may be ``None``); each query truncates (or raises)
-        on exactly the round its sequential :func:`directed_walk` would.
     """
     box_list = list(boxes)
     if len(start_lists) != len(box_list):
@@ -278,10 +246,6 @@ def directed_walk_many(
     if counters_list is not None and len(counters_list) != len(box_list):
         raise ValueError(
             f"directed_walk_many: {len(box_list)} boxes but {len(counters_list)} counter records"
-        )
-    if budgets is not None and len(budgets) != len(box_list):
-        raise ValueError(
-            f"directed_walk_many: {len(box_list)} boxes but {len(budgets)} budget trackers"
         )
     batch = BatchWalkOutcome()
     if not box_list:
@@ -305,22 +269,7 @@ def directed_walk_many(
     n_steps = np.zeros(n_queries, dtype=np.int64)
     n_distance = np.zeros(n_queries, dtype=np.int64)
     active = np.zeros(n_queries, dtype=bool)
-    truncated = np.zeros(n_queries, dtype=bool)
     paths: list[list[int]] = [[] for _ in range(n_queries)]
-
-    def charge_budget(query: int, n_evaluations: int) -> bool:
-        """Charge one round's distance evaluations; False deactivates the walk.
-
-        Same placement as the sequential walk: the crossing round is fully
-        counted, then the walk stops before gathering another frontier.
-        """
-        if budgets is None or budgets[query] is None:
-            return True
-        if budgets[query].spend(distances=n_evaluations):
-            return True
-        truncated[query] = True
-        active[query] = False
-        return False
 
     def step(query: int, candidates: np.ndarray, distances: np.ndarray) -> None:
         """Accept a step for ``query``: the closest candidate of its segment.
@@ -363,7 +312,6 @@ def directed_walk_many(
             segment = distances[offset : offset + starts.size]
             n_distance[query] = starts.size
             step(query, starts, segment)
-            charge_budget(query, int(starts.size))
             offset += starts.size
 
     # Lockstep rounds: one union gather + one distance kernel per round, then
@@ -413,8 +361,6 @@ def directed_walk_many(
             candidates = pair_vertices[end - size : end]
             segment = distances[end - size : end]
             n_distance[query] += size
-            if not charge_budget(query, size):
-                continue
             improving = segment < best_distance[query]
             if not improving.any():
                 # No candidate is strictly closer: stuck (Algorithm 1 reports
@@ -426,10 +372,7 @@ def directed_walk_many(
     for query in range(n_queries):
         steps = int(n_steps[query])
         outcome = WalkOutcome(
-            int(found[query]) if found[query] >= 0 else None,
-            steps,
-            paths[query],
-            complete=bool(found[query] >= 0 or not truncated[query]),
+            int(found[query]) if found[query] >= 0 else None, steps, paths[query]
         )
         batch.outcomes.append(outcome)
         if counters_list is not None and counters_list[query] is not None and steps:

@@ -30,14 +30,11 @@ maintenance ledger cover deformation *and* restructuring work.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from ..mesh import Box3D, PolyhedralMesh
 from .delta import DeformationDelta, TopologyDelta
 from .result import QueryResult
-
-if TYPE_CHECKING:  # pragma: no cover - typing only (no runtime cycle)
-    from .resilience import QueryBudget
 
 __all__ = ["ExecutionStrategy", "StrategyWrapper"]
 
@@ -56,25 +53,6 @@ class ExecutionStrategy(ABC):
         self.maintenance_time = 0.0
         #: cumulative number of index entries touched by maintenance
         self.maintenance_entries = 0
-        #: optional per-query resource limits
-        #: (:class:`~repro.core.resilience.QueryBudget`); ``None`` = unbounded.
-        #: OCTOPUS and OCTOPUS-CON enforce it inside their walk/crawl round
-        #: loops; for other strategies wrap in
-        #: :class:`~repro.core.resilience.ResilientStrategy` to get at least
-        #: post-hoc enforcement via the degradation ladder.
-        self.query_budget: "QueryBudget | None" = None
-
-    def set_query_budget(self, budget: "QueryBudget | None") -> None:
-        """Install (or clear) the per-query resource limits for this strategy."""
-        self.query_budget = budget
-
-    def _start_budget(self, step: int | None = None, query_index: int | None = None):
-        """A fresh per-query tracker from :attr:`query_budget` (or ``None``)."""
-        if self.query_budget is None:
-            return None
-        return self.query_budget.start(
-            strategy=self.name, step=step, query_index=query_index
-        )
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -218,9 +196,9 @@ class StrategyWrapper(ExecutionStrategy):
       :meth:`memory_overhead_bytes` and :meth:`describe` all delegate to
       :attr:`inner`;
     * **counter/ledger passthrough** — ``preprocessing_time``,
-      ``maintenance_time``, ``maintenance_entries``, ``query_budget`` and
-      ``last_fused_crawl`` are forwarding properties, so there is exactly one
-      ledger no matter how deep the wrapper stack is and
+      ``maintenance_time``, ``maintenance_entries`` and ``last_fused_crawl``
+      are forwarding properties, so there is exactly one ledger no matter how
+      deep the wrapper stack is and
       ``ResilientStrategy(CachingStrategy(octopus)).maintenance_time`` reads
       the same number at every level;
     * **event plumbing** — :meth:`note_step`,
@@ -229,10 +207,9 @@ class StrategyWrapper(ExecutionStrategy):
       defined anywhere in the stack is reachable from the outermost wrapper
       (the simulator only talks to that one).
 
-    Wrapping an already-prepared strategy preserves its accounting and
-    budget: the constructor snapshots them around ``super().__init__()``
-    because the base initialiser assigns the accounting attributes *through*
-    the forwarding properties, which would otherwise zero the inner ledger.
+    Wrapping an already-prepared strategy preserves its accounting: the
+    constructor does not run the base initialiser, whose ledger assignments
+    would go *through* the forwarding properties and zero the inner ledger.
 
     Use :func:`repro.build_strategy` to compose wrapper stacks by name
     instead of hand-nesting constructors.
@@ -240,17 +217,7 @@ class StrategyWrapper(ExecutionStrategy):
 
     def __init__(self, inner: ExecutionStrategy) -> None:
         self.inner = inner
-        snapshot = (
-            inner.preprocessing_time,
-            inner.maintenance_time,
-            inner.maintenance_entries,
-            getattr(inner, "query_budget", None),
-        )
-        super().__init__()
-        inner.preprocessing_time = snapshot[0]
-        inner.maintenance_time = snapshot[1]
-        inner.maintenance_entries = snapshot[2]
-        inner.query_budget = snapshot[3]
+        self._mesh: PolyhedralMesh | None = None
         self.name = inner.name
 
     def unwrap(self) -> ExecutionStrategy:
@@ -284,14 +251,6 @@ class StrategyWrapper(ExecutionStrategy):
     @maintenance_entries.setter
     def maintenance_entries(self, value: int) -> None:
         self.inner.maintenance_entries = value
-
-    @property
-    def query_budget(self) -> "QueryBudget | None":
-        return getattr(self.inner, "query_budget", None)
-
-    @query_budget.setter
-    def query_budget(self, budget: "QueryBudget | None") -> None:
-        self.inner.query_budget = budget
 
     @property
     def last_fused_crawl(self):

@@ -53,11 +53,10 @@ class _SeedWalkCrawl(ExecutionStrategy):
     else a vertex to walk from — through :meth:`_seeds` and
     :meth:`_seeds_many`.  This class walks wherever a box's seeds hold no
     in-box start vertex, crawls, and reports the seed phase as
-    ``probe_time``.  A result is complete when its walk and crawl ran to the
-    end (budgets may truncate them) and :attr:`_exact` holds.
+    ``probe_time``.  A result is complete when :attr:`_exact` holds.
     """
 
-    #: whether a complete walk and crawl return the linear-scan answer
+    #: whether the walk and crawl return the linear-scan answer
     _exact = True
 
     def __init__(self) -> None:
@@ -96,13 +95,7 @@ class _SeedWalkCrawl(ExecutionStrategy):
     # ------------------------------------------------------------------
     def query(self, box: Box3D) -> QueryResult:
         """Answer one range query: seeds, a directed walk when they hold no
-        in-box start vertex, then the crawl.
-
-        When a :attr:`~repro.core.executor.ExecutionStrategy.query_budget` is
-        installed, one tracker meters the walk and crawl phases together (the
-        seed phase is bounded by the surface or grid size and stays
-        unbudgeted).
-        """
+        in-box start vertex, then the crawl."""
         check_query_box(box)
         counters = QueryCounters()
         seed_start = time.perf_counter()
@@ -111,21 +104,18 @@ class _SeedWalkCrawl(ExecutionStrategy):
 
         mesh = self.mesh
         scratch = self.scratch
-        budget = self._start_budget()
         walk_time = 0.0
-        walk_complete = True
         if starts.size == 0 and origin is not None:
             walk_start = time.perf_counter()
-            walk = directed_walk(mesh, box, origin, counters, scratch=scratch, budget=budget)
+            walk = directed_walk(mesh, box, origin, counters, scratch=scratch)
             walk_time = time.perf_counter() - walk_start
-            walk_complete = walk.complete
             if walk.found_id is not None:
                 starts = np.asarray([walk.found_id], dtype=np.int64)
 
         crawl_start = time.perf_counter()
-        outcome = crawl(mesh, box, starts, counters, scratch=scratch, budget=budget)
+        outcome = crawl(mesh, box, starts, counters, scratch=scratch)
         crawl_time = time.perf_counter() - crawl_start
-        return self._result(outcome, counters, probe_time, walk_time, crawl_time, walk_complete)
+        return self._result(outcome, counters, probe_time, walk_time, crawl_time)
 
     def query_many(self, boxes: Sequence[Box3D]) -> list[QueryResult]:
         """Batched execution: batched seeds, fused walks, one fused crawl.
@@ -151,11 +141,6 @@ class _SeedWalkCrawl(ExecutionStrategy):
 
         mesh = self.mesh
         scratch = self.scratch
-        # One tracker per query, shared by its walk and crawl phases — the
-        # same metering a sequential query() applies.
-        budgets = None
-        if self.query_budget is not None:
-            budgets = [self._start_budget(query_index=i) for i in range(len(box_list))]
 
         # Phase 2 fused across the boxes whose seeds hold no in-box start.
         walk_indices = [
@@ -164,7 +149,6 @@ class _SeedWalkCrawl(ExecutionStrategy):
             if starts.size == 0 and origin is not None
         ]
         walk_times = [0.0] * len(box_list)
-        walk_complete = [True] * len(box_list)
         walk_batch = None
         if walk_indices:
             walk_start = time.perf_counter()
@@ -174,26 +158,24 @@ class _SeedWalkCrawl(ExecutionStrategy):
                 [origins[i] for i in walk_indices],
                 [counters_list[i] for i in walk_indices],
                 scratch=scratch,
-                budgets=[budgets[i] for i in walk_indices] if budgets is not None else None,
             )
             walk_time = (time.perf_counter() - walk_start) / len(walk_indices)
             for index, walk in zip(walk_indices, walk_batch.outcomes):
                 walk_times[index] = walk_time
-                walk_complete[index] = walk.complete
                 if walk.found_id is not None:
                     start_lists[index] = np.asarray([walk.found_id], dtype=np.int64)
 
         # Phase 3 fused across the whole batch.
         crawl_start = time.perf_counter()
-        batch = crawl_many(mesh, box_list, start_lists, counters_list, scratch=scratch, budgets=budgets)
+        batch = crawl_many(mesh, box_list, start_lists, counters_list, scratch=scratch)
         crawl_time = (time.perf_counter() - crawl_start) / len(box_list)
         if walk_batch is not None:
             walk_batch.attach_to(batch)
         self.last_fused_crawl = batch
         return [
-            self._result(outcome, counters, probe_time, walk_time, crawl_time, complete)
-            for outcome, counters, probe_time, walk_time, complete in zip(
-                batch.outcomes, counters_list, probe_times, walk_times, walk_complete
+            self._result(outcome, counters, probe_time, walk_time, crawl_time)
+            for outcome, counters, probe_time, walk_time in zip(
+                batch.outcomes, counters_list, probe_times, walk_times
             )
         ]
 
@@ -204,7 +186,6 @@ class _SeedWalkCrawl(ExecutionStrategy):
         probe_time: float,
         walk_time: float,
         crawl_time: float,
-        walk_complete: bool,
     ) -> QueryResult:
         return QueryResult(
             vertex_ids=outcome.result_ids,
@@ -213,7 +194,7 @@ class _SeedWalkCrawl(ExecutionStrategy):
             walk_time=walk_time,
             crawl_time=crawl_time,
             total_time=probe_time + walk_time + crawl_time,
-            complete=walk_complete and outcome.complete and self._exact,
+            complete=self._exact,
         )
 
 

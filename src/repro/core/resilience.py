@@ -1,13 +1,10 @@
-"""The resilience layer: query budgets, invariant audits, degradation ladder.
+"""The resilience layer: invariant audits and the degradation ladder.
 
 The paper's setting is interactive simulation steering — queries arrive while
 the mesh deforms and restructures underneath them — so a long-running service
-must survive three failure classes that the offline parity suites can only
+must survive two failure classes that the offline parity suites can only
 catch at test time:
 
-* **pathological queries** that crawl an unbounded region of the mesh with no
-  deadline (:class:`QueryBudget` bounds visited vertices, distance
-  computations and wall-clock, checked inside the crawl/walk round loops);
 * **corrupt change deltas** — a buggy producer emitting unsorted ids, lying
   dirty AABBs or NaN positions — applied on faith by every strategy's
   incremental maintenance (the :func:`validate_delta` /
@@ -15,8 +12,8 @@ catch at test time:
 * **broken incremental state**, where the only safe answer is to fall back
   down a ladder of progressively blunter but better-understood tools:
   fused batch → sequential queries, incremental maintenance → full-delta
-  maintenance → rebuild, budget-blown crawl → a plain linear scan of the
-  live positions (:class:`ResilientStrategy`).
+  maintenance → rebuild, failed query → a plain linear scan of the live
+  positions (:class:`ResilientStrategy`).
 
 Every fallback is recorded as a :class:`FallbackEvent` so degraded execution
 is *visible* in the maintenance ledger and
@@ -37,7 +34,6 @@ from ..errors import (
     DeltaValidationError,
     GeometryError,
     MeshConnectivityError,
-    QueryBudgetExceeded,
     QueryError,
 )
 from ..mesh import Box3D, PolyhedralMesh, points_in_box
@@ -46,9 +42,7 @@ from .executor import ExecutionStrategy, StrategyWrapper
 from .result import QueryCounters, QueryResult
 
 __all__ = [
-    "BudgetTracker",
     "FallbackEvent",
-    "QueryBudget",
     "ResilientStrategy",
     "audit_adjacency",
     "check_query_box",
@@ -99,163 +93,6 @@ def check_query_boxes(boxes: Sequence[Box3D]) -> list[Box3D]:
                 exc.add_note(f"query_many: box {index} of {len(box_list)} is malformed")
             raise
     return box_list
-
-
-# ----------------------------------------------------------------------
-# query budgets
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class QueryBudget:
-    """Resource limits for a single range query.
-
-    Attributes
-    ----------
-    max_visited_vertices:
-        Cap on vertices the crawl stamps/position-tests (``None`` = unbounded).
-    max_distance_computations:
-        Cap on the directed walk's point-to-box distance evaluations.
-    max_wall_clock_s:
-        Deadline in seconds, measured from :meth:`start`.  Unlike the two
-        count budgets, a wall-clock budget is inherently machine-dependent:
-        the fused and sequential paths may truncate at different points, so
-        batch/sequential parity is only guaranteed for count budgets.
-    on_exhausted:
-        ``"raise"`` aborts the query with a structured
-        :class:`~repro.errors.QueryBudgetExceeded`; ``"partial"`` stops the
-        traversal and returns whatever was found so far as a
-        :class:`~repro.core.result.QueryResult` flagged ``complete=False``.
-
-    The surface probe is deliberately unbudgeted — it is bounded by the
-    surface size, which prepare() fixed — and the budget meters the unbounded
-    phases (walk + crawl) with **one** shared tracker per query, so a query
-    cannot dodge its limit by splitting work across phases.
-    """
-
-    max_visited_vertices: int | None = None
-    max_distance_computations: int | None = None
-    max_wall_clock_s: float | None = None
-    on_exhausted: str = "raise"
-
-    POLICIES = ("raise", "partial")
-
-    def __post_init__(self) -> None:
-        if self.on_exhausted not in self.POLICIES:
-            raise QueryError(
-                f"on_exhausted must be one of {self.POLICIES}, got {self.on_exhausted!r}"
-            )
-        for label, limit in (
-            ("max_visited_vertices", self.max_visited_vertices),
-            ("max_distance_computations", self.max_distance_computations),
-            ("max_wall_clock_s", self.max_wall_clock_s),
-        ):
-            if limit is not None and limit <= 0:
-                raise QueryError(f"{label} must be positive when set")
-
-    def start(
-        self,
-        strategy: str | None = None,
-        step: int | None = None,
-        query_index: int | None = None,
-    ) -> "BudgetTracker":
-        """A fresh per-query tracker.
-
-        The wall-clock deadline is scoped to the query's *own* execution: the
-        clock starts at the tracker's first :meth:`BudgetTracker.spend`, not
-        here.  Executors build one tracker per query — sometimes a whole
-        batch of them up-front — and a concurrent service may queue a query
-        behind others before its work begins; neither construction order nor
-        queue wait may be charged against the query's deadline.
-        """
-        return BudgetTracker(self, strategy=strategy, step=step, query_index=query_index)
-
-
-class BudgetTracker:
-    """Mutable per-query spend against one :class:`QueryBudget`.
-
-    The crawl and walk round loops call :meth:`spend` once per round with
-    that round's work; it returns ``False`` (and latches ``exhausted``) when
-    a limit is crossed under the ``"partial"`` policy, or raises
-    :class:`~repro.errors.QueryBudgetExceeded` under ``"raise"``.  The round
-    that crosses the limit is always fully counted — budgets bound the *next*
-    round, they never split one (that is what keeps the fused and sequential
-    engines truncating at the identical point).
-    """
-
-    __slots__ = (
-        "budget",
-        "strategy",
-        "step",
-        "query_index",
-        "visited",
-        "distances",
-        "started_at",
-        "exhausted",
-        "exhausted_resource",
-    )
-
-    def __init__(
-        self,
-        budget: QueryBudget,
-        strategy: str | None = None,
-        step: int | None = None,
-        query_index: int | None = None,
-    ) -> None:
-        self.budget = budget
-        self.strategy = strategy
-        self.step = step
-        self.query_index = query_index
-        self.visited = 0
-        self.distances = 0
-        # Lazy deadline: the clock starts at the first spend(), so trackers
-        # built up-front for a whole batch (or queries queued behind others
-        # in a concurrent service) are not charged time they never used.
-        self.started_at: float | None = None
-        self.exhausted = False
-        self.exhausted_resource: str | None = None
-
-    def _exhaust(self, resource: str, spent: float, limit: float) -> bool:
-        self.exhausted = True
-        if self.exhausted_resource is None:
-            self.exhausted_resource = resource
-        if self.budget.on_exhausted == "raise":
-            raise QueryBudgetExceeded(
-                resource,
-                spent,
-                limit,
-                strategy=self.strategy,
-                step=self.step,
-                query_index=self.query_index,
-            )
-        return False
-
-    def spend(self, vertices: int = 0, distances: int = 0) -> bool:
-        """Charge one round's work; True while the budget still has room."""
-        if self.exhausted:
-            return False
-        if self.started_at is None:
-            self.started_at = time.perf_counter()
-        self.visited += vertices
-        self.distances += distances
-        budget = self.budget
-        if (
-            budget.max_visited_vertices is not None
-            and self.visited > budget.max_visited_vertices
-        ):
-            return self._exhaust(
-                "visited_vertices", self.visited, budget.max_visited_vertices
-            )
-        if (
-            budget.max_distance_computations is not None
-            and self.distances > budget.max_distance_computations
-        ):
-            return self._exhaust(
-                "distance_computations", self.distances, budget.max_distance_computations
-            )
-        if budget.max_wall_clock_s is not None:
-            elapsed = time.perf_counter() - self.started_at
-            if elapsed > budget.max_wall_clock_s:
-                return self._exhaust("wall_clock", elapsed, budget.max_wall_clock_s)
-        return True
 
 
 # ----------------------------------------------------------------------
@@ -475,7 +312,7 @@ class FallbackEvent:
     operation: str
     #: ladder rung taken ("sequential", "scan", "quarantine", "full-delta", "rebuild")
     rung: str
-    #: short classification ("budget-exhausted", "delta-invalid", "strategy-error", ...)
+    #: short classification ("strategy-error", "unsorted-ids", "delta-invalid", ...)
     reason: str
     #: repr of the triggering exception (or validator message)
     error: str
@@ -500,9 +337,9 @@ class ResilientStrategy(StrategyWrapper):
 
     * a batch (`query_many`) raising → retry the boxes **sequentially**
       through the inner ``query`` (one bad box no longer poisons the batch);
-    * a single query raising, or blowing its budget under the ``"raise"``
-      policy → answer it with a **linear scan** of the live vertex positions
-      (always correct: the scan reads the mesh, not any index state);
+    * a single query raising → answer it with a **linear scan** of the live
+      vertex positions (always correct: the scan reads the mesh, not any
+      index state);
     * paranoid mode finding an invalid delta → **quarantine** it and hand the
       inner strategy a whole-mesh ``full()`` delta derived from the *mesh's*
       vertex count (never the lying delta's);
@@ -511,9 +348,8 @@ class ResilientStrategy(StrategyWrapper):
     * everything failing → a structured
       :class:`~repro.errors.DegradedExecutionError` with the original cause.
 
-    Malformed *queries* (:class:`~repro.errors.QueryError` other than budget
-    exhaustion, :class:`~repro.errors.GeometryError`) are caller errors and
-    propagate — degrading them would mask bugs in the caller, not recover
+    Malformed *queries* (:class:`~repro.errors.QueryError`,
+    :class:`~repro.errors.GeometryError`) are caller errors and propagate — degrading them would mask bugs in the caller, not recover
     from faults below.
 
     Every descent is appended to :attr:`degradation_events`
@@ -647,9 +483,6 @@ class ResilientStrategy(StrategyWrapper):
         check_query_box(box)
         try:
             return self.inner.query(box)
-        except QueryBudgetExceeded as exc:
-            self._record("query", "scan", "budget-exhausted", exc)
-            return self._scan_answer(box)
         except (QueryError, GeometryError):
             raise  # malformed query: the caller's bug, do not degrade
         except Exception as exc:
@@ -667,16 +500,12 @@ class ResilientStrategy(StrategyWrapper):
         box_list = check_query_boxes(boxes)
         try:
             return self.inner.query_many(box_list)
-        except (QueryError, GeometryError) as exc:
-            if not isinstance(exc, QueryBudgetExceeded):
-                raise
-            first_error: Exception = exc
+        except (QueryError, GeometryError):
+            raise
         except Exception as exc:
-            first_error = exc
-        # Rung 1: the batch engine failed (or one query blew its budget under
-        # the all-or-nothing contract) — answer the boxes one by one, each
-        # with its own scan fallback (rung 2) behind it.
-        self._record("query_many", "sequential", _classify(first_error), first_error)
+            # Rung 1: the batch engine failed — answer the boxes one by one,
+            # each with its own scan fallback (rung 2) behind it.
+            self._record("query_many", "sequential", "strategy-error", exc)
         self.last_fused_crawl = None
         return [self.query(box) for box in box_list]
 
@@ -687,11 +516,3 @@ class ResilientStrategy(StrategyWrapper):
         record["paranoid"] = self.paranoid
         return record
 
-
-def _classify(error: BaseException) -> str:
-    """Short reason tag for a ladder descent."""
-    if isinstance(error, QueryBudgetExceeded):
-        return "budget-exhausted"
-    if isinstance(error, DeltaValidationError):
-        return "delta-invalid"
-    return "strategy-error"

@@ -103,10 +103,10 @@ class QueryResult:
     total_time:
         Wall-clock seconds for the whole query.
     complete:
-        ``False`` when a :class:`~repro.core.resilience.QueryBudget` under the
-        ``"partial"`` policy truncated the traversal: ``vertex_ids`` is then a
-        (possibly empty) *subset* of the exact answer.  Always ``True`` on
-        unbudgeted queries.
+        ``False`` when the strategy may miss in-box vertices by design
+        (approximate OCTOPUS, or OCTOPUS-CON on a mesh that was not convex at
+        ``prepare``): ``vertex_ids`` is then a (possibly empty) *subset* of
+        the exact answer.
     """
 
     vertex_ids: np.ndarray

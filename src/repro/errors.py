@@ -6,11 +6,10 @@ subsystem rejected the input.
 
 The resilience layer (:mod:`repro.core.resilience`,
 :mod:`repro.simulation.faults`) adds *structured* errors: every failure a
-production service has to route — a blown query budget, a delta that failed
-validation, an execution that exhausted its fallback ladder — carries
-machine-readable context (strategy name, simulation tick, query id, the
-resource and limits involved) as attributes, not just prose, so supervisors
-can classify without parsing messages.
+production service has to route — a delta that failed validation, an
+execution that exhausted its fallback ladder — carries machine-readable
+context (strategy name, simulation tick) as attributes, not just
+prose, so supervisors can classify without parsing messages.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ __all__ = [
     "GeometryError",
     "MeshConnectivityError",
     "MeshError",
-    "QueryBudgetExceeded",
     "QueryError",
     "ReproError",
     "SimulationError",
@@ -72,10 +70,9 @@ class ConcurrencyError(ReproError):
 class _StructuredError(ReproError):
     """Mixin base: an error with machine-readable execution context.
 
-    ``strategy`` / ``step`` / ``query_index`` locate the failure in the
-    simulation timeline (any of them may be ``None`` when unknown at the
-    raise site); :meth:`context` returns the populated fields as a dict for
-    ledgers and logs.
+    ``strategy`` / ``step`` locate the failure in the simulation timeline
+    (either may be ``None`` when unknown at the raise site); :meth:`context`
+    returns the populated fields as a dict for ledgers and logs.
     """
 
     def __init__(
@@ -84,57 +81,15 @@ class _StructuredError(ReproError):
         *,
         strategy: str | None = None,
         step: int | None = None,
-        query_index: int | None = None,
     ) -> None:
         super().__init__(message)
         self.strategy = strategy
         self.step = step
-        self.query_index = query_index
 
     def context(self) -> dict:
         """The populated structured fields (omits ``None`` entries)."""
-        fields = {
-            "strategy": self.strategy,
-            "step": self.step,
-            "query_index": self.query_index,
-        }
+        fields = {"strategy": self.strategy, "step": self.step}
         return {key: value for key, value in fields.items() if value is not None}
-
-
-class QueryBudgetExceeded(_StructuredError, QueryError):
-    """A query exhausted its :class:`~repro.core.resilience.QueryBudget`.
-
-    Raised only under the budget's ``"raise"`` policy (the ``"partial"``
-    policy returns a :class:`~repro.core.result.QueryResult` flagged
-    ``complete=False`` instead).  ``resource`` names the exhausted limit
-    (``"visited_vertices"``, ``"distance_computations"`` or ``"wall_clock"``),
-    ``spent``/``limit`` quantify it.
-    """
-
-    def __init__(
-        self,
-        resource: str,
-        spent: float,
-        limit: float,
-        *,
-        strategy: str | None = None,
-        step: int | None = None,
-        query_index: int | None = None,
-    ) -> None:
-        super().__init__(
-            f"query budget exhausted: {resource} spent {spent:g} of {limit:g}",
-            strategy=strategy,
-            step=step,
-            query_index=query_index,
-        )
-        self.resource = resource
-        self.spent = spent
-        self.limit = limit
-
-    def context(self) -> dict:
-        base = super().context()
-        base.update(resource=self.resource, spent=self.spent, limit=self.limit)
-        return base
 
 
 class DeltaValidationError(_StructuredError):

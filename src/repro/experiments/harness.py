@@ -314,7 +314,7 @@ def degradation_rows(report: SimulationReport) -> list[dict]:
 
     Strategies wrapped in :class:`~repro.core.ResilientStrategy` record every
     descent down the degradation ladder (fused batch retried sequentially,
-    quarantined deltas, budget-blown crawls answered by linear scan, full
+    quarantined deltas, failed queries answered by linear scan, full
     rebuilds); the simulator drains those events into each
     :class:`~repro.simulation.StrategyReport` and this function flattens them
     into rows — strategy, step, operation, ladder rung, and the classified

@@ -7,13 +7,13 @@ constructors at each call site.  :func:`make_strategy` instantiates a bare
 strategy from :data:`STRATEGY_FACTORIES`; :func:`build_strategy` layers the
 optional wrappers on top in the canonical order::
 
-    StandingStrategy( CachingStrategy( ResilientStrategy( <bare strategy, budget installed> ) ) )
+    StandingStrategy( ResilientStrategy( CachingStrategy( <bare strategy> ) ) )
 
-Cache outermost of the ladder means a cache hit skips the degradation ladder
-entirely and budget enforcement only ever meters real index work (see
-``docs/caching.md``); standing outermost of everything means the registry's
-narrowed re-queries flow through the cache and share its invalidation stream
-(see ``docs/standing.md``).
+The ladder above the cache means a paranoid ladder audits every delta before
+the cache invalidates from it, so a quarantined delta reaches the cache as the
+whole-mesh delta that replaces it (see ``docs/caching.md``); standing
+outermost of everything means the registry's narrowed re-queries flow through
+the cache and share its invalidation stream (see ``docs/standing.md``).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .baselines import (
 )
 from .cache import CachingStrategy, QueryResultCache
 from .cache.strategy import cache_capacity
-from .core import OctopusConExecutor, OctopusExecutor, QueryBudget, ResilientStrategy
+from .core import OctopusConExecutor, OctopusExecutor, ResilientStrategy
 from .core.executor import ExecutionStrategy
 from .errors import ExperimentError
 from .standing import StandingQueryRegistry, StandingStrategy
@@ -68,7 +68,6 @@ def build_strategy(
     *,
     caching: bool | int | QueryResultCache | None = None,
     resilience: bool | str | None = None,
-    budget: QueryBudget | None = None,
     standing: bool | Sequence | StandingQueryRegistry | None = None,
     **kwargs,
 ) -> ExecutionStrategy:
@@ -84,10 +83,8 @@ def build_strategy(
         :class:`~repro.cache.QueryResultCache` is adopted as-is.
     resilience:
         ``True`` wraps in a :class:`~repro.core.ResilientStrategy`;
-        ``"paranoid"`` additionally turns on delta validation.
-    budget:
-        A :class:`~repro.core.QueryBudget` installed on the bare strategy
-        (wrappers forward it through the shared ledger).
+        ``"paranoid"`` additionally turns on delta validation.  The ladder
+        wraps the cache, so it also guards the cache's invalidation.
     standing:
         ``True`` wraps the finished stack in a
         :class:`~repro.standing.StandingStrategy` with an empty registry; a
@@ -101,20 +98,18 @@ def build_strategy(
         Forwarded to the bare strategy's constructor (``fanout=16``, ...).
     """
     strategy = make_strategy(name, **kwargs)
-    if budget is not None:
-        strategy.set_query_budget(budget)
-    if resilience:
-        if resilience not in (True, "paranoid"):
-            raise ExperimentError(
-                f"resilience must be True or 'paranoid', got {resilience!r}"
-            )
-        strategy = ResilientStrategy(strategy, paranoid=resilience == "paranoid")
     if isinstance(caching, QueryResultCache):
         strategy = CachingStrategy(strategy, cache=caching)
     else:
         max_entries = cache_capacity(caching, ExperimentError)
         if max_entries is not None:
             strategy = CachingStrategy(strategy, max_entries=max_entries)
+    if resilience:
+        if resilience not in (True, "paranoid"):
+            raise ExperimentError(
+                f"resilience must be True or 'paranoid', got {resilience!r}"
+            )
+        strategy = ResilientStrategy(strategy, paranoid=resilience == "paranoid")
     if standing is not None and standing is not False:
         paranoid = resilience == "paranoid"
         if isinstance(standing, StandingQueryRegistry):

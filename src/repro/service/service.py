@@ -179,7 +179,7 @@ class ShardedQueryService(ExecutionStrategy):
     The service implements the full
     :class:`~repro.core.executor.ExecutionStrategy` protocol, so the
     simulator, the harness and the wrappers treat it like any other strategy
-    (it can itself be wrapped, budgeted or registered in a
+    (it can itself be wrapped or registered in a
     :class:`~repro.simulation.MeshSimulation`).
 
     Parameters

@@ -33,9 +33,9 @@ from typing import Sequence
 import numpy as np
 
 from ..core.delta import DeformationDelta, TopologyDelta
-from ..core.executor import ExecutionStrategy
+from ..core.executor import ExecutionStrategy, StrategyWrapper
 from ..errors import FaultInjectionError, SimulationError
-from ..mesh import Box3D, PolyhedralMesh
+from ..mesh import Box3D
 
 __all__ = [
     "FAULT_KINDS",
@@ -227,7 +227,7 @@ class FaultPlan:
 # ----------------------------------------------------------------------
 # scheduled mid-batch failure
 # ----------------------------------------------------------------------
-class FaultyBatchStrategy(ExecutionStrategy):
+class FaultyBatchStrategy(StrategyWrapper):
     """Wrap a strategy so its ``query_many`` raises at the plan's steps.
 
     Models a fused batch engine crashing mid-flight; wrap it in a
@@ -238,80 +238,16 @@ class FaultyBatchStrategy(ExecutionStrategy):
     """
 
     def __init__(self, inner: ExecutionStrategy, plan: FaultPlan) -> None:
-        # same snapshot/restore dance as ResilientStrategy: the forwarding
-        # setters must not zero an already-prepared inner strategy
-        self.inner = inner
-        snapshot = (inner.preprocessing_time, inner.maintenance_time, inner.maintenance_entries)
-        super().__init__()
-        inner.preprocessing_time, inner.maintenance_time, inner.maintenance_entries = snapshot
+        super().__init__(inner)
         self.plan = plan
-        self.name = inner.name
         self._step: int | None = None
         #: how many scheduled exceptions this wrapper has raised
         self.n_injected = 0
 
-    # -- accounting forwards to the wrapped strategy -------------------
-    @property
-    def preprocessing_time(self) -> float:
-        return self.inner.preprocessing_time
-
-    @preprocessing_time.setter
-    def preprocessing_time(self, value: float) -> None:
-        self.inner.preprocessing_time = value
-
-    @property
-    def maintenance_time(self) -> float:
-        return self.inner.maintenance_time
-
-    @maintenance_time.setter
-    def maintenance_time(self, value: float) -> None:
-        self.inner.maintenance_time = value
-
-    @property
-    def maintenance_entries(self) -> int:
-        return self.inner.maintenance_entries
-
-    @maintenance_entries.setter
-    def maintenance_entries(self, value: int) -> None:
-        self.inner.maintenance_entries = value
-
-    @property
-    def query_budget(self):
-        return getattr(self.inner, "query_budget", None)
-
-    @query_budget.setter
-    def query_budget(self, budget) -> None:
-        self.inner.query_budget = budget
-
-    @property
-    def last_fused_crawl(self):
-        return getattr(self.inner, "last_fused_crawl", None)
-
-    @last_fused_crawl.setter
-    def last_fused_crawl(self, value) -> None:
-        if hasattr(self.inner, "last_fused_crawl"):
-            self.inner.last_fused_crawl = value
-
-    # -- lifecycle ------------------------------------------------------
     def note_step(self, step: int | None) -> None:
         """Track the simulation step so the plan's schedule applies."""
         self._step = step
-        inner_note = getattr(self.inner, "note_step", None)
-        if inner_note is not None:
-            inner_note(step)
-
-    def prepare(self, mesh: PolyhedralMesh) -> float:
-        self._mesh = mesh
-        return self.inner.prepare(mesh)
-
-    def on_step(self, delta: DeformationDelta) -> float:
-        return self.inner.on_step(delta)
-
-    def on_restructure(self, delta: TopologyDelta) -> float:
-        return self.inner.on_restructure(delta)
-
-    def query(self, box: Box3D):
-        return self.inner.query(box)
+        super().note_step(step)
 
     def query_many(self, boxes: Sequence[Box3D]):
         if self._step is not None and self.plan.raises_in_batch(self._step):
@@ -319,12 +255,9 @@ class FaultyBatchStrategy(ExecutionStrategy):
             raise FaultInjectionError(
                 f"{self.name}: scheduled batch-exception fault at step {self._step}"
             )
-        return self.inner.query_many(boxes)
-
-    def memory_overhead_bytes(self) -> int:
-        return self.inner.memory_overhead_bytes()
+        return super().query_many(boxes)
 
     def describe(self) -> dict:
-        record = self.inner.describe()
+        record = super().describe()
         record["fault_plan_seed"] = self.plan.seed
         return record

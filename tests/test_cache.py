@@ -91,10 +91,9 @@ class TestQueryResultCacheBasics:
         assert cache.get(Box3D((0, 0, 0), (1, 1, 1))) is None
         assert cache.stats().misses == 1
 
-    def test_quantum_collision_is_a_miss_never_a_wrong_answer(self):
-        # corners closer than the 1e-9 key quantum land both boxes in the
-        # same hash cell; the stored-corner verification must reject the
-        # second one
+    def test_near_identical_box_is_a_miss_never_a_wrong_answer(self):
+        # entries are keyed on the exact corners, so a box whose corner is
+        # 1e-10 away from a stored one must not be answered from its entry
         cache = QueryResultCache()
         stored = Box3D((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
         colliding = Box3D((1e-10, 0.0, 0.0), (1.0, 1.0, 1.0))
@@ -370,11 +369,11 @@ class TestBuildStrategy:
         with pytest.raises(ExperimentError, match="resilience"):
             build_strategy("linear-scan", resilience="extra")
 
-    def test_stack_order_cache_outside_resilience(self):
+    def test_stack_order_resilience_outside_cache(self):
         strategy = build_strategy("octopus", caching=True, resilience="paranoid")
-        assert isinstance(strategy, CachingStrategy)
-        assert isinstance(strategy.inner, ResilientStrategy)
-        assert strategy.inner.paranoid
+        assert isinstance(strategy, ResilientStrategy)
+        assert strategy.paranoid
+        assert isinstance(strategy.inner, CachingStrategy)
         # the resilience wrapper is name-transparent, so only the cache shows
         assert strategy.name == "cached-octopus"
 

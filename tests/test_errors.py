@@ -11,7 +11,6 @@ from repro.errors import (
     GeometryError,
     MeshConnectivityError,
     MeshError,
-    QueryBudgetExceeded,
     QueryError,
     ReproError,
     SimulationError,
@@ -48,7 +47,6 @@ class TestHierarchy:
 
     def test_subsystem_parents(self):
         assert issubclass(MeshConnectivityError, MeshError)
-        assert issubclass(QueryBudgetExceeded, QueryError)
         assert issubclass(DeltaValidationError, ReproError)
         assert issubclass(DegradedExecutionError, ReproError)
         assert issubclass(FaultInjectionError, ReproError)
@@ -75,26 +73,6 @@ class TestHierarchy:
 
 
 class TestStructuredErrors:
-    def test_query_budget_exceeded_context(self):
-        error = QueryBudgetExceeded(
-            "visited_vertices", 15, 5, strategy="octopus", step=3, query_index=1
-        )
-        assert "visited_vertices" in str(error)
-        assert error.context() == {
-            "strategy": "octopus",
-            "step": 3,
-            "query_index": 1,
-            "resource": "visited_vertices",
-            "spent": 15,
-            "limit": 5,
-        }
-        with pytest.raises(QueryError):
-            raise error
-
-    def test_query_budget_exceeded_omits_unset_fields(self):
-        error = QueryBudgetExceeded("wall_clock", 0.2, 0.1)
-        assert error.context() == {"resource": "wall_clock", "spent": 0.2, "limit": 0.1}
-
     def test_delta_validation_error_context(self):
         error = DeltaValidationError(
             "unsorted-ids", "ids must be strictly increasing", strategy="lur-tree", step=2

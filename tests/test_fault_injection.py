@@ -20,7 +20,7 @@ from repro.core import OctopusConExecutor, ResilientStrategy
 from repro.core.delta import DeformationDelta, TopologyDelta
 from repro.core.resilience import validate_delta, validate_topology_delta
 from repro.errors import DeltaValidationError, FaultInjectionError, ReproError, SimulationError
-from repro.experiments.harness import make_strategy
+from repro.experiments.harness import build_strategy, make_strategy
 from repro.simulation import (
     FAULT_KINDS,
     FaultPlan,
@@ -151,7 +151,11 @@ class TestFaultyBatchStrategy:
 
 
 def chaos_strategies(plan):
-    """The chaos suite: linear scan as the immune reference, the rest wrapped."""
+    """The chaos suite: linear scan as the immune reference, the rest wrapped.
+
+    The cached paranoid stack checks that the ladder guards the cache too: a
+    delta it quarantines must not leave a stale entry behind.
+    """
     strategies = [make_strategy("linear-scan")]
     if plan is not None:
         octopus = FaultyBatchStrategy(make_strategy("octopus"), plan)
@@ -161,6 +165,7 @@ def chaos_strategies(plan):
         ResilientStrategy(octopus, paranoid=True),
         ResilientStrategy(OctopusConExecutor(), paranoid=True),
         ResilientStrategy(make_strategy("lur-tree"), paranoid=True),
+        build_strategy("octopus", caching=True, resilience="paranoid"),
     ]
     return strategies
 

@@ -54,7 +54,6 @@ EXPECTED_EXPORTS = {
     "CacheStats",
     "CachingStrategy",
     "MembershipUpdate",
-    "QueryBudget",
     "QueryResultCache",
     "ResilientStrategy",
     "StandingQueryRegistry",
@@ -76,7 +75,6 @@ EXPECTED_EXPORTS = {
     "GeometryError",
     "MeshConnectivityError",
     "MeshError",
-    "QueryBudgetExceeded",
     "QueryError",
     "ReproError",
     "SimulationError",
@@ -125,7 +123,6 @@ LAYER_GROUPS = [
         "CacheStats",
         "CachingStrategy",
         "MembershipUpdate",
-        "QueryBudget",
         "QueryResultCache",
         "ResilientStrategy",
         "StandingQueryRegistry",
@@ -145,7 +142,6 @@ LAYER_GROUPS = [
         "GeometryError",
         "MeshConnectivityError",
         "MeshError",
-        "QueryBudgetExceeded",
         "QueryError",
         "ReproError",
         "SimulationError",
@@ -193,13 +189,13 @@ class TestCompositionSurface:
 
     def test_build_strategy_composes_the_documented_stack(self):
         strategy = repro.build_strategy(
-            "octopus", caching=True, resilience=True, budget=None, standing=True
+            "octopus", caching=True, resilience=True, standing=True
         )
-        # standing outermost (its re-queries flow through the cache); cache
-        # above the ladder, so a hit skips the degradation ladder entirely
+        # standing outermost (its re-queries flow through the cache); the
+        # ladder above the cache, so its audits guard the cache's invalidation
         assert isinstance(strategy, repro.StandingStrategy)
-        assert isinstance(strategy.inner, repro.CachingStrategy)
-        assert isinstance(strategy.inner.inner, repro.ResilientStrategy)
+        assert isinstance(strategy.inner, repro.ResilientStrategy)
+        assert isinstance(strategy.inner.inner, repro.CachingStrategy)
         assert isinstance(strategy.unwrap(), repro.OctopusExecutor)
 
     def test_deprecated_index_error_alias_is_gone(self):

@@ -1,4 +1,4 @@
-"""The resilience layer: budgets, invariant audits and the degradation ladder."""
+"""The resilience layer: invariant audits and the degradation ladder."""
 
 from types import SimpleNamespace
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import LinearScanExecutor
-from repro.core import OctopusExecutor, QueryBudget, ResilientStrategy
+from repro.core import ResilientStrategy
 from repro.core.delta import DeformationDelta, TopologyDelta
 from repro.core.resilience import (
     audit_adjacency,
@@ -20,7 +20,6 @@ from repro.errors import (
     DegradedExecutionError,
     DeltaValidationError,
     MeshConnectivityError,
-    QueryBudgetExceeded,
     QueryError,
 )
 from repro.mesh import Box3D
@@ -65,46 +64,6 @@ class TestCheckQueryBox:
         assert check_query_boxes([good, good]) == [good, good]
         with pytest.raises(QueryError):
             check_query_boxes([good, inverted_box()])
-
-
-class TestQueryBudget:
-    def test_rejects_bad_policy_and_limits(self):
-        with pytest.raises(QueryError, match="on_exhausted"):
-            QueryBudget(on_exhausted="ignore")
-        with pytest.raises(QueryError, match="positive"):
-            QueryBudget(max_visited_vertices=0)
-        with pytest.raises(QueryError, match="positive"):
-            QueryBudget(max_wall_clock_s=-1.0)
-
-    def test_partial_policy_latches(self):
-        tracker = QueryBudget(max_visited_vertices=10, on_exhausted="partial").start()
-        assert tracker.spend(vertices=6)
-        assert not tracker.spend(vertices=6)  # the crossing round is fully counted
-        assert tracker.exhausted
-        assert tracker.exhausted_resource == "visited_vertices"
-        assert tracker.visited == 12
-        assert not tracker.spend(vertices=1)  # latched: no further spending
-        assert tracker.visited == 12
-
-    def test_raise_policy_carries_context(self):
-        tracker = QueryBudget(max_distance_computations=4).start(
-            strategy="octopus", step=2, query_index=0
-        )
-        with pytest.raises(QueryBudgetExceeded) as excinfo:
-            tracker.spend(distances=5)
-        assert excinfo.value.context() == {
-            "strategy": "octopus",
-            "step": 2,
-            "query_index": 0,
-            "resource": "distance_computations",
-            "spent": 5,
-            "limit": 4,
-        }
-
-    def test_wall_clock_budget_expires(self):
-        tracker = QueryBudget(max_wall_clock_s=1e-9, on_exhausted="partial").start()
-        assert not tracker.spend(vertices=1)
-        assert tracker.exhausted_resource == "wall_clock"
 
 
 def sparse_delta(mesh, ids=(1, 3)):
@@ -334,19 +293,6 @@ class TestResilientQueries:
         events = wrapped.drain_degradation_events()
         assert [event.rung for event in events] == ["sequential"]
         assert events[0].step == 4
-
-    def test_budget_blown_query_answers_by_scan(self, grid_mesh):
-        mesh = grid_mesh.copy()
-        inner = OctopusExecutor()
-        wrapped = ResilientStrategy(inner)
-        wrapped.prepare(mesh)
-        wrapped.query_budget = QueryBudget(max_visited_vertices=3, on_exhausted="raise")
-        assert inner.query_budget is wrapped.query_budget  # forwarded to the engine
-        box = Box3D((0.1, 0.1, 0.1), (0.9, 0.9, 0.9))
-        result = wrapped.query(box)
-        assert np.array_equal(result.vertex_ids, reference_ids(mesh, box))
-        (event,) = wrapped.drain_degradation_events()
-        assert (event.rung, event.reason) == ("scan", "budget-exhausted")
 
     def test_malformed_queries_propagate(self, grid_mesh):
         wrapped = ResilientStrategy(FlakyScan())

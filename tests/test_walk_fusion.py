@@ -136,8 +136,6 @@ class TestFusedWalkParity:
             directed_walk_many(grid_mesh, [box], [])
         with pytest.raises(ValueError):
             directed_walk_many(grid_mesh, [box], [0], counters_list=[])
-        with pytest.raises(ValueError):
-            directed_walk_many(grid_mesh, [box], [0], budgets=[])
 
     def test_batch_larger_than_64_queries(self, grid_mesh):
         """Parity holds for >64 walks in one batch (multi-word crawl scale)."""
