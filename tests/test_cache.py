@@ -22,6 +22,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.baselines import LinearScanExecutor
 from repro.cache import CacheStats, CachingStrategy, QueryResultCache
 from repro.core import DeformationDelta, QueryResult, ResilientStrategy, TopologyDelta
 from repro.core.delta import BoxSet
@@ -36,6 +37,7 @@ from repro.factory import STRATEGY_FACTORIES
 from repro.mesh import Box3D
 from repro.service import ShardedQueryService
 from repro.simulation import LocalizedPulseDeformation, periodic_restructuring
+from repro.simulation.faults import lying_topology_delta, wrong_aabb_delta
 from repro.simulation.restructuring import split_cells_inplace
 from repro.workloads import repeated_query_provider, zoomed_session_provider
 
@@ -138,6 +140,69 @@ class TestQueryResultCacheBasics:
         record = cache.describe()
         assert record["entries"] == 1
         assert record["max_entries"] == 8
+
+
+#: (corner, axis) of each of a query box's six coordinates
+CORNER_COORDINATES = [(corner, axis) for corner in ("lo", "hi") for axis in range(3)]
+
+
+def _stored_box() -> Box3D:
+    return Box3D((0.1, 0.2, 0.3), (0.4, 0.5, 0.6))
+
+
+def _widened_by_one_ulp(box: Box3D, corner: str, axis: int) -> Box3D:
+    """``box`` with one coordinate moved outwards to the adjacent float."""
+    lo, hi = box.lo.copy(), box.hi.copy()
+    if corner == "lo":
+        lo[axis] = np.nextafter(lo[axis], -np.inf)
+    else:
+        hi[axis] = np.nextafter(hi[axis], np.inf)
+    return Box3D(lo, hi)
+
+
+class TestExactCornerKeys:
+    """Entries are keyed on the six corner floats exactly, with no rounding."""
+
+    @pytest.mark.parametrize(
+        "corner, axis",
+        CORNER_COORDINATES,
+        ids=[f"{corner}-{'xyz'[axis]}" for corner, axis in CORNER_COORDINATES],
+    )
+    def test_one_ulp_on_any_coordinate_is_a_miss(self, corner, axis):
+        cache = QueryResultCache()
+        cache.put(_stored_box(), _result([4]))
+        assert cache.get(_widened_by_one_ulp(_stored_box(), corner, axis)) is None
+        np.testing.assert_array_equal(cache.get(_stored_box()), [4])
+
+    def test_signed_zero_corners_share_an_entry(self):
+        # float equality treats -0.0 and 0.0 alike, as np.array_equal does
+        cache = QueryResultCache()
+        cache.put(Box3D((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)), _result([5]))
+        np.testing.assert_array_equal(
+            cache.get(Box3D((-0.0, 0.0, -0.0), (1.0, 1.0, 1.0))), [5]
+        )
+
+    def test_near_identical_box_does_not_evict_its_neighbour(self):
+        cache = QueryResultCache()
+        neighbour = _widened_by_one_ulp(_stored_box(), "lo", 0)
+        cache.put(_stored_box(), _result([1]))
+        cache.put(neighbour, _result([1, 2]))
+        assert len(cache) == 2
+        np.testing.assert_array_equal(cache.get(_stored_box()), [1])
+        np.testing.assert_array_equal(cache.get(neighbour), [1, 2])
+        assert cache.stats().evictions == 0
+
+    def test_storing_equal_corners_again_replaces_the_entry(self):
+        cache = QueryResultCache()
+        cache.put(_stored_box(), _result([1, 2, 3]))
+        cache.put(_stored_box(), _result([7, 8]))
+        assert len(cache) == 1
+        np.testing.assert_array_equal(cache.get(_stored_box()), [7, 8])
+        # the replaced entry's box row was released: one entry to invalidate
+        assert cache.invalidate_deformation(
+            _sparse_delta(100, 0, (0.2, 0.3, 0.4), (0.25, 0.3, 0.4))
+        ) == 1
+        assert len(cache) == 0
 
 
 class TestDeformationInvalidation:
@@ -380,6 +445,108 @@ class TestBuildStrategy:
     def test_unknown_name_rejected(self):
         with pytest.raises(ExperimentError, match="unknown strategy"):
             build_strategy("btree")
+
+
+class _FailingQueries(LinearScanExecutor):
+    """A linear scan whose single-query path raises (index state gone bad)."""
+
+    def query(self, box):
+        raise RuntimeError("index state corrupted")
+
+
+def _vertex_at(mesh, point) -> int:
+    return int(np.argmin(np.linalg.norm(mesh.vertices - np.asarray(point), axis=1)))
+
+
+def _scan(mesh, box: Box3D) -> QueryResult:
+    """The reference answer: a linear scan of the live positions."""
+    scan = LinearScanExecutor()
+    scan.prepare(mesh)
+    return scan.query(box)
+
+
+class TestLadderAboveTheCache:
+    """``build_strategy`` puts the ladder above the cache, so the cache
+    invalidates from the delta the paranoid audit let through, and a
+    quarantined delta reaches it as the whole-mesh delta that replaces it."""
+
+    NEAR = Box3D((0.1, 0.1, 0.1), (0.5, 0.5, 0.5))
+    FAR = Box3D((0.7, 0.7, 0.7), (1.0, 1.0, 1.0))
+
+    @staticmethod
+    def _stack(mesh, name="linear-scan"):
+        strategy = build_strategy(name, caching=True, resilience="paranoid")
+        strategy.prepare(mesh)
+        strategy.drain_cache_stats()  # forget the prepare flush
+        return strategy
+
+    @staticmethod
+    def _move(mesh, vertex, new_position) -> DeformationDelta:
+        """Move one vertex in the mesh; the truthful delta of that step."""
+        old = mesh.vertices[vertex].copy()
+        mesh.displace_at(np.asarray([vertex]), np.asarray([new_position]) - old)
+        return _sparse_delta(mesh.n_vertices, vertex, old, new_position)
+
+    def test_quarantined_delta_flushes_instead_of_serving_a_stale_answer(self, grid_mesh):
+        mesh = grid_mesh.copy()
+        strategy = self._stack(mesh)
+        leaving = _vertex_at(mesh, (0.2, 0.2, 0.2))
+        assert leaving in strategy.query(self.NEAR).vertex_ids
+        # the vertex leaves the box, but the delta's dirty AABB lies far away
+        strategy.on_step(wrong_aabb_delta(self._move(mesh, leaving, (0.9, 0.9, 0.9))))
+        after = strategy.query(self.NEAR)
+        assert leaving not in after.vertex_ids
+        assert after.same_vertices_as(_scan(mesh, self.NEAR))
+        (event,) = strategy.drain_degradation_events()
+        assert (event.rung, event.reason) == ("quarantine", "dirty-box-mismatch")
+        stats = strategy.drain_cache_stats()
+        assert (stats.hits, stats.flushes) == (0, 1)
+
+    def test_quarantined_topology_delta_flushes_the_cache(self, grid_mesh):
+        mesh = grid_mesh.copy()
+        strategy = self._stack(mesh)
+        strategy.query_many([self.NEAR, self.FAR])
+        dirty = np.asarray([_vertex_at(mesh, (0.8, 0.8, 0.8))])
+        lying = lying_topology_delta(TopologyDelta.sparse(mesh.n_vertices, dirty, mesh.vertices))
+        strategy.on_restructure(lying)
+        (event,) = strategy.drain_degradation_events()
+        assert (event.operation, event.rung) == ("on_restructure", "quarantine")
+        assert len(strategy.inner.cache) == 0
+        assert strategy.drain_cache_stats().flushes == 1
+
+    def test_audited_delta_invalidates_only_the_entries_it_reaches(self, grid_mesh):
+        mesh = grid_mesh.copy()
+        strategy = self._stack(mesh)
+        strategy.query_many([self.NEAR, self.FAR])
+        strategy.on_step(self._move(mesh, _vertex_at(mesh, (0.2, 0.2, 0.2)), (0.25, 0.2, 0.2)))
+        results = strategy.query_many([self.NEAR, self.FAR])
+        for box, result in zip((self.NEAR, self.FAR), results):
+            assert result.same_vertices_as(_scan(mesh, box))
+        assert strategy.drain_degradation_events() == []
+        stats = strategy.drain_cache_stats()
+        assert (stats.hits, stats.invalidations, stats.flushes) == (1, 1, 0)
+
+    def test_hit_passes_through_the_ladder_with_zero_work(self, grid_mesh):
+        strategy = self._stack(grid_mesh.copy(), "octopus")
+        fresh = strategy.query(self.NEAR)
+        hit = strategy.query(self.NEAR)
+        assert hit.same_vertices_as(fresh)
+        assert hit.complete
+        assert hit.counters.crawl_vertices_visited == 0
+        assert strategy.drain_degradation_events() == []
+        assert strategy.drain_cache_stats().hits == 1
+
+    def test_scan_rung_answers_are_never_cached(self, grid_mesh):
+        mesh = grid_mesh.copy()
+        strategy = ResilientStrategy(CachingStrategy(_FailingQueries()))
+        strategy.prepare(mesh)
+        for _ in range(2):
+            assert strategy.query(self.NEAR).same_vertices_as(_scan(mesh, self.NEAR))
+        assert len(strategy.inner.cache) == 0
+        rungs = [event.rung for event in strategy.drain_degradation_events()]
+        assert rungs == ["scan", "scan"]
+        stats = strategy.drain_cache_stats()
+        assert (stats.hits, stats.misses) == (0, 2)
 
 
 class TestSessionProviders:

@@ -1,9 +1,36 @@
-"""Tests for the crawling and directed-walk phases."""
+"""Tests for the crawling and directed-walk phases.
+
+Besides the phases' results and counters, the bounds that make a per-query
+resource limit unnecessary are pinned here: the crawl touches only in-box
+vertices and their neighbours (Section IV-B), and the directed walk gets
+strictly closer to the box at every step, so it ends within ``n_vertices``
+steps (Section IV-D).
+"""
 
 import numpy as np
+import pytest
 
-from repro.core import QueryCounters, crawl, directed_walk
-from repro.mesh import Box3D, points_in_box
+from repro.core import QueryCounters, crawl, directed_walk, directed_walk_many
+from repro.mesh import Box3D, point_box_distance, points_in_box
+from repro.workloads import random_query_workload
+
+#: session meshes the traversal bounds are checked on: convex, non-convex
+#: with disconnected parts, irregular
+BOUND_MESHES = ["grid_mesh", "neuron_small", "delaunay_small"]
+
+
+def _neighbours(mesh, ids: np.ndarray) -> np.ndarray:
+    """Every neighbour id of ``ids`` (with duplicates), one CSR row per id."""
+    indptr, indices = mesh.adjacency.indptr, mesh.adjacency.indices
+    rows = [indices[indptr[v] : indptr[v + 1]] for v in ids.tolist()]
+    return np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
+
+
+def _walk_targets(mesh) -> list[Box3D]:
+    """Boxes on the mesh plus one far outside it, where the walk gets stuck."""
+    boxes = random_query_workload(mesh, selectivity=0.02, n_queries=5, seed=1).boxes
+    far = Box3D.cube(mesh.bounding_box().hi + 5.0, 0.1)
+    return [*boxes, far]
 
 
 class TestCrawl:
@@ -81,6 +108,29 @@ class TestCrawl:
                 break
         assert np.array_equal(outcome.result_ids, component)
 
+    @pytest.mark.parametrize("mesh_fixture", BOUND_MESHES)
+    def test_crawl_visits_only_its_starts_and_the_neighbours_of_its_result(
+        self, mesh_fixture, request
+    ):
+        mesh = request.getfixturevalue(mesh_fixture)
+        for box in random_query_workload(mesh, selectivity=0.05, n_queries=6, seed=1).boxes:
+            inside = np.nonzero(points_in_box(mesh.vertices, box))[0]
+            outside = np.nonzero(~points_in_box(mesh.vertices, box))[0]
+            starts = np.concatenate([inside[:2], outside[:1]])
+            outcome = crawl(mesh, box, starts)
+            assert np.all(points_in_box(mesh.vertices[outcome.result_ids], box))
+            touched = np.union1d(starts, _neighbours(mesh, outcome.result_ids))
+            assert outcome.n_vertices_visited == touched.size
+
+    @pytest.mark.parametrize("mesh_fixture", BOUND_MESHES)
+    def test_crawl_follows_the_edges_of_each_result_vertex_once(self, mesh_fixture, request):
+        mesh = request.getfixturevalue(mesh_fixture)
+        for box in random_query_workload(mesh, selectivity=0.05, n_queries=6, seed=2).boxes:
+            inside = np.nonzero(points_in_box(mesh.vertices, box))[0]
+            outcome = crawl(mesh, box, inside[:3])
+            # only in-box vertices are expanded, each exactly once
+            assert outcome.n_edges_followed == _neighbours(mesh, outcome.result_ids).size
+
 
 class TestDirectedWalk:
     def test_walk_reaches_enclosed_box(self, grid_mesh):
@@ -113,9 +163,32 @@ class TestDirectedWalk:
         assert counters.walk_distance_computations >= outcome.n_steps
 
     def test_walk_path_distances_monotonically_decrease(self, grid_mesh):
-        from repro.mesh import point_box_distance
-
         box = Box3D.cube((0.5, 0.5, 0.5), 0.1)
         outcome = directed_walk(grid_mesh, box, start_vertex=0)
         distances = [point_box_distance(grid_mesh.vertices[v], box) for v in outcome.path]
         assert all(b < a for a, b in zip(distances, distances[1:]))
+
+    @pytest.mark.parametrize("mesh_fixture", BOUND_MESHES)
+    def test_walk_never_revisits_and_ends_within_n_vertices_steps(self, mesh_fixture, request):
+        mesh = request.getfixturevalue(mesh_fixture)
+        starts = np.random.default_rng(0).integers(0, mesh.n_vertices, size=12)
+        for box in _walk_targets(mesh):
+            for start in starts.tolist():
+                outcome = directed_walk(mesh, box, start_vertex=start)
+                distances = [point_box_distance(mesh.vertices[v], box) for v in outcome.path]
+                assert all(b < a for a, b in zip(distances, distances[1:]))
+                assert len(set(outcome.path)) == outcome.n_steps <= mesh.n_vertices
+                if outcome.found_id is not None:
+                    assert outcome.found_id == outcome.path[-1]
+                    assert distances[-1] == 0.0
+
+    @pytest.mark.parametrize("mesh_fixture", BOUND_MESHES)
+    def test_fused_walk_rounds_are_bounded_by_its_longest_walk(self, mesh_fixture, request):
+        mesh = request.getfixturevalue(mesh_fixture)
+        boxes = _walk_targets(mesh)
+        starts = np.random.default_rng(1).integers(0, mesh.n_vertices, size=len(boxes))
+        batch = directed_walk_many(mesh, boxes, starts.tolist())
+        longest = max(outcome.n_steps for outcome in batch.outcomes)
+        # one round per accepted step, plus one for a walk that gets stuck
+        assert longest <= batch.n_rounds <= longest + 1 <= mesh.n_vertices + 1
+        assert batch.outcomes[-1].found_id is None  # the far box misses the mesh

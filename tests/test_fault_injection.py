@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 from seed_families import chaos_seed_family
 
-from repro.core import OctopusConExecutor, ResilientStrategy
+from repro.baselines import LinearScanExecutor
+from repro.core import OctopusConExecutor, ResilientStrategy, StrategyWrapper
 from repro.core.delta import DeformationDelta, TopologyDelta
 from repro.core.resilience import validate_delta, validate_topology_delta
 from repro.errors import DeltaValidationError, FaultInjectionError, ReproError, SimulationError
@@ -148,6 +149,83 @@ class TestFaultyBatchStrategy:
         assert wrapped.preprocessing_time == inner.preprocessing_time
         assert wrapped.name == inner.name
         assert wrapped.describe()["fault_plan_seed"] == 5
+
+    def test_is_a_strategy_wrapper_over_its_inner_strategy(self, grid_mesh):
+        inner = make_strategy("octopus")
+        wrapped = FaultyBatchStrategy(ResilientStrategy(inner), FaultPlan(seed=1))
+        assert isinstance(wrapped, StrategyWrapper)
+        assert wrapped.unwrap() is inner
+        mesh = grid_mesh.copy()
+        wrapped.prepare(mesh)
+        assert wrapped.mesh is mesh and inner.mesh is mesh
+        assert wrapped.memory_overhead_bytes() == inner.memory_overhead_bytes()
+
+    def test_maintenance_hooks_pass_deltas_through_untouched(self, grid_mesh):
+        # the plan corrupts deltas in the simulator; the wrapper only
+        # schedules batch exceptions, even at a step where one is due
+        mesh = grid_mesh.copy()
+        inner = _RecordingScan()
+        wrapped = FaultyBatchStrategy(
+            inner, FaultPlan(seed=0, probability=1.0, kinds=("batch-exception",))
+        )
+        wrapped.prepare(mesh)
+        wrapped.note_step(1)
+        step, topology = _sparse_delta(mesh), TopologyDelta.empty(mesh.n_vertices)
+        wrapped.on_step(step)
+        wrapped.on_restructure(topology)
+        assert inner.seen == [step, topology]
+        box = random_query_workload(mesh, selectivity=0.05, n_queries=1, seed=0).boxes[0]
+        assert wrapped.query(box).same_vertices_as(inner.query(box))
+        assert wrapped.n_injected == 0
+
+    def test_ledger_and_fused_record_are_the_inner_strategys(self, grid_mesh):
+        mesh = grid_mesh.copy()
+        inner = make_strategy("octopus")
+        wrapped = FaultyBatchStrategy(inner, FaultPlan(seed=2))
+        wrapped.prepare(mesh)
+        boxes = random_query_workload(mesh, selectivity=0.05, n_queries=3, seed=0).boxes
+        wrapped.query_many(boxes)
+        assert inner.last_fused_crawl is not None
+        assert wrapped.last_fused_crawl is inner.last_fused_crawl
+        wrapped.maintenance_entries = 9
+        assert inner.maintenance_entries == 9
+        inner.maintenance_time = 0.25
+        assert wrapped.maintenance_time == 0.25
+
+    def test_note_step_reaches_a_ladder_below(self, grid_mesh):
+        mesh = grid_mesh.copy()
+        wrapped = FaultyBatchStrategy(
+            ResilientStrategy(_FailingQueries()), FaultPlan(seed=3, probability=0.0)
+        )
+        wrapped.prepare(mesh)
+        wrapped.note_step(6)
+        box = random_query_workload(mesh, selectivity=0.05, n_queries=1, seed=0).boxes[0]
+        wrapped.query(box)
+        (event,) = wrapped.drain_degradation_events()
+        assert (event.rung, event.step) == ("scan", 6)
+
+
+class _RecordingScan(LinearScanExecutor):
+    """A linear scan that records the deltas its maintenance hooks receive."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.seen = []
+
+    def on_step(self, delta):
+        self.seen.append(delta)
+        return super().on_step(delta)
+
+    def on_restructure(self, delta):
+        self.seen.append(delta)
+        return super().on_restructure(delta)
+
+
+class _FailingQueries(LinearScanExecutor):
+    """A linear scan whose single-query path raises (index state gone bad)."""
+
+    def query(self, box):
+        raise RuntimeError("index state corrupted")
 
 
 def chaos_strategies(plan):

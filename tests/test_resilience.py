@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.baselines import LinearScanExecutor
-from repro.core import ResilientStrategy
+from repro.cache import CachingStrategy
+from repro.core import OctopusExecutor, ResilientStrategy
 from repro.core.delta import DeformationDelta, TopologyDelta
 from repro.core.resilience import (
     audit_adjacency,
@@ -23,6 +24,8 @@ from repro.errors import (
     QueryError,
 )
 from repro.mesh import Box3D
+from repro.simulation import FaultPlan, FaultyBatchStrategy
+from repro.standing import StandingStrategy
 from repro.workloads import random_query_workload
 
 
@@ -409,3 +412,33 @@ class TestResilientAccounting:
         record = wrapped.describe()
         assert record["resilient"] is True
         assert record["paranoid"] is True
+
+
+#: one constructor per StrategyWrapper subclass
+WRAPPERS = {
+    "resilient": lambda inner: ResilientStrategy(inner, paranoid=True),
+    "cached": CachingStrategy,
+    "standing": StandingStrategy,
+    "faulty-batch": lambda inner: FaultyBatchStrategy(inner, FaultPlan(seed=0)),
+}
+
+
+class TestWrapperLedger:
+    """Every wrapper reads and writes the one ledger of the strategy it wraps."""
+
+    @pytest.mark.parametrize("wrapper", sorted(WRAPPERS))
+    def test_wrapping_a_prepared_strategy_keeps_its_ledger(self, grid_mesh, wrapper):
+        inner = OctopusExecutor()
+        inner.prepare(grid_mesh.copy())
+        inner.maintenance_time = 0.5
+        inner.maintenance_entries = 17
+        ledger = (inner.preprocessing_time, 0.5, 17)
+        wrapped = WRAPPERS[wrapper](inner)
+        # the constructor must not zero the ledger through the forwarding setters
+        assert (inner.preprocessing_time, inner.maintenance_time, inner.maintenance_entries) == ledger
+        assert (
+            wrapped.preprocessing_time,
+            wrapped.maintenance_time,
+            wrapped.maintenance_entries,
+        ) == ledger
+        assert wrapped.mesh is inner.mesh
