@@ -4,17 +4,18 @@ Measures, on the fig05-style point-query workload (small boxes centred on
 random mesh vertices, microbenchmark-B selectivity):
 
 * **batched vs. sequential** — ``OctopusExecutor.query_many(boxes)`` against
-  the equivalent sequential ``query(box)`` loop (same executor, same boxes);
-* **scratch vs. naive crawl** — crawls reusing one :class:`CrawlScratch`
-  arena against crawls paying a fresh O(n_vertices) visited allocation per
-  query;
+  the equivalent ``query(box)`` loop (same executor, same boxes; ``query`` is
+  the same path for a batch of one);
+* **scratch vs. naive crawl** — one-box ``crawl_many`` calls reusing one
+  :class:`CrawlScratch` arena against one-box calls paying a fresh
+  O(n_vertices) visited allocation per query;
 * **fused vs. sequential crawl** — one shared-frontier ``crawl_many`` over an
-  overlapping-box batch against the equivalent per-box ``crawl`` loop (both
-  sides reusing a scratch arena), plus the fused work reduction (unique vs.
-  attributed vertex visits);
+  overlapping-box batch against one-box ``crawl_many`` calls of the same
+  boxes (both sides reusing a scratch arena), plus the fused work reduction
+  (unique vs. attributed vertex visits);
 * **fused vs. sequential walk** — one lockstep ``directed_walk_many`` over an
-  overlapping batch of interior boxes against the equivalent per-box
-  ``directed_walk`` loop, plus the walk-phase work sharing;
+  overlapping batch of interior boxes against one-box
+  ``directed_walk_many`` calls, plus the walk-phase work sharing;
 * **sparse deformation maintenance** — delta-keyed incremental maintenance
   (``on_step(delta)`` with an explicit moved set) against the full-recompute
   reference (the same strategy driven with ``delta.as_full()``), for the
@@ -72,9 +73,7 @@ from repro.core import (  # noqa: E402
     OctopusConExecutor,
     OctopusExecutor,
     ResilientStrategy,
-    crawl,
     crawl_many,
-    directed_walk,
     directed_walk_many,
 )
 from repro.experiments.datasets import neuron_largest  # noqa: E402
@@ -190,13 +189,13 @@ def bench_scratch_vs_naive_crawl(mesh, boxes) -> dict:
 
     def naive():
         for box, starts in zip(boxes, start_sets):
-            crawl(mesh, box, starts)  # fresh O(n_vertices) arena per call
+            crawl_many(mesh, [box], [starts])  # fresh O(n_vertices) arena per call
 
     scratch = CrawlScratch()
 
     def reused():
         for box, starts in zip(boxes, start_sets):
-            crawl(mesh, box, starts, scratch=scratch)
+            crawl_many(mesh, [box], [starts], scratch=scratch)
 
     naive_time, scratch_time = _best_of_interleaved(N_ROUNDS, naive, reused)
     return {
@@ -208,7 +207,7 @@ def bench_scratch_vs_naive_crawl(mesh, boxes) -> dict:
 
 
 def bench_fused_vs_sequential_crawl(mesh) -> dict:
-    """Fused multi-query crawl on an overlapping-box batch vs. per-box crawls."""
+    """Fused multi-query crawl on an overlapping-box batch vs. one-box crawls."""
     rng = np.random.default_rng(7)
     diagonal = float(np.linalg.norm(mesh.bounding_box().extents))
     center = mesh.vertices[mesh.n_vertices // 2]
@@ -225,7 +224,7 @@ def bench_fused_vs_sequential_crawl(mesh) -> dict:
 
     def sequential():
         for box, starts in zip(boxes, start_sets):
-            crawl(mesh, box, starts, scratch=sequential_scratch)
+            crawl_many(mesh, [box], [starts], scratch=sequential_scratch)
 
     fused_scratch = CrawlScratch()
 
@@ -236,7 +235,7 @@ def bench_fused_vs_sequential_crawl(mesh) -> dict:
 
     batch = crawl_many(mesh, boxes, start_sets, scratch=fused_scratch)
     independent = [
-        crawl(mesh, box, starts, scratch=sequential_scratch)
+        crawl_many(mesh, [box], [starts], scratch=sequential_scratch).outcomes[0]
         for box, starts in zip(boxes, start_sets)
     ]
     assert all(
@@ -257,7 +256,7 @@ def bench_fused_vs_sequential_crawl(mesh) -> dict:
 
 
 def bench_fused_vs_sequential_walk(mesh) -> dict:
-    """Fused lockstep walks on an overlapping interior batch vs. per-box walks.
+    """Fused lockstep walks on an overlapping interior batch vs. one-box walks.
 
     All walks start from the same surface vertex (the batched executor's
     probe-miss pattern on enclosed queries) towards small interior boxes
@@ -281,7 +280,7 @@ def bench_fused_vs_sequential_walk(mesh) -> dict:
 
     def sequential():
         for box in boxes:
-            directed_walk(mesh, box, start, scratch=sequential_scratch)
+            directed_walk_many(mesh, [box], [start], scratch=sequential_scratch)
 
     fused_scratch = CrawlScratch()
 
@@ -292,7 +291,8 @@ def bench_fused_vs_sequential_walk(mesh) -> dict:
 
     batch = directed_walk_many(mesh, boxes, starts, scratch=fused_scratch)
     independent = [
-        directed_walk(mesh, box, start, scratch=sequential_scratch) for box in boxes
+        directed_walk_many(mesh, [box], [start], scratch=sequential_scratch).outcomes[0]
+        for box in boxes
     ]
     assert all(
         a.found_id == b.found_id and a.n_steps == b.n_steps

@@ -26,7 +26,7 @@ import numpy as np
 
 from ..errors import ExperimentError
 from ..mesh import PolyhedralMesh, points_in_box
-from .crawler import crawl
+from .crawler import crawl_many
 
 __all__ = ["CostModel", "calibrate_cost_model"]
 
@@ -138,7 +138,7 @@ def calibrate_cost_model(mesh: PolyhedralMesh, n_repeats: int = 3) -> CostModel:
     start_vertex = surface_ids[:1] if surface_ids.size else np.asarray([0])
     for _ in range(n_repeats):
         start = time.perf_counter()
-        outcome = crawl(mesh, box, start_vertex)
+        outcome = crawl_many(mesh, [box], [start_vertex]).outcomes[0]
         crawl_seconds.append(time.perf_counter() - start)
         accesses = max(outcome.n_vertices_visited + outcome.n_edges_followed, 1)
     cr = float(np.median(crawl_seconds) / accesses)

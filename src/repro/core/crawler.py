@@ -7,30 +7,28 @@ of vertices and edges visited therefore depends only on the query selectivity
 and the mesh degree — not on the dataset size — which is the source of
 OCTOPUS's sub-linear scaling.
 
-The frontier expansion is vectorised: all neighbours of the current frontier
-are gathered with one CSR slice-gather, deduplicated, and tested against the
-box in a single NumPy operation.  The visit order differs from a textbook
-queue-based BFS but the set of visited vertices (and hence the result and the
-work counters) is identical.
+:func:`crawl_many` crawls a whole *batch* of boxes — one box is a batch of
+one — as one shared-frontier BFS: each vertex carries a row of ``uint64``
+ownership words — bit ``q % 64`` of word ``q // 64`` means "in query ``q``'s
+BFS" — and every level expands the *union* frontier with a single CSR
+gather, a single deduplication, and a single broadcasted position test.  The
+word axis widens with the batch, so a single fused crawl serves arbitrarily
+large batches (there is no 64-query grouping).  The visit order differs from
+a textbook queue-based BFS but the set of visited vertices (and hence the
+result and the work counters) is identical.
 
-Per-query memory is O(frontier + result) when the caller supplies a
-:class:`~repro.core.scratch.CrawlScratch`: the visited test uses the scratch's
-epoch-stamped arena instead of a fresh O(n_vertices) bitmap, so repeated
-queries on a prepared executor never pay a dataset-size allocation.
+Per-query memory is O(frontier + result): the visited test reads the
+epoch-stamped arena of a :class:`~repro.core.scratch.CrawlScratch` instead of
+a fresh O(n_vertices) bitmap, so repeated queries on a prepared executor
+never pay a dataset-size allocation.
 
-:func:`crawl_many` fuses a whole *batch* of crawls into one shared-frontier
-BFS: each vertex carries a row of ``uint64`` ownership words — bit ``q % 64``
-of word ``q // 64`` means "in query ``q``'s BFS" — and every level expands the
-*union* frontier with a single CSR gather, a single deduplication, and a
-single broadcasted position test.  The word axis widens with the batch, so a
-single fused crawl serves arbitrarily large batches (there is no 64-query
-grouping).  Overlapping boxes share the work of walking the same mesh region,
-while the ownership bitmask keeps per-query counters exactly attributable:
-each query's reported vertex visits and edge follows are bit-identical to
-what an independent :func:`crawl` would have counted, and they sum to the
-batch's attributed work (each fused operation counted once per owning query).
-The *unique* fused work — the operations the machine actually performed — is
-reported separately and is never larger than the attributed total.
+Overlapping boxes share the work of walking the same mesh region, while the
+ownership bitmask keeps per-query counters exactly attributable: a box's
+vertex visits, edge follows and result do not depend on the other boxes of
+its batch, and they sum to the batch's attributed work (each fused operation
+counted once per owning query).  The *unique* fused work — the operations
+the machine actually performed — is reported separately and is never larger
+than the attributed total.
 """
 
 from __future__ import annotations
@@ -40,32 +38,27 @@ from typing import Sequence
 import numpy as np
 
 from ..kernels import KERNELS
-from ..mesh import (
-    Box3D,
-    PolyhedralMesh,
-    boxes_to_arrays,
-    csr_gather,
-    points_in_box,
-)
+from ..mesh import Box3D, PolyhedralMesh, boxes_to_arrays, csr_gather
+from ..mesh.adjacency import sorted_unique
 from .result import QueryCounters
 from .scratch import CrawlScratch
 
-__all__ = ["crawl", "crawl_many", "CrawlOutcome", "BatchCrawlOutcome"]
+__all__ = ["crawl_many", "CrawlOutcome", "BatchCrawlOutcome"]
 
 #: queries per ownership word (the bit width of one uint64); batches larger
 #: than this widen the per-vertex ownership row instead of being chunked
 GROUP_SIZE = 64
 
-#: cap on the (candidates x queries) attribution transients one fused-crawl
-#: level materialises (boolean membership matrices and their int64 edge
-#: products); the candidate axis is chunked to stay under it, so
+#: cap on the (rows x queries) boolean membership transients the fused crawl
+#: materialises (the position tests of one level, the per-query visit count
+#: at the end of the batch); the row axis is chunked to stay under it, so
 #: multi-thousand-query batches on large meshes keep a bounded scratch
-#: footprint instead of allocating n_frontier x n_queries at once
+#: footprint instead of allocating n_rows x n_queries at once
 _ATTRIBUTION_BUDGET = 4_000_000
 
 
 def _attribution_chunk(n_queries: int) -> int:
-    """Candidate-axis chunk size keeping one attribution transient under budget."""
+    """Row-axis chunk size keeping one attribution transient under budget."""
     return max(1, _ATTRIBUTION_BUDGET // max(n_queries, 1))
 
 
@@ -82,103 +75,14 @@ class CrawlOutcome:
         self.n_edges_followed = n_edges_followed
 
 
-def _gather_neighbors(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    frontier: np.ndarray,
-    scratch: CrawlScratch | None = None,
-    return_counts: bool = False,
-) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """All neighbour ids of the frontier vertices (with duplicates).
-
-    With ``return_counts`` the per-frontier-vertex neighbour counts (vertex
-    degrees) are returned alongside, in frontier order — the fused crawl uses
-    them to attribute the shared gather to the owning queries.
-    """
-    neighbors, counts = csr_gather(
-        indptr, indices, frontier, ramp=scratch.iota if scratch is not None else None
-    )
-    return (neighbors, counts) if return_counts else neighbors
-
-
-def crawl(
-    mesh: PolyhedralMesh,
-    box: Box3D,
-    start_vertices: np.ndarray,
-    counters: QueryCounters | None = None,
-    scratch: CrawlScratch | None = None,
-) -> CrawlOutcome:
-    """Breadth-first crawl of the mesh restricted to the query box.
-
-    Parameters
-    ----------
-    mesh:
-        The mesh whose *current* vertex positions define "inside the box".
-    box:
-        The range query.
-    start_vertices:
-        Candidate starting vertex ids.  Vertices outside the box are filtered
-        out (they contribute position tests to the counters but are not
-        expanded), so callers may pass the raw surface-probe output.
-    counters:
-        Optional counter record updated in place.
-    scratch:
-        Reusable arena for the visited test and gather buffers.  When omitted
-        a throwaway arena is allocated, which restores the old
-        one-allocation-per-call behaviour; executors pass their own so
-        repeated queries allocate only O(frontier + result) memory.
-    """
-    adjacency = mesh.adjacency
-    positions = mesh.vertices
-    indptr, indices = adjacency.indptr, adjacency.indices
-
-    starts = np.unique(np.asarray(start_vertices, dtype=np.int64))
-    n_vertices_visited = 0
-    n_edges_followed = 0
-    if starts.size == 0:
-        return CrawlOutcome(np.empty(0, dtype=np.int64), 0, 0)
-
-    if scratch is None:
-        scratch = CrawlScratch()
-    stamps, epoch = scratch.acquire(mesh.n_vertices)
-    stamps[starts] = epoch
-    inside_mask = points_in_box(positions[starts], box)
-    n_vertices_visited += int(starts.size)
-    frontier = starts[inside_mask]
-    collected = [frontier]
-
-    while frontier.size:
-        scratch.check_epoch(epoch)
-        neighbors = _gather_neighbors(indptr, indices, frontier, scratch)
-        n_edges_followed += int(neighbors.size)
-        if neighbors.size == 0:
-            break
-        candidates = np.unique(neighbors)
-        candidates = candidates[stamps[candidates] != epoch]
-        if candidates.size == 0:
-            break
-        stamps[candidates] = epoch
-        n_vertices_visited += int(candidates.size)
-        inside = points_in_box(positions[candidates], box)
-        frontier = candidates[inside]
-        if frontier.size:
-            collected.append(frontier)
-
-    result_ids = np.sort(np.concatenate(collected)) if collected else np.empty(0, dtype=np.int64)
-    if counters is not None:
-        counters.crawl_vertices_visited += n_vertices_visited
-        counters.crawl_edges_followed += n_edges_followed
-    return CrawlOutcome(result_ids, n_vertices_visited, n_edges_followed)
-
-
 class BatchCrawlOutcome:
     """Per-query outcomes of a fused crawl plus the batch's work accounting.
 
     Attributes
     ----------
     outcomes:
-        One :class:`CrawlOutcome` per query, in order, bit-identical (result
-        ids and counters) to independent :func:`crawl` calls.
+        One :class:`CrawlOutcome` per query, in order; each equals (result
+        ids and counters) the outcome of crawling its box alone.
     n_unique_vertices_visited / n_unique_edges_followed:
         The work the fused BFS actually performed: vertices stamped and edges
         gathered over *union* frontiers, each counted once no matter how many
@@ -187,12 +91,12 @@ class BatchCrawlOutcome:
         BFS level.
     n_attributed_vertex_visits / n_attributed_edge_follows:
         The same work counted once per *owning query* — exactly the sum of the
-        per-query counters, which is also what the sequential crawls would
-        have performed in total.
+        per-query counters, which is also what one-box crawls of the same
+        boxes would have performed in total.
     n_unique_walk_distance_computations / n_attributed_walk_distance_computations:
-        The walk-phase analogue, filled by the executors when the batch's
-        directed walks also ran fused
-        (:func:`~repro.core.directed_walk.directed_walk_many`): unique counts
+        The walk-phase analogue, filled by the executors from the batch's
+        fused walks (:func:`~repro.core.directed_walk.directed_walk_many`):
+        unique counts
         each candidate position gathered per lockstep round once, attributed
         counts it once per walking query — exactly the sum of the per-query
         ``walk_distance_computations`` counters.  Zero when no query in the
@@ -232,7 +136,7 @@ def _or_duplicates(ids: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, np.nd
     """
     order = np.argsort(ids)
     sorted_ids = ids[order]
-    sorted_bits = bits[order]
+    sorted_bits = bits.take(order, axis=0)
     boundaries = np.empty(sorted_ids.size, dtype=bool)
     boundaries[0] = True
     np.not_equal(sorted_ids[1:], sorted_ids[:-1], out=boundaries[1:])
@@ -310,59 +214,46 @@ def _crawl_fused(
     Returns the per-query outcomes plus the batch's unique (fused) vertex and
     edge work and the ownership-row width in words.  The BFS is
     level-synchronised: level ``k`` of every query runs in the same iteration,
-    so each query's stamp/visit/expand sequence is exactly the one its
-    independent crawl would have executed.
+    so each query's stamp/visit/expand sequence is exactly the one a crawl of
+    its box alone would have executed.
     """
     n_queries = len(start_lists)
     bits = _OwnershipBits(n_queries)
     stamps, words, epoch = scratch.acquire_batch(n_vertices, bits.n_words)
     word_columns = words[:, : bits.n_words]
+    chunk = _attribution_chunk(n_queries)
 
-    visited_per_query = np.zeros(n_queries, dtype=np.int64)
-    edges_per_query = np.zeros(n_queries, dtype=np.int64)
-    unique_visited = 0
     unique_edges = 0
+    fresh_levels: list[np.ndarray] = []
     level_ids: list[np.ndarray] = []
     level_bits: list[np.ndarray] = []
 
     def stamp_and_test(candidates: np.ndarray, reach_bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Stamp newly reached (vertex, query) pairs, count them, test positions.
+        """Stamp newly reached (vertex, query) pairs and test positions.
 
         Returns the next union frontier (vertices inside at least one owning
         box) and its ownership rows.  The loop itself is
         :meth:`repro.kernels.KernelBackend.crawl_stamp_and_test`, which runs
-        the per-query attribution and the position tests in candidate-axis
-        chunks so the expanded ``(candidates, n_queries)`` boolean
-        transients stay under ``_ATTRIBUTION_BUDGET`` however large the
-        batch is.
+        the position tests in candidate-axis chunks so the expanded
+        ``(candidates, n_queries)`` boolean transients stay under
+        ``_ATTRIBUTION_BUDGET`` however large the batch is.
         """
-        nonlocal unique_visited
-        frontier, frontier_bits, n_fresh = KERNELS.crawl_stamp_and_test(
-            candidates,
-            reach_bits,
-            stamps,
-            word_columns,
-            epoch,
-            positions,
-            los,
-            his,
-            bits,
-            visited_per_query,
-            _attribution_chunk(n_queries),
+        frontier, frontier_bits, fresh = KERNELS.crawl_stamp_and_test(
+            candidates, reach_bits, stamps, word_columns, epoch, positions, los, his, bits, chunk
         )
-        unique_visited += n_fresh
+        fresh_levels.append(fresh)
         if frontier.size:
             level_ids.append(frontier)
             level_bits.append(frontier_bits)
         return frontier, frontier_bits
 
-    # Level 0: each query's deduplicated start vertices, merged into one
-    # ownership-tagged union (a start shared by several queries is stamped,
-    # counted, and position-tested once for all of them).
+    # Level 0: every query's start vertices, merged into one deduplicated,
+    # ownership-tagged union (a start listed twice, or shared by several
+    # queries, is stamped, counted, and position-tested once).
     id_chunks: list[np.ndarray] = []
     bit_chunks: list[np.ndarray] = []
     for query_index, raw_starts in enumerate(start_lists):
-        starts = np.unique(np.asarray(raw_starts, dtype=np.int64))
+        starts = np.asarray(raw_starts, dtype=np.int64)
         if starts.size:
             id_chunks.append(starts)
             bit_chunks.append(
@@ -376,17 +267,7 @@ def _crawl_fused(
 
         while frontier.size:
             scratch.check_batch_epoch(epoch)
-            neighbors, degrees = _gather_neighbors(
-                indptr, indices, frontier, scratch, return_counts=True
-            )
-            # Edge attribution in frontier-axis chunks: the expanded
-            # (frontier, n_queries) int64 product is the largest transient of
-            # the fused crawl, so it is the most important one to bound.
-            chunk = _attribution_chunk(n_queries)
-            for lo in range(0, frontier.size, chunk):
-                hi = lo + chunk
-                owned = bits.owned_matrix(frontier_bits[lo:hi])
-                edges_per_query += (degrees[lo:hi, None] * owned).sum(axis=0)
+            neighbors, degrees = csr_gather(indptr, indices, frontier, ramp=scratch.iota)
             unique_edges += int(neighbors.size)
             if neighbors.size == 0:
                 break
@@ -394,12 +275,25 @@ def _crawl_fused(
             candidates, reach_bits = _or_duplicates(neighbors, neighbor_bits)
             frontier, frontier_bits = stamp_and_test(candidates, reach_bits)
 
+    # Attribution, once per batch.  A query visited a vertex iff its bit is
+    # set in the vertex's final ownership row, so its visit count is one
+    # popcount column over the rows stamped this batch (a row stamped at two
+    # levels, for different queries, is counted once).  A query follows the
+    # edges of every vertex it expands, which are exactly its result ids.
+    unique_visited = sum(int(fresh.size) for fresh in fresh_levels)
+    visited_per_query = np.zeros(n_queries, dtype=np.int64)
+    if unique_visited:
+        visited = sorted_unique(np.concatenate(fresh_levels))
+        for lo in range(0, visited.size, chunk):
+            rows = word_columns[visited[lo : lo + chunk]]
+            visited_per_query += bits.owned_matrix(rows).sum(axis=0)
     if level_ids:
         all_ids = np.concatenate(level_ids)
         all_bits = np.concatenate(level_bits)
     else:
         all_ids = np.empty(0, dtype=np.int64)
         all_bits = np.empty((0, bits.n_words), dtype=np.uint64)
+    all_degrees = indptr[all_ids + 1] - indptr[all_ids]
     outcomes = []
     for query_index in range(n_queries):
         mask = bits.query_mask(all_bits, query_index)
@@ -407,7 +301,7 @@ def _crawl_fused(
             CrawlOutcome(
                 np.sort(all_ids[mask]),
                 int(visited_per_query[query_index]),
-                int(edges_per_query[query_index]),
+                int(all_degrees[mask].sum()),
             )
         )
     return outcomes, unique_visited, unique_edges, bits.n_words
@@ -426,9 +320,9 @@ def crawl_many(
     boxes share CSR gathers, deduplication, and position tests instead of
     re-walking the same region once per query.  Ownership is tracked with
     multi-word per-vertex bitsets (``ceil(n_queries / 64)`` ``uint64`` words),
-    so the whole batch — however large — executes as **one** fused crawl;
-    results and per-query counters are bit-identical to calling :func:`crawl`
-    once per box with the same start vertices.
+    so the whole batch — however large — executes as **one** fused crawl.
+    Each box's result and counters equal those of a one-box call with the
+    same start vertices: they do not depend on the rest of the batch.
 
     Parameters
     ----------

@@ -7,27 +7,24 @@ towards the box until it either enters the box (success: the reached vertex
 seeds the crawl) or can no longer get closer (the query does not intersect the
 mesh; the result is empty).
 
-Each step is vectorised: the current vertex's neighbours come out of one CSR
-gather, their box distances out of one NumPy pass, and the closest strict
-improvement becomes the next vertex — the paper's single-vertex greedy walk
-(Algorithm 1), with its stuck condition and work counters.  The box distance
-strictly falls at every accepted step, so no vertex is visited twice and a
-walk ends within ``n_vertices`` steps.
+Each step is the paper's single-vertex greedy step (Algorithm 1): the current
+vertex's neighbours come out of one CSR gather, their box distances out of one
+NumPy pass, and the closest strict improvement becomes the next vertex; no
+candidate strictly closer means the walk is stuck.  The box distance strictly
+falls at every accepted step, so no vertex is visited twice and a walk ends
+within ``n_vertices`` steps.  A walk may start from several vertices
+(multi-source): it begins at the one closest to the box.
 
-The walk also accepts multiple start vertices (multi-source): it begins at the
-one closest to the box.
-
-:func:`directed_walk_many` fuses the walks of a whole query batch: all
-per-box walks advance in lockstep, so each round performs **one** CSR
-neighbour gather over the union of the active walkers' current vertices and
-**one** vectorised distance kernel over all (query, candidate) pairs —
-per-query work (dedup, strict-improvement test, closest-candidate selection)
-operates on segment views of those shared arrays.  Candidate positions are
-gathered once per distinct vertex per round, however many queries reach it,
-which is the batch's *unique* walk work; the per-query counters remain
-bit-identical to sequential :func:`directed_walk` calls and sum to the
-*attributed* work.  The per-query walk state is a handful of arrays the size
-of the batch, allocated per call.
+:func:`directed_walk_many` walks a whole query batch — one box is a batch of
+one — in lockstep, so each round performs **one** CSR neighbour gather over
+the union of the active walkers' current vertices and **one** vectorised
+distance kernel over all (query, candidate) pairs; per-query work (dedup,
+strict-improvement test, closest-candidate selection) operates on segment
+views of those shared arrays.  Candidate positions are gathered once per
+distinct vertex per round, however many queries reach it, which is the
+batch's *unique* walk work; each walk's seed, path and counters do not depend
+on the rest of the batch and sum to the *attributed* work.  The per-query
+walk state is a handful of arrays the size of the batch, allocated per call.
 """
 
 from __future__ import annotations
@@ -37,17 +34,12 @@ from typing import Sequence
 import numpy as np
 
 from ..kernels import KERNELS
-from ..mesh import Box3D, PolyhedralMesh, boxes_to_arrays, csr_gather, points_box_distance
-from .crawler import BatchCrawlOutcome, _gather_neighbors
+from ..mesh import Box3D, PolyhedralMesh, boxes_to_arrays, csr_gather
+from .crawler import BatchCrawlOutcome
 from .result import QueryCounters
 from .scratch import CrawlScratch
 
-__all__ = [
-    "directed_walk",
-    "directed_walk_many",
-    "WalkOutcome",
-    "BatchWalkOutcome",
-]
+__all__ = ["directed_walk_many", "WalkOutcome", "BatchWalkOutcome"]
 
 
 class WalkOutcome:
@@ -81,9 +73,9 @@ class BatchWalkOutcome:
     Attributes
     ----------
     outcomes:
-        One :class:`WalkOutcome` per query, in order, bit-identical (seed
-        vertex, step count, path, counters) to independent
-        :func:`directed_walk` calls.
+        One :class:`WalkOutcome` per query, in order; each equals (seed
+        vertex, step count, path, counters) the outcome of walking its box
+        alone.
     n_unique_distance_computations:
         Candidate positions the fused walk actually gathered and evaluated:
         per lockstep round, each distinct candidate vertex counts once no
@@ -93,12 +85,12 @@ class BatchWalkOutcome:
     n_attributed_distance_computations:
         The same evaluations counted once per owning query — exactly the sum
         of the per-query ``walk_distance_computations`` counters, which is
-        what the sequential walks would have performed in total.
+        what one-box walks of the same boxes would have performed in total.
     n_rounds:
         Lockstep iterations executed (shared CSR gathers + shared distance
-        kernels, including the start-distance round); the sequential
-        equivalent is the *sum* of the per-query step counts, the fused walk
-        pays the *maximum*.
+        kernels, including the start-distance round); one-box walks pay the
+        *sum* of the per-query step counts, the fused walk pays the
+        *maximum*.
     n_unique_csr_gather_entries / n_attributed_csr_gather_entries:
         Adjacency entries the fused walk's CSR gathers physically read vs.
         what per-query gathers would have read: per round, the frontier is
@@ -135,76 +127,6 @@ class BatchWalkOutcome:
         )
 
 
-def directed_walk(
-    mesh: PolyhedralMesh,
-    box: Box3D,
-    start_vertex: int | np.ndarray,
-    counters: QueryCounters | None = None,
-    scratch: CrawlScratch | None = None,
-) -> WalkOutcome:
-    """Greedy walk along mesh edges towards the query box.
-
-    Parameters
-    ----------
-    mesh:
-        Mesh providing adjacency and *current* positions.
-    box:
-        Target query box.
-    start_vertex:
-        Vertex id — or array of vertex ids (multi-source) — to start walking
-        from (typically the surface vertex closest to the box, or the vertex
-        suggested by the stale grid in OCTOPUS-CON).
-    counters:
-        Optional counter record updated in place.
-    scratch:
-        Optional shared arena whose gather buffers the CSR neighbour gather
-        reuses.
-    """
-    adjacency = mesh.adjacency
-    positions = mesh.vertices
-    indptr, indices = adjacency.indptr, adjacency.indices
-
-    starts = np.unique(np.atleast_1d(np.asarray(start_vertex, dtype=np.int64)))
-    if starts.size == 0:
-        return WalkOutcome(None, 0, [])
-    start_distances = points_box_distance(positions[starts], box)
-    n_distance = int(starts.size)
-    pick = np.argsort(start_distances)[0]
-    best_distance = float(start_distances[pick])
-    best_id = int(starts[pick])
-    n_steps = 1
-    path = [best_id]
-
-    found: int | None = best_id if best_distance == 0.0 else None
-    while found is None:
-        frontier = np.array([best_id], dtype=np.int64)
-        neighbors = _gather_neighbors(indptr, indices, frontier, scratch)
-        if neighbors.size == 0:
-            break
-        candidates = np.unique(neighbors)
-        distances = points_box_distance(positions[candidates], box)
-        n_distance += int(candidates.size)
-        improving = distances < best_distance
-        if not improving.any():
-            # No candidate is strictly closer: the walk is stuck, meaning the
-            # query box does not intersect the mesh (Algorithm 1).
-            break
-        candidates = candidates[improving]
-        distances = distances[improving]
-        pick = np.argsort(distances)[0]
-        best_distance = float(distances[pick])
-        best_id = int(candidates[pick])
-        n_steps += 1
-        path.append(best_id)
-        if best_distance == 0.0:
-            found = best_id
-
-    if counters is not None:
-        counters.walk_vertices_visited += n_steps
-        counters.walk_distance_computations += n_distance
-    return WalkOutcome(found, n_steps, path)
-
-
 def directed_walk_many(
     mesh: PolyhedralMesh,
     boxes: Sequence[Box3D],
@@ -218,9 +140,9 @@ def directed_walk_many(
     neighbour gather over the union of the active walkers' current vertices
     and one vectorised distance kernel over all (query, candidate) pairs,
     then every active query picks its next vertex from a segment view of the
-    shared arrays.  Seed vertices, step counts, paths and counters are
-    bit-identical to calling :func:`directed_walk` once per box with the same
-    arguments.
+    shared arrays.  Each box's seed vertex, step count, path and counters
+    equal those of a one-box call with the same start: they do not depend on
+    the rest of the batch.
 
     Parameters
     ----------
@@ -262,7 +184,7 @@ def directed_walk_many(
 
     # Per-query walk state: the closest vertex so far (each round's frontier
     # is best_id[active]), the vertex reached inside the box (-1 while
-    # searching) and the work counters the sequential walk would report.
+    # searching) and the work counters.
     best_distance = np.full(n_queries, np.inf)
     best_id = np.full(n_queries, -1, dtype=np.int64)
     found = np.full(n_queries, -1, dtype=np.int64)
@@ -272,11 +194,8 @@ def directed_walk_many(
     paths: list[list[int]] = [[] for _ in range(n_queries)]
 
     def step(query: int, candidates: np.ndarray, distances: np.ndarray) -> None:
-        """Accept a step for ``query``: the closest candidate of its segment.
-
-        Mirrors the sequential walk exactly: arg-sorted closest candidate,
-        best-so-far update, path append, found bookkeeping.
-        """
+        """Accept a step for ``query``: the closest candidate of its segment
+        (arg-sorted), best-so-far update, path append, found bookkeeping."""
         pick = np.argsort(distances)[0]
         best_distance[query] = float(distances[pick])
         best_id[query] = int(candidates[pick])
@@ -325,8 +244,8 @@ def directed_walk_many(
         # gathered once, and the per-entry views are fanned back out with a
         # second (cheap, index-space) CSR gather over the unique slices.
         unique_frontier, inverse = np.unique(best_id[active_queries], return_inverse=True)
-        unique_neighbors, unique_degrees = _gather_neighbors(
-            indptr, indices, unique_frontier, scratch, return_counts=True
+        unique_neighbors, unique_degrees = csr_gather(
+            indptr, indices, unique_frontier, ramp=scratch.iota
         )
         if unique_neighbors.size == 0:
             active[active_queries] = False

@@ -13,8 +13,9 @@ A query is answered in three phases:
    vertices, restricted to the query box.
 
 Phases 2–3 are shared with OCTOPUS-CON (Section IV-F), which only swaps the
-probe for a stale-grid lookup: :class:`_SeedWalkCrawl` implements ``query``
-and ``query_many`` once over a seed phase each executor supplies.
+probe for a stale-grid lookup: :class:`_SeedWalkCrawl` implements one query
+path over a seed phase each executor supplies, and ``query`` is that path
+for a batch of one.
 
 Because phases 1–3 read vertex positions directly from the mesh at query time,
 OCTOPUS needs **no maintenance whatsoever** when the simulation deforms the
@@ -34,9 +35,9 @@ import numpy as np
 
 from ..errors import QueryError
 from ..mesh import Box3D
-from .crawler import BatchCrawlOutcome, CrawlOutcome, crawl, crawl_many
+from .crawler import BatchCrawlOutcome, CrawlOutcome, crawl_many
 from .delta import TopologyDelta
-from .directed_walk import directed_walk, directed_walk_many
+from .directed_walk import directed_walk_many
 from .executor import ExecutionStrategy
 from .resilience import check_query_box, check_query_boxes
 from .result import QueryCounters, QueryResult
@@ -49,11 +50,12 @@ __all__ = ["OctopusExecutor"]
 class _SeedWalkCrawl(ExecutionStrategy):
     """Phases 2–3 of Algorithm 1 behind an executor-specific seed phase.
 
-    A subclass supplies the seeds of a box — in-box crawl start vertices, or
-    else a vertex to walk from — through :meth:`_seeds` and
+    A subclass supplies the seeds of a batch of boxes — per box, in-box crawl
+    start vertices, or else a vertex to walk from — through
     :meth:`_seeds_many`.  This class walks wherever a box's seeds hold no
     in-box start vertex, crawls, and reports the seed phase as
-    ``probe_time``.  A result is complete when :attr:`_exact` holds.
+    ``probe_time``.  ``query(box)`` is a batch of one: it takes the same
+    path as ``query_many``.  A result is complete when :attr:`_exact` holds.
     """
 
     #: whether the walk and crawl return the linear-scan answer
@@ -65,7 +67,7 @@ class _SeedWalkCrawl(ExecutionStrategy):
         #: CrawlScratch per thread keeps concurrent queries off each other's
         #: stamps — see the thread-safety contract in repro.core.scratch
         self._scratch = ThreadLocalScratch()
-        #: fused-crawl accounting of the most recent query_many() batch
+        #: fused-crawl accounting of the most recent query or batch
         self.last_fused_crawl: BatchCrawlOutcome | None = None
 
     @property
@@ -77,67 +79,40 @@ class _SeedWalkCrawl(ExecutionStrategy):
     # the seed phase (supplied by subclasses)
     # ------------------------------------------------------------------
     @abstractmethod
-    def _seeds(self, box: Box3D, counters: QueryCounters) -> tuple[np.ndarray, int | None]:
-        """One box's crawl start vertices, or (when there are none) the
-        vertex to walk from (``None``: nothing to walk from)."""
-
-    @abstractmethod
     def _seeds_many(
         self, box_list: list[Box3D], counters_list: list[QueryCounters]
-    ) -> tuple[list[np.ndarray], list[int | None], list[float]] | None:
-        """:meth:`_seeds` for a batch, plus each box's seed-phase seconds.
-
-        ``None`` answers the batch box by box through :meth:`query`.
-        """
+    ) -> tuple[list[np.ndarray], list[int | None], list[float]]:
+        """Each box's crawl start vertices, or (when there are none) the
+        vertex to walk from (``None``: nothing to walk from), plus each box's
+        seed-phase seconds."""
 
     # ------------------------------------------------------------------
     # query execution
     # ------------------------------------------------------------------
     def query(self, box: Box3D) -> QueryResult:
-        """Answer one range query: seeds, a directed walk when they hold no
-        in-box start vertex, then the crawl."""
+        """Answer one range query: the batched path for a batch of one."""
         check_query_box(box)
-        counters = QueryCounters()
-        seed_start = time.perf_counter()
-        starts, origin = self._seeds(box, counters)
-        probe_time = time.perf_counter() - seed_start
-
-        mesh = self.mesh
-        scratch = self.scratch
-        walk_time = 0.0
-        if starts.size == 0 and origin is not None:
-            walk_start = time.perf_counter()
-            walk = directed_walk(mesh, box, origin, counters, scratch=scratch)
-            walk_time = time.perf_counter() - walk_start
-            if walk.found_id is not None:
-                starts = np.asarray([walk.found_id], dtype=np.int64)
-
-        crawl_start = time.perf_counter()
-        outcome = crawl(mesh, box, starts, counters, scratch=scratch)
-        crawl_time = time.perf_counter() - crawl_start
-        return self._result(outcome, counters, probe_time, walk_time, crawl_time)
+        return self._answer([box])[0]
 
     def query_many(self, boxes: Sequence[Box3D]) -> list[QueryResult]:
-        """Batched execution: batched seeds, fused walks, one fused crawl.
+        """Batched execution: batched seeds, fused walks, one fused crawl."""
+        return self._answer(check_query_boxes(boxes))
 
-        The directed walks of all boxes without an in-box seed advance in
-        lockstep (:func:`~repro.core.directed_walk.directed_walk_many`), and
-        the crawls of the whole batch are fused into one shared-frontier BFS
-        (:func:`~repro.core.crawler.crawl_many`) so overlapping boxes share
-        CSR gathers and position tests.  Results, counters and result ids are
-        identical to sequential :meth:`query` calls; the shared walk and
-        crawl wall-clock is apportioned evenly across the batch (walk time
-        across the boxes that walked).
-        """
-        box_list = check_query_boxes(boxes)
-        self.last_fused_crawl = None  # set again below iff this batch fuses
-        if len(box_list) <= 1:
-            return [self.query(box) for box in box_list]
+    def _answer(self, box_list: list[Box3D]) -> list[QueryResult]:
+        """Seeds, then the walks of the boxes whose seeds hold no in-box
+        start, fused in lockstep
+        (:func:`~repro.core.directed_walk.directed_walk_many`), then one
+        shared-frontier crawl of the whole batch
+        (:func:`~repro.core.crawler.crawl_many`), so overlapping boxes share
+        CSR gathers and position tests.  A box's result and counters do not
+        depend on the rest of the batch; the shared walk and crawl
+        wall-clock is apportioned evenly across the batch (walk time across
+        the boxes that walked)."""
+        self.last_fused_crawl = None
+        if not box_list:
+            return []
         counters_list = [QueryCounters() for _ in box_list]
-        seeds = self._seeds_many(box_list, counters_list)
-        if seeds is None:
-            return [self.query(box) for box in box_list]
-        start_lists, origins, probe_times = seeds
+        start_lists, origins, probe_times = self._seeds_many(box_list, counters_list)
 
         mesh = self.mesh
         scratch = self.scratch
@@ -303,18 +278,10 @@ class OctopusExecutor(_SeedWalkCrawl):
     # ------------------------------------------------------------------
     # phase 1: the surface probe
     # ------------------------------------------------------------------
-    def _seeds(self, box: Box3D, counters: QueryCounters) -> tuple[np.ndarray, int | None]:
-        probe = self.surface_index.probe(box, counters, ids=self._probe_ids())
-        return probe.inside_ids, probe.closest_id
-
     def _seeds_many(
         self, box_list: list[Box3D], counters_list: list[QueryCounters]
-    ) -> tuple[list[np.ndarray], list[int | None], list[float]] | None:
+    ) -> tuple[list[np.ndarray], list[int | None], list[float]]:
         probe_ids = self._probe_ids()  # raises before prepare()
-        if probe_ids.size == 0:
-            # A surface-less mesh: keep the sequential code as the single
-            # source of truth.
-            return None
         probe_start = time.perf_counter()
         probes = self.surface_index.probe_many(box_list, counters_list, ids=probe_ids)
         # The probe cost is shared by the whole batch; apportion it evenly.

@@ -102,19 +102,17 @@ class OctopusConExecutor(_SeedWalkCrawl):
     # ------------------------------------------------------------------
     # the seed phase: the stale-grid lookup
     # ------------------------------------------------------------------
-    def _seeds(self, box: Box3D, counters: QueryCounters) -> tuple[np.ndarray, int | None]:
-        """No in-box starts; walk from a vertex near the box centre."""
-        if self.mesh.n_vertices == 0:
-            return np.empty(0, dtype=np.int64), None
-        return np.empty(0, dtype=np.int64), self._ensure_grid().any_vertex_near(box.center, counters)
-
     def _seeds_many(
         self, box_list: list[Box3D], counters_list: list[QueryCounters]
-    ) -> tuple[list[np.ndarray], list[int | None], list[float]] | None:
-        """All box centres located in the grid in one pass; only the boxes
-        whose centre cell is empty fall back to the ring search."""
+    ) -> tuple[list[np.ndarray], list[int | None], list[float]]:
+        """No in-box starts; each box walks from a vertex near its centre.
+
+        All box centres are located in the grid in one pass; only the boxes
+        whose centre cell is empty fall back to the ring search.  An empty
+        mesh has nothing to walk from."""
+        no_starts = np.empty(0, dtype=np.int64)
         if self.mesh.n_vertices == 0:
-            return None
+            return [no_starts] * len(box_list), [None] * len(box_list), [0.0] * len(box_list)
         locate_start = time.perf_counter()
         centers = np.stack([box.center for box in box_list])
         first_hits = self._ensure_grid().locate_batch(centers)
@@ -132,7 +130,6 @@ class OctopusConExecutor(_SeedWalkCrawl):
                 origins.append(self.grid.any_vertex_near(box.center, counters))
                 locate_time += time.perf_counter() - ring_start
             locate_times.append(locate_time)
-        no_starts = np.empty(0, dtype=np.int64)
         return [no_starts] * len(box_list), origins, locate_times
 
     # ------------------------------------------------------------------

@@ -336,7 +336,8 @@ class ResilientStrategy(StrategyWrapper):
     Failure classes and the rung each one takes:
 
     * a batch (`query_many`) raising → retry the boxes **sequentially**
-      through the inner ``query`` (one bad box no longer poisons the batch);
+      through the inner ``query`` (one bad box no longer poisons the batch;
+      OCTOPUS answers each as a batch of one);
     * a single query raising → answer it with a **linear scan** of the live
       vertex positions (always correct: the scan reads the mesh, not any
       index state);
@@ -506,8 +507,10 @@ class ResilientStrategy(StrategyWrapper):
             # Rung 1: the batch engine failed — answer the boxes one by one,
             # each with its own scan fallback (rung 2) behind it.
             self._record("query_many", "sequential", "strategy-error", exc)
+        results = [self.query(box) for box in box_list]
+        # box-by-box answers leave no fused record of the batch behind
         self.last_fused_crawl = None
-        return [self.query(box) for box in box_list]
+        return results
 
     # -- accounting -----------------------------------------------------
     def describe(self) -> dict:

@@ -6,31 +6,28 @@ O(n_vertices) term into every query — exactly the dataset-size dependence the
 crawl is designed to avoid (Section IV claims cost proportional to selectivity
 and mesh degree only).  :class:`CrawlScratch` removes it with the classic
 epoch-stamping trick: one persistent ``int32`` array holds, per vertex, the
-epoch of the last query that visited it.  A vertex is "visited" in the current
-query iff its stamp equals the current epoch, so starting a new query is a
-single integer increment — no clearing, no allocation.
+epoch of the last batch that visited it.  A vertex's row is live in the
+current batch iff its stamp equals the current epoch, so starting a new batch
+is a single integer increment — no clearing, no allocation.
+
+Per vertex, the arena also holds a row of ``uint64`` ownership words whose
+bit ``q`` of word ``q // 64`` records "visited by query ``q`` of the current
+batch" (a stale stamp means the row is garbage and is treated as all-zeros).
+The word axis widens on demand, so one fused crawl serves arbitrarily large
+batches — there is no 64-query ceiling — and a single query is a batch of
+one.
 
 The arena also keeps a growable identity ramp (``0, 1, 2, ...``) that the
 CSR neighbour gather slices instead of re-materialising ``np.arange`` per
-frontier expansion.
-
-For the fused multi-query crawl the scratch additionally owns a
-*(vertex, query-bitset)* arena: per vertex, a row of ``uint64`` words whose
-bit ``q`` of word ``q // 64`` records "visited by query ``q`` of the current
-batch", guarded by its own epoch-stamp array so that starting a new batch is
-again a single increment (a stale stamp means the row is garbage and is
-treated as all-zeros).  The word axis widens on demand, so one fused crawl
-serves arbitrarily large batches — there is no 64-query ceiling.
-
-The directed walks use only the identity ramp; their per-query state is a
-few batch-sized arrays allocated per call.
+frontier expansion.  The directed walks use only the ramp; their per-query
+state is a few batch-sized arrays allocated per call.
 
 A scratch instance is owned by one thread at a time and is **not**
 thread-safe; two concurrent queries must use two scratches.  That contract
-used to be documentation only — now it is enforced: the crawl round loops
-re-check the arena epoch every round and raise
+used to be documentation only — now it is enforced: the crawl round loop
+re-checks the arena epoch every round and raises
 :class:`~repro.errors.ConcurrencyError` when another acquisition moved it
-mid-query (the signature of a second thread sharing the arena), and
+mid-batch (the signature of a second thread sharing the arena), and
 executors route concurrent callers onto distinct arenas through
 :class:`ThreadLocalScratch`, which lazily grows one :class:`CrawlScratch`
 per calling thread.
@@ -52,63 +49,26 @@ _EPOCH_LIMIT = np.iinfo(np.int32).max - 1
 
 
 class CrawlScratch:
-    """Epoch-stamped visited arena plus reusable gather buffers.
+    """Epoch-stamped (vertex, query-bitset) visited arena plus gather buffers.
 
     Usage::
 
-        stamps, epoch = scratch.acquire(mesh.n_vertices)
-        stamps[v] = epoch            # mark v visited
-        stamps[ids] == epoch         # visited test, vectorised
+        stamps, words, epoch = scratch.acquire_batch(mesh.n_vertices, n_words)
+        stamps[v] == epoch           # row words[v] is live in this batch
+        scratch.check_batch_epoch(epoch)  # still this batch's arena?
 
-    ``acquire`` starts a new query: it bumps the epoch (making every previous
-    stamp stale at zero cost) and grows the arena if the mesh gained vertices
-    since the last query (e.g. after a restructuring step).
+    ``acquire_batch`` starts a new batch: it bumps the epoch (making every
+    previous row stale at zero cost) and grows the arena if the mesh gained
+    vertices since the last batch (e.g. after a restructuring step).
     """
 
-    __slots__ = (
-        "_stamps",
-        "_epoch",
-        "_iota",
-        "_batch_stamps",
-        "_batch_words",
-        "_batch_epoch",
-    )
+    __slots__ = ("_iota", "_batch_stamps", "_batch_words", "_batch_epoch")
 
     def __init__(self) -> None:
-        self._stamps = np.empty(0, dtype=np.int32)
-        self._epoch = _NEVER
         self._iota = np.empty(0, dtype=np.int64)
         self._batch_stamps = np.empty(0, dtype=np.int32)
         self._batch_words = np.empty((0, 1), dtype=np.uint64)
         self._batch_epoch = _NEVER
-
-    # ------------------------------------------------------------------
-    # the visited arena
-    # ------------------------------------------------------------------
-    @property
-    def epoch(self) -> int:
-        """Epoch of the most recent :meth:`acquire` (0 before any query)."""
-        return self._epoch
-
-    def acquire(self, n_vertices: int) -> tuple[np.ndarray, int]:
-        """Begin a new query; returns ``(stamps, epoch)`` covering ``n_vertices``.
-
-        The returned array may be larger than ``n_vertices`` (capacity is kept
-        across mesh shrinkage); only indices below ``n_vertices`` are
-        meaningful to the caller.
-        """
-        if self._stamps.size < n_vertices:
-            # Grow geometrically so repeated restructuring amortises; a grow
-            # resets all stamps, which the epoch rollover below accounts for.
-            capacity = max(n_vertices, 2 * self._stamps.size)
-            self._stamps = np.zeros(capacity, dtype=np.int32)
-            self._epoch = _NEVER
-        elif self._epoch >= _EPOCH_LIMIT:
-            # int32 epochs last ~2 billion queries; on rollover pay one clear.
-            self._stamps.fill(_NEVER)
-            self._epoch = _NEVER
-        self._epoch += 1
-        return self._stamps, self._epoch
 
     # ------------------------------------------------------------------
     # the (vertex, query-bitset) batch arena
@@ -127,10 +87,11 @@ class CrawlScratch:
         ``q % 64`` of word ``q // 64`` means "vertex ``v`` was visited by
         query ``q`` of the current group" — but only where
         ``stamps[v] == epoch``; a stale stamp marks the row as garbage from an
-        earlier group, to be treated as all-zeros and overwritten.  Like
-        :meth:`acquire`, starting a group is a single epoch increment: the
-        words are never cleared (``np.empty`` on growth), only the ``int32``
-        stamp array pays a bulk clear on growth or on epoch rollover.
+        earlier group, to be treated as all-zeros and overwritten.  Starting
+        a group is a single epoch increment: the words are never cleared
+        (``np.empty`` on growth), only the ``int32`` stamp array pays a bulk
+        clear on growth (geometric, so repeated restructuring amortises) or
+        on ``int32`` epoch rollover, about every two billion batches.
 
         The word axis grows to the widest batch seen so far, so the ownership
         bitsets have no intrinsic query-count limit; memory scales as
@@ -158,23 +119,15 @@ class CrawlScratch:
     # ------------------------------------------------------------------
     # single-owner enforcement
     # ------------------------------------------------------------------
-    def check_epoch(self, epoch: int) -> None:
-        """Assert the visited arena still belongs to the query that acquired it.
-
-        The crawl round loop calls this with the epoch its :meth:`acquire`
-        returned; a mismatch means another :meth:`acquire` ran mid-query —
-        i.e. a second thread is sharing this scratch — and the visited stamps
-        the caller is reading are garbage.  One integer compare per round.
-        """
-        if self._epoch != epoch:
-            raise ConcurrencyError(
-                f"CrawlScratch visited arena re-acquired mid-query (epoch moved "
-                f"{epoch} -> {self._epoch}); a scratch serves one thread at a time — "
-                "use one scratch per thread (see ThreadLocalScratch)"
-            )
-
     def check_batch_epoch(self, epoch: int) -> None:
-        """Same guard as :meth:`check_epoch` for the fused batch arena."""
+        """Assert the arena still belongs to the batch that acquired it.
+
+        The crawl round loop calls this with the epoch its
+        :meth:`acquire_batch` returned; a mismatch means another acquisition
+        ran mid-batch — i.e. a second thread is sharing this scratch — and
+        the visited rows the caller is reading are garbage.  One integer
+        compare per round.
+        """
         if self._batch_epoch != epoch:
             raise ConcurrencyError(
                 f"CrawlScratch batch arena re-acquired mid-batch (epoch moved "
@@ -196,26 +149,20 @@ class CrawlScratch:
     # ------------------------------------------------------------------
     def memory_bytes(self) -> int:
         """Current footprint of the arenas and buffers."""
-        return int(
-            self._stamps.nbytes
-            + self._iota.nbytes
-            + self._batch_stamps.nbytes
-            + self._batch_words.nbytes
-        )
+        return int(self._iota.nbytes + self._batch_stamps.nbytes + self._batch_words.nbytes)
 
-    #: steady-state arena bytes per vertex: 4 (visited stamps) + 4 (batch
-    #: stamps) + 8 (one uint64 ownership word) — batching is the harness
-    #: default, so both arenas count; batches beyond 64 queries widen the
-    #: ownership rows by 8 bytes per vertex per additional 64 queries, which
-    #: ``memory_bytes()`` reflects once such a batch has run
-    BYTES_PER_VERTEX = 16
+    #: steady-state arena bytes per vertex: 4 (epoch stamp) + 8 (one uint64
+    #: ownership word); batches beyond 64 queries widen the ownership rows by
+    #: 8 bytes per vertex per additional 64 queries, which ``memory_bytes()``
+    #: reflects once such a batch has run
+    BYTES_PER_VERTEX = 12
 
     def expected_bytes(self, n_vertices: int) -> int:
         """Steady-state footprint for serving queries on an ``n_vertices`` mesh.
 
         Used by ``memory_overhead_bytes()`` so executors report a stable
-        scratch cost regardless of whether the lazily grown arenas (visited
-        stamps, batch stamps + ownership words) have been touched yet — the
+        scratch cost regardless of whether the lazily grown arena (stamps +
+        ownership words) has been touched yet — the
         reported overhead must not jump depending on query history.
         """
         return max(self.memory_bytes(), self.BYTES_PER_VERTEX * int(n_vertices))

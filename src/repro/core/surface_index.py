@@ -28,7 +28,6 @@ from ..mesh import (
     box_batch_chunk,
     boxes_to_arrays,
     points_boxes_distance_sq,
-    points_in_box,
 )
 from .result import QueryCounters
 
@@ -139,68 +138,32 @@ class SurfaceIndex:
     # ------------------------------------------------------------------
     # the surface probe (Section IV-C)
     # ------------------------------------------------------------------
-    def probe(
-        self,
-        box: Box3D,
-        counters: QueryCounters | None = None,
-        ids: np.ndarray | None = None,
-    ) -> SurfaceProbeOutcome:
-        """Scan the surface vertices and split them into inside / closest-outside.
-
-        The probe always reads the *current* vertex positions and surface from
-        the mesh, so it is correct however far vertices moved and however the
-        connectivity changed since the index was built.
-
-        Parameters
-        ----------
-        box:
-            The query box.
-        counters:
-            Optional counter record updated in place.
-        ids:
-            Optional subset of surface vertex ids to probe instead of the full
-            surface (used by the approximate executor, which probes a random
-            sample of it).  Defaults to :meth:`surface_ids`.
-        """
-        if ids is None:
-            ids = self.surface_ids()
-        n_probed = int(ids.size)
-        if counters is not None:
-            counters.surface_probed += n_probed
-        if n_probed == 0:
-            return SurfaceProbeOutcome(np.empty(0, dtype=np.int64), None, float("inf"), 0)
-        positions = self._mesh.vertices[ids]
-        inside_mask = points_in_box(positions, box)
-        inside_ids = ids[inside_mask]
-        if inside_ids.size:
-            return SurfaceProbeOutcome(inside_ids, None, 0.0, n_probed)
-        # Select the closest vertex on *squared* distances through the same
-        # kernel the batched probe broadcasts, so sequential and batched paths
-        # pick bit-identical argmins even on sqrt-rounding near-ties.
-        distances_sq = points_boxes_distance_sq(positions, box.lo[None, :], box.hi[None, :])[0]
-        if counters is not None:
-            counters.probe_distance_computations += n_probed
-        closest_pos = int(np.argmin(distances_sq))
-        return SurfaceProbeOutcome(
-            np.empty(0, dtype=np.int64),
-            int(ids[closest_pos]),
-            float(np.sqrt(distances_sq[closest_pos])),
-            n_probed,
-        )
-
     def probe_many(
         self,
         boxes: Sequence[Box3D],
         counters_list: Sequence[QueryCounters] | None = None,
         ids: np.ndarray | None = None,
     ) -> list[SurfaceProbeOutcome]:
-        """:meth:`probe` for a batch of boxes, one outcome per box.
+        """Split the surface vertices into inside / closest-outside, per box.
 
         The surface is tested against all boxes in one broadcast pass
         (chunked to bound the broadcast), and one more pass finds the closest
-        surface vertex of every box that holds none, on the squared distances
-        :meth:`probe` selects on.  Outcomes and counters equal per-box
-        :meth:`probe` calls; ``counters_list`` and ``ids`` are as there.
+        surface vertex of every box that holds none, selecting on squared
+        distances.  The probe always reads the *current* vertex positions and
+        surface from the mesh, so it is correct however far vertices moved
+        and however the connectivity changed since the index was built.  A
+        box's outcome and counters do not depend on the other boxes.
+
+        Parameters
+        ----------
+        boxes:
+            The query boxes (one box is a batch of one).
+        counters_list:
+            Optional per-box counter records updated in place.
+        ids:
+            Optional subset of surface vertex ids to probe instead of the full
+            surface (used by the approximate executor, which probes a random
+            sample of it).  Defaults to :meth:`surface_ids`.
         """
         if ids is None:
             ids = self.surface_ids()

@@ -1,23 +1,24 @@
 """The three hot loops of the fused query engine, as one NumPy kernel object.
 
 The fused query paths spend almost all of their time in three loops: the
-fused-crawl frontier expansion (stamp newly reached (vertex, query) pairs,
-count them, test positions against the owning boxes — see
+fused-crawl frontier expansion (stamp newly reached (vertex, query) pairs
+and test positions against the owning boxes — see
 :func:`repro.core.crawler._crawl_fused`), the fused directed walk's
 (query, vertex) box-distance kernel
 (:func:`repro.core.directed_walk.directed_walk_many`), and the batched
 box-membership test of the OCTOPUS surface probe.  :class:`KernelBackend`
 holds those loops as three methods so each is one named entry point that a
 profiler can wrap and time; :data:`KERNELS` is the instance the engine
-calls.  Every method computes in float64 with the arithmetic of the
-sequential code paths, so batched and sequential queries agree bit for bit.
+calls.  Every method computes in float64 with the arithmetic of
+:mod:`repro.mesh.geometry`, so a box's answer does not depend on the other
+boxes of its batch.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..mesh.geometry import box_batch_chunk, offset_norms, points_in_boxes as _points_in_boxes
+from ..mesh.geometry import offset_norms, points_in_boxes as _points_in_boxes
 
 __all__ = ["KERNELS", "KernelBackend"]
 
@@ -56,7 +57,7 @@ class KernelBackend:
         the distinct-vertex count is returned for the unique-work accounting.
         """
         unique_vertices, inverse = np.unique(pair_vertices, return_inverse=True)
-        points = positions[unique_vertices][inverse]
+        points = positions.take(unique_vertices, axis=0)[inverse]
         delta = np.maximum(los[pair_owners] - points, 0.0)
         delta += np.maximum(points - his[pair_owners], 0.0)
         return offset_norms(delta), int(unique_vertices.size)
@@ -75,9 +76,8 @@ class KernelBackend:
         los: np.ndarray,
         his: np.ndarray,
         bits,
-        visited_per_query: np.ndarray,
         attribution_chunk: int,
-    ) -> tuple[np.ndarray, np.ndarray, int]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One fused-crawl level: stamp fresh (vertex, query) pairs, test boxes.
 
         Parameters mirror the state of one
@@ -85,64 +85,32 @@ class KernelBackend:
         with their reachability bitset rows, the epoch-stamped arena
         (``stamps`` / ``word_columns`` / ``epoch``), the mesh positions, the
         stacked box corners, the batch's ownership-bit helper (``bits``, a
-        :class:`repro.core.crawler._OwnershipBits` providing
-        ``owned_matrix`` / ``pack`` / ``n_queries``), the per-query visit
-        counters (updated in place), and the candidate-axis chunk bounding
-        the attribution transients.
+        :class:`repro.core.crawler._OwnershipBits` providing ``pack``), and
+        the candidate-axis chunk bounding the membership transients.  A
+        candidate joins a query's frontier when the query reached it fresh
+        and its position lies in the query's box.
 
-        Returns ``(frontier, frontier_bits, n_fresh)``: the next union
-        frontier (candidates inside at least one owning box, in candidate
-        order), its ownership rows, and how many candidates were freshly
-        stamped (the level's unique visit count).
+        Returns ``(frontier, frontier_bits, fresh)``: the next union frontier
+        (candidates inside at least one owning box, in candidate order), its
+        ownership rows, and the candidates freshly stamped for at least one
+        query (their count is the level's unique visit count).
         """
         zero = np.uint64(0)
         previous = np.where(
-            (stamps[candidates] == epoch)[:, None], word_columns[candidates], zero
+            (stamps[candidates] == epoch)[:, None], word_columns.take(candidates, axis=0), zero
         )
         new_bits = reach_bits & ~previous
         fresh = (new_bits != zero).any(axis=1)
         candidates = candidates[fresh]
-        if candidates.size == 0:
-            return candidates, new_bits[fresh], 0
         new_bits = new_bits[fresh]
         word_columns[candidates] = previous[fresh] | new_bits
         stamps[candidates] = epoch
-        n_fresh = int(candidates.size)
-        frontier_pieces: list[np.ndarray] = []
-        bit_pieces: list[np.ndarray] = []
         for lo_index in range(0, candidates.size, attribution_chunk):
             hi_index = lo_index + attribution_chunk
-            chunk_candidates = candidates[lo_index:hi_index]
-            owned = bits.owned_matrix(new_bits[lo_index:hi_index])
-            visited_per_query += owned.sum(axis=0)
-            inside = self._inside_per_query(positions, chunk_candidates, los, his)
-            in_frontier = owned & inside.T
-            chunk_bits = bits.pack(in_frontier)
-            keep = (chunk_bits != zero).any(axis=1)
-            if keep.any():
-                frontier_pieces.append(chunk_candidates[keep])
-                bit_pieces.append(chunk_bits[keep])
-        if frontier_pieces:
-            frontier = np.concatenate(frontier_pieces)
-            frontier_bits = np.concatenate(bit_pieces)
-        else:
-            frontier = np.empty(0, dtype=np.int64)
-            frontier_bits = np.empty((0, reach_bits.shape[1]), dtype=np.uint64)
-        return frontier, frontier_bits, n_fresh
-
-    def _inside_per_query(
-        self, positions: np.ndarray, candidates: np.ndarray, los: np.ndarray, his: np.ndarray
-    ) -> np.ndarray:
-        """``(n_queries, n_candidates)`` membership of candidate positions."""
-        points = positions[candidates]
-        out = np.empty((los.shape[0], candidates.size), dtype=bool)
-        chunk = box_batch_chunk(candidates.size)
-        for lo_index in range(0, los.shape[0], chunk):
-            hi_index = lo_index + chunk
-            out[lo_index:hi_index] = self.points_in_boxes(
-                points, los[lo_index:hi_index], his[lo_index:hi_index]
-            )
-        return out
+            inside = self.points_in_boxes(positions.take(candidates[lo_index:hi_index], axis=0), los, his)
+            new_bits[lo_index:hi_index] &= bits.pack(inside.T)
+        keep = (new_bits != zero).any(axis=1)
+        return candidates[keep], new_bits[keep], candidates
 
 
 #: the kernel instance the fused crawl, the fused walk and the surface probe call

@@ -17,7 +17,7 @@ from .geometry import (
 )
 from .hexahedral import HexahedralMesh
 from .hilbert import hilbert_distances, hilbert_sort_order
-from .io import load_mesh, load_sequence, save_mesh, save_sequence
+from .io import load_mesh, save_mesh
 from .layout import hilbert_layout, layout_locality_score, random_layout
 from .surface import SurfaceExtraction, cell_faces, extract_surface
 from .tetrahedral import TetrahedralMesh
@@ -54,7 +54,6 @@ __all__ = [
     "is_convex_point_set",
     "layout_locality_score",
     "load_mesh",
-    "load_sequence",
     "mesh_is_convex",
     "point_box_distance",
     "points_box_distance",
@@ -64,6 +63,5 @@ __all__ = [
     "quality_statistics",
     "random_layout",
     "save_mesh",
-    "save_sequence",
     "validate_mesh",
 ]

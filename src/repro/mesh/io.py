@@ -1,4 +1,4 @@
-"""Saving and loading meshes and deforming mesh sequences.
+"""Saving and loading meshes.
 
 Simulation runs are long; persisting the generated datasets lets benchmarks
 reuse them across processes.  The format is a plain ``.npz`` archive with the
@@ -9,7 +9,7 @@ beyond NumPy is required.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Sequence, Type
+from typing import Type
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .hexahedral import HexahedralMesh
 from .tetrahedral import TetrahedralMesh
 from .triangle import TriangleMesh
 
-__all__ = ["save_mesh", "load_mesh", "save_sequence", "load_sequence"]
+__all__ = ["save_mesh", "load_mesh"]
 
 _MESH_CLASSES: dict[str, Type[PolyhedralMesh]] = {
     "tetrahedron": TetrahedralMesh,
@@ -53,40 +53,3 @@ def load_mesh(path: str | Path) -> PolyhedralMesh:
         return mesh_cls(
             archive["vertices"].copy(), archive["cells"].copy(), name=str(archive["name"])
         )
-
-
-def save_sequence(
-    base_mesh: PolyhedralMesh, positions_per_step: Sequence[np.ndarray], path: str | Path
-) -> Path:
-    """Persist a deforming mesh sequence (shared connectivity, per-step positions)."""
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    frames = {f"frame_{i:04d}": np.asarray(p, dtype=np.float64) for i, p in enumerate(positions_per_step)}
-    for frame in frames.values():
-        if frame.shape != base_mesh.vertices.shape:
-            raise MeshError("every frame must match the base mesh vertex array shape")
-    np.savez_compressed(
-        target,
-        vertices=base_mesh.vertices,
-        cells=base_mesh.cells,
-        primitive=np.asarray(base_mesh.primitive),
-        name=np.asarray(base_mesh.name),
-        n_frames=np.asarray(len(positions_per_step)),
-        **frames,
-    )
-    return target if target.suffix == ".npz" else target.with_suffix(target.suffix + ".npz")
-
-
-def load_sequence(path: str | Path) -> tuple[PolyhedralMesh, list[np.ndarray]]:
-    """Load a deforming mesh sequence written by :func:`save_sequence`."""
-    with np.load(Path(path), allow_pickle=False) as archive:
-        primitive = str(archive["primitive"])
-        if primitive not in _MESH_CLASSES:
-            raise MeshError(f"unknown mesh primitive {primitive!r} in {path}")
-        mesh_cls = _MESH_CLASSES[primitive]
-        mesh = mesh_cls(
-            archive["vertices"].copy(), archive["cells"].copy(), name=str(archive["name"])
-        )
-        n_frames = int(archive["n_frames"])
-        frames = [archive[f"frame_{i:04d}"].copy() for i in range(n_frames)]
-    return mesh, frames

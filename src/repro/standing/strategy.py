@@ -95,7 +95,9 @@ class StandingStrategy(StrategyWrapper):
 
     @property
     def _prepared(self) -> bool:
-        return getattr(self.inner, "_mesh", None) is not None or self._mesh is not None
+        # the innermost strategy: a wrapper sets its own mesh only in its
+        # own prepare, so one wrapped around a prepared stack has none
+        return self.unwrap()._mesh is not None
 
     def subscribe(self, box: Box3D) -> int:
         """Register a standing query; returns the subscription id.

@@ -12,11 +12,9 @@ from repro.mesh import (
     convexity_defect,
     density_statistics,
     load_mesh,
-    load_sequence,
     mesh_is_convex,
     quality_statistics,
     save_mesh,
-    save_sequence,
     validate_mesh,
 )
 
@@ -135,15 +133,3 @@ class TestMeshIO:
         assert np.allclose(loaded.vertices, neuron_small.vertices)
         assert np.array_equal(loaded.cells, neuron_small.cells)
         assert loaded.name == neuron_small.name
-
-    def test_sequence_roundtrip(self, tmp_path, grid_mesh):
-        frames = [grid_mesh.vertices + i * 0.1 for i in range(3)]
-        path = save_sequence(grid_mesh, frames, tmp_path / "sequence.npz")
-        mesh, loaded_frames = load_sequence(path)
-        assert len(loaded_frames) == 3
-        assert np.allclose(loaded_frames[2], frames[2])
-        assert np.array_equal(mesh.cells, grid_mesh.cells)
-
-    def test_sequence_shape_mismatch_raises(self, tmp_path, grid_mesh):
-        with pytest.raises(MeshError):
-            save_sequence(grid_mesh, [np.zeros((3, 3))], tmp_path / "bad.npz")

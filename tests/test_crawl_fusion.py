@@ -2,12 +2,15 @@
 
 The fused shared-frontier BFS must be a pure *work-sharing* optimisation:
 
-* per-query results and counters are bit-identical to independent
-  :func:`~repro.core.crawler.crawl` calls;
+* batch invariance: each box's result and counters equal those of a one-box
+  ``crawl_many`` call with the same start vertices, whatever else rides in
+  its batch;
+* every result holds only in-box vertices, and from an in-box start on the
+  convex grid it is the linear-scan answer;
 * the per-query counters sum exactly to the batch's *attributed* work (each
   fused operation counted once per owning query);
 * the *unique* work the fused BFS actually performed never exceeds the
-  summed work of independent crawls, and is strictly smaller on overlapping
+  summed work of one-box crawls, and is strictly smaller on overlapping
   batches (that is the point of fusing).
 """
 
@@ -16,24 +19,46 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import CrawlScratch, OctopusExecutor, QueryCounters, crawl, crawl_many
+from repro.core import CrawlScratch, OctopusExecutor, QueryCounters, crawl_many
 from repro.core.crawler import GROUP_SIZE, _OwnershipBits
 from repro.kernels import KERNELS
 from repro.mesh import Box3D, points_in_box
 from repro.workloads import random_query_workload
 
 
+def _scan(mesh, box) -> np.ndarray:
+    """The linear-scan answer: every vertex inside ``box``."""
+    return np.nonzero(points_in_box(mesh.vertices, box))[0]
+
+
 def _start_sets(mesh, boxes, per_box=2):
-    starts = []
-    for box in boxes:
-        inside = np.nonzero(points_in_box(mesh.vertices, box))[0]
-        starts.append(inside[:per_box])
-    return starts
+    return [_scan(mesh, box)[:per_box] for box in boxes]
 
 
-def _independent_crawls(mesh, boxes, starts):
+def _one_box_crawls(mesh, boxes, starts):
+    """Each box crawled alone: one-box ``crawl_many`` calls on one arena."""
     scratch = CrawlScratch()
-    return [crawl(mesh, box, s, scratch=scratch) for box, s in zip(boxes, starts)]
+    outcomes, counters = [], []
+    for box, box_starts in zip(boxes, starts):
+        counter = QueryCounters()
+        outcomes.append(crawl_many(mesh, [box], [box_starts], [counter], scratch=scratch).outcomes[0])
+        counters.append(counter)
+    return outcomes, counters
+
+
+def _assert_batch_invariant(mesh, boxes, starts, batch, batch_counters=None):
+    """Each box of ``batch`` equals its one-box crawl; results are in-box."""
+    alone, alone_counters = _one_box_crawls(mesh, boxes, starts)
+    assert len(batch.outcomes) == len(boxes)
+    for index, (got, want) in enumerate(zip(batch.outcomes, alone)):
+        context = f"box {index}"
+        assert np.array_equal(got.result_ids, want.result_ids), context
+        assert got.n_vertices_visited == want.n_vertices_visited, context
+        assert got.n_edges_followed == want.n_edges_followed, context
+        assert np.isin(got.result_ids, _scan(mesh, boxes[index])).all(), context
+        if batch_counters is not None:
+            assert batch_counters[index].as_dict() == alone_counters[index].as_dict(), context
+    return alone
 
 
 def _overlapping_boxes(mesh, n_boxes=12, seed=0):
@@ -50,15 +75,18 @@ class TestFusedCrawlParity:
     def test_bit_identical_results_and_counters(self, neuron_small):
         boxes = random_query_workload(neuron_small, selectivity=0.02, n_queries=10, seed=3).boxes
         starts = _start_sets(neuron_small, boxes)
-        independent = _independent_crawls(neuron_small, boxes, starts)
         counters = [QueryCounters() for _ in boxes]
         batch = crawl_many(neuron_small, boxes, starts, counters)
-        for got, expected, counter in zip(batch.outcomes, independent, counters):
-            assert np.array_equal(got.result_ids, expected.result_ids)
-            assert got.n_vertices_visited == expected.n_vertices_visited
-            assert got.n_edges_followed == expected.n_edges_followed
-            assert counter.crawl_vertices_visited == expected.n_vertices_visited
-            assert counter.crawl_edges_followed == expected.n_edges_followed
+        _assert_batch_invariant(neuron_small, boxes, starts, batch, counters)
+
+    def test_results_match_the_linear_scan_on_a_convex_mesh(self, grid_mesh):
+        """From an in-box start, the convex grid's crawl is the scan answer."""
+        rng = np.random.default_rng(5)
+        boxes = [Box3D.cube(rng.uniform(0.2, 0.8, 3), 0.35) for _ in range(12)]
+        starts = _start_sets(grid_mesh, boxes, per_box=1)
+        batch = crawl_many(grid_mesh, boxes, starts)
+        for box, outcome in zip(boxes, batch.outcomes):
+            assert np.array_equal(outcome.result_ids, _scan(grid_mesh, box))
 
     def test_empty_starts_and_empty_batch(self, grid_mesh):
         box = Box3D((0.1, 0.1, 0.1), (0.5, 0.5, 0.5))
@@ -76,12 +104,9 @@ class TestFusedCrawlParity:
             Box3D.cube(rng.uniform(0.2, 0.8, 3), 0.3) for _ in range(n_boxes)
         ]
         starts = _start_sets(grid_mesh, boxes, per_box=1)
-        independent = _independent_crawls(grid_mesh, boxes, starts)
         batch = crawl_many(grid_mesh, boxes, starts)
         assert batch.n_words == 2
-        for got, expected in zip(batch.outcomes, independent):
-            assert np.array_equal(got.result_ids, expected.result_ids)
-            assert got.n_vertices_visited == expected.n_vertices_visited
+        _assert_batch_invariant(grid_mesh, boxes, starts, batch)
 
     def test_multi_word_batch_counters_bit_identical(self, grid_mesh):
         """Counter parity through the multi-word path, words exceeding two."""
@@ -89,22 +114,16 @@ class TestFusedCrawlParity:
         rng = np.random.default_rng(23)
         boxes = [Box3D.cube(rng.uniform(0.1, 0.9, 3), 0.25) for _ in range(n_boxes)]
         starts = _start_sets(grid_mesh, boxes, per_box=2)
-        independent = _independent_crawls(grid_mesh, boxes, starts)
         counters = [QueryCounters() for _ in boxes]
         batch = crawl_many(grid_mesh, boxes, starts, counters)
         assert batch.n_words == 4
-        for got, expected, counter in zip(batch.outcomes, independent, counters):
-            assert np.array_equal(got.result_ids, expected.result_ids)
-            assert got.n_vertices_visited == expected.n_vertices_visited
-            assert got.n_edges_followed == expected.n_edges_followed
-            assert counter.crawl_vertices_visited == expected.n_vertices_visited
-            assert counter.crawl_edges_followed == expected.n_edges_followed
+        _assert_batch_invariant(grid_mesh, boxes, starts, batch, counters)
 
     def test_identical_boxes_across_words_pay_once(self, grid_mesh):
         """Work sharing spans word boundaries: 70 copies cost one crawl."""
         box = Box3D((0.2, 0.2, 0.2), (0.7, 0.7, 0.7))
         starts = _start_sets(grid_mesh, [box], per_box=1)[0]
-        single = crawl(grid_mesh, box, starts)
+        single = crawl_many(grid_mesh, [box], [starts]).outcomes[0]
         n_copies = GROUP_SIZE + 6
         batch = crawl_many(grid_mesh, [box] * n_copies, [starts] * n_copies)
         assert batch.n_words == 2
@@ -123,10 +142,10 @@ class TestFusionWorkInvariants:
     def test_fused_work_bounded_by_summed_independent_work(self, neuron_small):
         boxes = _overlapping_boxes(neuron_small, n_boxes=12, seed=1)
         starts = _start_sets(neuron_small, boxes)
-        independent = _independent_crawls(neuron_small, boxes, starts)
+        alone, _ = _one_box_crawls(neuron_small, boxes, starts)
         batch = crawl_many(neuron_small, boxes, starts)
-        summed_visits = sum(o.n_vertices_visited for o in independent)
-        summed_edges = sum(o.n_edges_followed for o in independent)
+        summed_visits = sum(o.n_vertices_visited for o in alone)
+        summed_edges = sum(o.n_edges_followed for o in alone)
         assert batch.n_unique_vertices_visited <= summed_visits
         assert batch.n_unique_edges_followed <= summed_edges
         # Heavily overlapping boxes must actually share work.
@@ -143,10 +162,10 @@ class TestFusionWorkInvariants:
         assert batch.n_attributed_edge_follows == sum(
             o.n_edges_followed for o in batch.outcomes
         )
-        # The attributed total is exactly what the independent crawls would do.
-        independent = _independent_crawls(neuron_small, boxes, starts)
-        assert batch.n_attributed_vertex_visits == sum(o.n_vertices_visited for o in independent)
-        assert batch.n_attributed_edge_follows == sum(o.n_edges_followed for o in independent)
+        # The attributed total is exactly what one-box crawls would do.
+        alone, _ = _one_box_crawls(neuron_small, boxes, starts)
+        assert batch.n_attributed_vertex_visits == sum(o.n_vertices_visited for o in alone)
+        assert batch.n_attributed_edge_follows == sum(o.n_edges_followed for o in alone)
 
     def test_well_separated_boxes_share_nothing(self, grid_mesh):
         """With disjoint crawled regions, unique work equals attributed work."""
@@ -163,7 +182,7 @@ class TestFusionWorkInvariants:
         """N copies of the same query cost one crawl of unique work."""
         box = Box3D((0.2, 0.2, 0.2), (0.7, 0.7, 0.7))
         starts = _start_sets(grid_mesh, [box], per_box=1)[0]
-        single = crawl(grid_mesh, box, starts)
+        single = crawl_many(grid_mesh, [box], [starts]).outcomes[0]
         n_copies = 10
         batch = crawl_many(grid_mesh, [box] * n_copies, [starts] * n_copies)
         assert batch.n_unique_vertices_visited == single.n_vertices_visited
@@ -277,8 +296,7 @@ class TestStampAndTestKernel:
         bits = _OwnershipBits(3)
         scratch = CrawlScratch()
         stamps, words, epoch = scratch.acquire_batch(10, bits.n_words)
-        visited = np.zeros(3, dtype=np.int64)
-        frontier, frontier_bits, n_fresh = KERNELS.crawl_stamp_and_test(
+        frontier, frontier_bits, fresh = KERNELS.crawl_stamp_and_test(
             np.empty(0, dtype=np.int64),
             np.empty((0, 1), dtype=np.uint64),
             stamps,
@@ -288,10 +306,8 @@ class TestStampAndTestKernel:
             np.zeros((3, 3)),
             np.ones((3, 3)),
             bits,
-            visited,
             1024,
         )
         assert frontier.size == 0
         assert frontier_bits.shape == (0, 1)
-        assert n_fresh == 0
-        assert visited.sum() == 0
+        assert fresh.size == 0

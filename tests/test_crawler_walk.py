@@ -10,7 +10,7 @@ steps (Section IV-D).
 import numpy as np
 import pytest
 
-from repro.core import QueryCounters, crawl, directed_walk, directed_walk_many
+from repro.core import QueryCounters, crawl_many, directed_walk_many
 from repro.mesh import Box3D, point_box_distance, points_in_box
 from repro.workloads import random_query_workload
 
@@ -26,6 +26,16 @@ def _neighbours(mesh, ids: np.ndarray) -> np.ndarray:
     return np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
 
 
+def _crawl_one(mesh, box, starts, counters=None):
+    """One box's crawl: ``crawl_many`` for a batch of one."""
+    return crawl_many(mesh, [box], [starts], [counters]).outcomes[0]
+
+
+def _walk_one(mesh, box, start_vertex, counters=None):
+    """One box's walk: ``directed_walk_many`` for a batch of one."""
+    return directed_walk_many(mesh, [box], [start_vertex], [counters]).outcomes[0]
+
+
 def _walk_targets(mesh) -> list[Box3D]:
     """Boxes on the mesh plus one far outside it, where the walk gets stuck."""
     boxes = random_query_workload(mesh, selectivity=0.02, n_queries=5, seed=1).boxes
@@ -38,14 +48,14 @@ class TestCrawl:
         box = Box3D((0.2, 0.2, 0.2), (0.7, 0.7, 0.7))
         inside_ids = np.nonzero(points_in_box(grid_mesh.vertices, box))[0]
         start = inside_ids[:1]
-        outcome = crawl(grid_mesh, box, start)
+        outcome = _crawl_one(grid_mesh, box, start)
         assert np.array_equal(outcome.result_ids, inside_ids)
 
     def test_crawl_counts_work(self, grid_mesh):
         box = Box3D((0.2, 0.2, 0.2), (0.7, 0.7, 0.7))
         inside_ids = np.nonzero(points_in_box(grid_mesh.vertices, box))[0]
         counters = QueryCounters()
-        outcome = crawl(grid_mesh, box, inside_ids[:1], counters)
+        outcome = _crawl_one(grid_mesh, box, inside_ids[:1], counters)
         assert counters.crawl_vertices_visited == outcome.n_vertices_visited
         assert counters.crawl_edges_followed == outcome.n_edges_followed
         assert outcome.n_vertices_visited >= outcome.result_ids.size
@@ -61,7 +71,7 @@ class TestCrawl:
 
         def crawl_work(mesh):
             inside = np.nonzero(points_in_box(mesh.vertices, box))[0]
-            outcome = crawl(mesh, box, inside[:1])
+            outcome = _crawl_one(mesh, box, inside[:1])
             return outcome.n_vertices_visited
 
         # The large mesh has 8x the vertices; the crawl only sees the query
@@ -76,14 +86,14 @@ class TestCrawl:
             assert work < mesh.n_vertices
 
     def test_crawl_empty_start(self, grid_mesh):
-        outcome = crawl(grid_mesh, Box3D.cube((0.5, 0.5, 0.5), 0.2), np.empty(0, dtype=np.int64))
+        outcome = _crawl_one(grid_mesh, Box3D.cube((0.5, 0.5, 0.5), 0.2), np.empty(0, dtype=np.int64))
         assert outcome.result_ids.size == 0
         assert outcome.n_edges_followed == 0
 
     def test_crawl_start_outside_box_returns_empty(self, grid_mesh):
         box = Box3D.cube((0.5, 0.5, 0.5), 0.2)
         outside = np.nonzero(~points_in_box(grid_mesh.vertices, box))[0][:3]
-        outcome = crawl(grid_mesh, box, outside)
+        outcome = _crawl_one(grid_mesh, box, outside)
         assert outcome.result_ids.size == 0
         # The starts were still position-tested.
         assert outcome.n_vertices_visited == 3
@@ -91,7 +101,7 @@ class TestCrawl:
     def test_crawl_multiple_starts_deduplicated(self, grid_mesh):
         box = Box3D((0.0, 0.0, 0.0), (0.5, 0.5, 0.5))
         inside = np.nonzero(points_in_box(grid_mesh.vertices, box))[0]
-        outcome = crawl(grid_mesh, box, np.concatenate([inside, inside]))
+        outcome = _crawl_one(grid_mesh, box, np.concatenate([inside, inside]))
         assert np.array_equal(outcome.result_ids, inside)
 
     def test_crawl_respects_disconnection(self, neuron_small):
@@ -100,7 +110,7 @@ class TestCrawl:
         bounds = mesh.bounding_box()
         box = Box3D(bounds.lo, bounds.hi)  # whole mesh
         start = mesh.surface_vertices()[:1]
-        outcome = crawl(mesh, box, start)
+        outcome = _crawl_one(mesh, box, start)
         component = None
         for comp in mesh.connected_components():
             if start[0] in comp:
@@ -117,7 +127,7 @@ class TestCrawl:
             inside = np.nonzero(points_in_box(mesh.vertices, box))[0]
             outside = np.nonzero(~points_in_box(mesh.vertices, box))[0]
             starts = np.concatenate([inside[:2], outside[:1]])
-            outcome = crawl(mesh, box, starts)
+            outcome = _crawl_one(mesh, box, starts)
             assert np.all(points_in_box(mesh.vertices[outcome.result_ids], box))
             touched = np.union1d(starts, _neighbours(mesh, outcome.result_ids))
             assert outcome.n_vertices_visited == touched.size
@@ -127,7 +137,7 @@ class TestCrawl:
         mesh = request.getfixturevalue(mesh_fixture)
         for box in random_query_workload(mesh, selectivity=0.05, n_queries=6, seed=2).boxes:
             inside = np.nonzero(points_in_box(mesh.vertices, box))[0]
-            outcome = crawl(mesh, box, inside[:3])
+            outcome = _crawl_one(mesh, box, inside[:3])
             # only in-box vertices are expanded, each exactly once
             assert outcome.n_edges_followed == _neighbours(mesh, outcome.result_ids).size
 
@@ -138,7 +148,7 @@ class TestDirectedWalk:
         # (the 5x5x5 grid has vertices at multiples of 0.2).
         box = Box3D.cube((0.5, 0.5, 0.5), 0.3)
         # Start from a corner vertex of the cube (id 0 is at the origin corner).
-        outcome = directed_walk(grid_mesh, box, start_vertex=0)
+        outcome = _walk_one(grid_mesh, box, start_vertex=0)
         assert outcome.found_id is not None
         assert box.contains_point(grid_mesh.vertices[outcome.found_id])
         assert outcome.n_steps == len(outcome.path)
@@ -146,25 +156,25 @@ class TestDirectedWalk:
     def test_walk_starting_inside_returns_start(self, grid_mesh):
         inside = np.nonzero(points_in_box(grid_mesh.vertices, Box3D.cube((0.5, 0.5, 0.5), 0.3)))[0]
         box = Box3D.cube((0.5, 0.5, 0.5), 0.3)
-        outcome = directed_walk(grid_mesh, box, start_vertex=int(inside[0]))
+        outcome = _walk_one(grid_mesh, box, start_vertex=int(inside[0]))
         assert outcome.found_id == int(inside[0])
         assert outcome.n_steps == 1
 
     def test_walk_reports_failure_for_disjoint_box(self, grid_mesh):
         box = Box3D.cube((5.0, 5.0, 5.0), 0.5)  # far away from the unit cube
-        outcome = directed_walk(grid_mesh, box, start_vertex=0)
+        outcome = _walk_one(grid_mesh, box, start_vertex=0)
         assert outcome.found_id is None
 
     def test_walk_counts_work(self, grid_mesh):
         counters = QueryCounters()
         box = Box3D.cube((0.52, 0.52, 0.52), 0.08)
-        outcome = directed_walk(grid_mesh, box, start_vertex=0, counters=counters)
+        outcome = _walk_one(grid_mesh, box, start_vertex=0, counters=counters)
         assert counters.walk_vertices_visited == outcome.n_steps
         assert counters.walk_distance_computations >= outcome.n_steps
 
     def test_walk_path_distances_monotonically_decrease(self, grid_mesh):
         box = Box3D.cube((0.5, 0.5, 0.5), 0.1)
-        outcome = directed_walk(grid_mesh, box, start_vertex=0)
+        outcome = _walk_one(grid_mesh, box, start_vertex=0)
         distances = [point_box_distance(grid_mesh.vertices[v], box) for v in outcome.path]
         assert all(b < a for a, b in zip(distances, distances[1:]))
 
@@ -174,7 +184,7 @@ class TestDirectedWalk:
         starts = np.random.default_rng(0).integers(0, mesh.n_vertices, size=12)
         for box in _walk_targets(mesh):
             for start in starts.tolist():
-                outcome = directed_walk(mesh, box, start_vertex=start)
+                outcome = _walk_one(mesh, box, start_vertex=start)
                 distances = [point_box_distance(mesh.vertices[v], box) for v in outcome.path]
                 assert all(b < a for a, b in zip(distances, distances[1:]))
                 assert len(set(outcome.path)) == outcome.n_steps <= mesh.n_vertices

@@ -5,9 +5,9 @@ Covers the performance layer added around the crawl:
 * the epoch-stamped :class:`CrawlScratch` arena (no O(n_vertices) allocation
   per query, identical results to fresh-allocation crawls, survival across
   mesh restructuring epochs);
-* the batched ``query_many`` API (equality with sequential ``query`` for
+* the batched ``query_many`` API (equality with one-box ``query`` calls for
   OCTOPUS, OCTOPUS-CON and baselines, counter parity, harness wiring);
-* the vectorised hot paths (the ``directed_walk``, the grid's
+* the vectorised hot paths (the multi-source walk, the grid's
   ``locate_batch``).
 """
 
@@ -28,58 +28,39 @@ from repro.core import (
     OctopusConExecutor,
     OctopusExecutor,
     QueryCounters,
-    crawl,
-    directed_walk,
+    crawl_many,
+    directed_walk_many,
 )
 from repro.mesh import Box3D, points_in_box
 from repro.simulation import DeformationDelta, remove_cells
 from repro.workloads import random_query_workload
 
 
+def _crawl_one(mesh, box, starts, counters=None, scratch=None):
+    """One box's crawl: ``crawl_many`` for a batch of one."""
+    return crawl_many(mesh, [box], [starts], [counters], scratch=scratch).outcomes[0]
+
+
 class TestCrawlScratch:
-    def test_acquire_grows_and_bumps_epoch(self):
-        scratch = CrawlScratch()
-        stamps, epoch = scratch.acquire(10)
-        assert stamps.size >= 10 and epoch == 1
-        stamps2, epoch2 = scratch.acquire(10)
-        assert stamps2 is stamps and epoch2 == 2
-
-    def test_acquire_regrows_for_larger_mesh(self):
-        scratch = CrawlScratch()
-        stamps, epoch = scratch.acquire(8)
-        stamps[3] = epoch
-        bigger, epoch2 = scratch.acquire(100)
-        assert bigger.size >= 100
-        # The grown arena starts clean: no vertex reads as visited.
-        assert not (bigger[:100] == epoch2).any()
-
-    def test_epoch_rollover_clears_stamps(self):
-        scratch = CrawlScratch()
-        stamps, epoch = scratch.acquire(4)
-        stamps[:] = epoch
-        scratch._epoch = np.iinfo(np.int32).max - 1
-        stamps2, epoch2 = scratch.acquire(4)
-        assert not (stamps2 == epoch2).any()
-
     def test_epoch_rollover_boundary_is_exact(self):
         """One epoch below the limit does not clear; at the limit it does."""
         scratch = CrawlScratch()
-        stamps, epoch = scratch.acquire(4)
+        stamps, _, epoch = scratch.acquire_batch(4)
         stamps[0] = epoch
-        scratch._epoch = np.iinfo(np.int32).max - 2
-        stamps2, epoch2 = scratch.acquire(4)
+        scratch._batch_epoch = np.iinfo(np.int32).max - 2
+        stamps2, _, epoch2 = scratch.acquire_batch(4)
         assert epoch2 == np.iinfo(np.int32).max - 1  # no clear yet
         stamps2[1] = epoch2
-        stamps3, epoch3 = scratch.acquire(4)
+        stamps3, _, epoch3 = scratch.acquire_batch(4)
         assert epoch3 == 1  # rollover happened
         assert not (stamps3 == epoch3).any()
 
     def test_capacity_survives_mesh_shrinkage(self):
         """A smaller mesh reuses the big arena instead of reallocating."""
         scratch = CrawlScratch()
-        big, _ = scratch.acquire(1000)
-        small, epoch = scratch.acquire(10)
-        assert small is big  # capacity kept across shrinkage
+        big, big_words, _ = scratch.acquire_batch(1000)
+        small, small_words, epoch = scratch.acquire_batch(10)
+        assert small is big and small_words is big_words  # capacity kept
         assert not (small[:10] == epoch).any()
 
     def test_arena_regrows_between_executor_prepares(self, grid_mesh, neuron_small):
@@ -92,15 +73,16 @@ class TestCrawlScratch:
             reference = LinearScanExecutor()
             reference.prepare(mesh)
             assert octopus.query(box).same_vertices_as(reference.query(box))
-            assert octopus.scratch._stamps.size >= mesh.n_vertices
+            assert octopus.scratch._batch_stamps.size >= mesh.n_vertices
         # Shrinking back keeps the larger capacity and stays correct.
         octopus.prepare(meshes[0])
-        capacity = octopus.scratch._stamps.size
+        capacity = octopus.scratch._batch_stamps.size
         assert capacity >= meshes[1].n_vertices
         box = Box3D.cube(meshes[0].vertices[0], 0.3)
         reference = LinearScanExecutor()
         reference.prepare(meshes[0])
         assert octopus.query(box).same_vertices_as(reference.query(box))
+        assert octopus.scratch._batch_stamps.size == capacity
 
     def test_batch_arena_regrows_between_executor_prepares(self, grid_mesh, neuron_small):
         """query_many() after re-prepare() on a bigger mesh regrows the bitset arena."""
@@ -122,14 +104,12 @@ class TestCrawlScratch:
     def test_memory_accounting(self):
         scratch = CrawlScratch()
         assert scratch.memory_bytes() == 0
-        # Steady state: visited stamps (4) + batch stamps (4) + words (8).
-        assert scratch.expected_bytes(1000) == 16000
-        scratch.acquire(1000)
-        assert scratch.memory_bytes() >= 4000
+        # Steady state: stamps (4) + one ownership word (8).
+        assert scratch.expected_bytes(1000) == 12000
         scratch.acquire_batch(1000)
-        assert scratch.memory_bytes() >= 16000
-        # The estimate is stable before and after the arenas are touched.
-        assert scratch.expected_bytes(1000) == 16000
+        assert scratch.memory_bytes() >= 12000
+        # The estimate is stable before and after the arena is touched.
+        assert scratch.expected_bytes(1000) == 12000
 
 
 class TestScratchCrawlEquivalence:
@@ -141,8 +121,8 @@ class TestScratchCrawlEquivalence:
             starts = np.nonzero(points_in_box(neuron_small.vertices, box))[0][:5]
             fresh_counters = QueryCounters()
             shared_counters = QueryCounters()
-            fresh = crawl(neuron_small, box, starts, fresh_counters)
-            shared = crawl(neuron_small, box, starts, shared_counters, scratch=scratch)
+            fresh = _crawl_one(neuron_small, box, starts, fresh_counters)
+            shared = _crawl_one(neuron_small, box, starts, shared_counters, scratch=scratch)
             assert np.array_equal(fresh.result_ids, shared.result_ids)
             assert fresh_counters.as_dict() == shared_counters.as_dict()
 
@@ -153,8 +133,8 @@ class TestScratchCrawlEquivalence:
         box = Box3D((0.1, 0.1, 0.1), (0.8, 0.8, 0.8))
         for round_index in range(3):
             starts = np.nonzero(points_in_box(mesh.vertices, box))[0][:3]
-            fresh = crawl(mesh, box, starts)
-            shared = crawl(mesh, box, starts, scratch=scratch)
+            fresh = _crawl_one(mesh, box, starts)
+            shared = _crawl_one(mesh, box, starts, scratch=scratch)
             assert np.array_equal(fresh.result_ids, shared.result_ids)
             smaller, _ = remove_cells(mesh, np.arange(10 * (round_index + 1)))
             mesh.replace_cells(smaller.cells)
@@ -186,16 +166,16 @@ class TestScratchCrawlEquivalence:
         octopus.prepare(neuron_small)
         box = Box3D.cube(neuron_small.vertices[0], 0.3)
         octopus.query(box)
-        arena = octopus.scratch._stamps
-        epoch = octopus.scratch.epoch
+        arena = octopus.scratch._batch_stamps
+        epoch = octopus.scratch.batch_epoch
         octopus.query(box)
-        assert octopus.scratch._stamps is arena
-        assert octopus.scratch.epoch > epoch
+        assert octopus.scratch._batch_stamps is arena
+        assert octopus.scratch.batch_epoch > epoch
 
     def test_bare_crawl_still_correct_without_scratch(self, grid_mesh):
         box = Box3D((0.2, 0.2, 0.2), (0.7, 0.7, 0.7))
         inside = np.nonzero(points_in_box(grid_mesh.vertices, box))[0]
-        outcome = crawl(grid_mesh, box, inside[:1])
+        outcome = _crawl_one(grid_mesh, box, inside[:1])
         assert np.array_equal(outcome.result_ids, inside)
 
 
@@ -306,7 +286,7 @@ class TestQueryMany:
 class TestVectorisedHotPaths:
     def test_directed_walk_multi_source(self, grid_mesh):
         box = Box3D.cube((0.5, 0.5, 0.5), 0.3)
-        outcome = directed_walk(grid_mesh, box, np.array([0, 124]))
+        outcome = directed_walk_many(grid_mesh, [box], [np.array([0, 124])]).outcomes[0]
         assert outcome.found_id is not None
         assert box.contains_point(grid_mesh.vertices[outcome.found_id])
 

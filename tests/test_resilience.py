@@ -297,6 +297,24 @@ class TestResilientQueries:
         assert [event.rung for event in events] == ["sequential"]
         assert events[0].step == 4
 
+    def test_sequential_rung_leaves_no_fused_record(self, grid_mesh):
+        """OCTOPUS answers each box of the rung as a batch of one; none of
+        those one-box batches may pose as the failed batch's record."""
+
+        class FailingBatch(OctopusExecutor):
+            def query_many(self, boxes):
+                raise RuntimeError("batch engine down")
+
+        mesh = grid_mesh.copy()
+        wrapped = ResilientStrategy(FailingBatch())
+        wrapped.prepare(mesh)
+        boxes = random_query_workload(mesh, selectivity=0.05, n_queries=3, seed=0).boxes
+        results = wrapped.query_many(boxes)
+        for box, result in zip(boxes, results):
+            assert np.array_equal(result.vertex_ids, reference_ids(mesh, box))
+        assert [event.rung for event in wrapped.drain_degradation_events()] == ["sequential"]
+        assert wrapped.last_fused_crawl is None
+
     def test_malformed_queries_propagate(self, grid_mesh):
         wrapped = ResilientStrategy(FlakyScan())
         wrapped.prepare(grid_mesh.copy())

@@ -15,6 +15,8 @@ import numpy as np
 import pytest
 from seed_families import chaos_seed_family, parity_seed_family
 
+from repro.cache import CachingStrategy
+from repro.core import OctopusExecutor, ResilientStrategy
 from repro.core.delta import DeformationDelta, TopologyDelta
 from repro.errors import ExperimentError, QueryError, SimulationError, WorkloadError
 from repro.experiments.harness import make_strategy
@@ -284,6 +286,23 @@ class TestStandingStrategyWrapper:
         before = strategy.maintenance_time
         strategy.on_step(_move(mesh, 0, mesh.vertices[0] + 0.01))
         assert strategy.maintenance_time > before
+
+    @pytest.mark.parametrize("wrap", ["none", "ladder", "cache"])
+    def test_subscribe_over_a_prepared_stack_queues_the_initial_update(self, wrap):
+        """A wrapper prepared below the standing layer still counts as prepared."""
+        mesh = _mesh()
+        inner = OctopusExecutor()
+        inner.prepare(mesh)
+        if wrap == "ladder":
+            inner = ResilientStrategy(inner)
+        elif wrap == "cache":
+            inner = CachingStrategy(inner)
+        strategy = StandingStrategy(inner)
+        box = Box3D((0.0, 0.0, 0.0), (0.5, 0.5, 0.5))
+        strategy.subscribe(box)
+        (update,) = strategy.drain_membership_updates()
+        assert update.reason == "initial"
+        assert np.array_equal(update.current, _scan_ids(mesh, box))
 
     def test_adopted_registry_is_shared(self):
         mesh = _mesh()

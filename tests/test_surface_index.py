@@ -36,7 +36,7 @@ class TestProbe:
         counters = QueryCounters()
         # A slab hugging the x=0 face of the unit cube contains surface vertices.
         box = Box3D((0.0, 0.0, 0.0), (0.05, 1.0, 1.0))
-        outcome = index.probe(box, counters)
+        outcome = index.probe_many([box], [counters])[0]
         assert outcome.inside_ids.size > 0
         assert counters.surface_probed == len(index)
         positions = grid_mesh.vertices[outcome.inside_ids]
@@ -46,7 +46,7 @@ class TestProbe:
         index = SurfaceIndex(grid_mesh)
         # A small box strictly inside the cube, away from the surface lattice.
         box = Box3D.cube((0.5, 0.5, 0.5), 0.05)
-        outcome = index.probe(box)
+        outcome = index.probe_many([box])[0]
         assert outcome.inside_ids.size == 0
         assert outcome.closest_id is not None
         assert outcome.closest_distance > 0
@@ -55,10 +55,10 @@ class TestProbe:
         mesh = grid_mesh.copy()
         index = SurfaceIndex(mesh)
         box = Box3D((5.0, 5.0, 5.0), (6.0, 6.0, 6.0))
-        assert index.probe(box).inside_ids.size == 0
+        assert index.probe_many([box])[0].inside_ids.size == 0
         # Deform the mesh so that some surface vertices move into the box.
         mesh.displace(np.full_like(mesh.vertices, 5.0))
-        outcome = index.probe(box)
+        outcome = index.probe_many([box])[0]
         assert outcome.inside_ids.size > 0
 
     def test_probe_after_deformation_needs_no_maintenance(self, neuron_small, rng):

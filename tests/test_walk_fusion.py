@@ -1,11 +1,13 @@
-"""Parity and work invariants of the fused directed walk (``directed_walk_many``).
+"""Batch invariance and work invariants of the fused directed walk
+(``directed_walk_many``).
 
 The fused lockstep walk must be a pure *dispatch/work-sharing*
-optimisation over per-box :func:`~repro.core.directed_walk.directed_walk`
-calls:
+optimisation:
 
-* per-query seed vertices, step counts, paths and counters are bit-identical
-  to independent walks with the same arguments;
+* batch invariance: each box's seed vertex, step count, path and counters
+  equal those of a one-box ``directed_walk_many`` call with the same start,
+  whatever else rides in its batch;
+* a walk that finds a vertex found one the linear scan puts in the box;
 * the per-query distance counters sum exactly to the batch's *attributed*
   walk work;
 * the *unique* walk work (distinct candidate positions gathered per lockstep
@@ -13,7 +15,7 @@ calls:
   overlapping walks traverse the same vertices;
 * the executor-level batched path threads the fused walk end to end,
   including >64-query batches that drive the crawl's multi-word ownership
-  bitsets.
+  bitsets, and answers as the linear scan does.
 
 Random content is driven by ``REPRO_PARITY_SEED`` (CI runs two seeds), like
 ``tests/test_batch_parity.py``.
@@ -26,15 +28,15 @@ import os
 import numpy as np
 import pytest
 
+from repro.baselines import LinearScanExecutor
 from repro.core import (
     CrawlScratch,
     OctopusConExecutor,
     OctopusExecutor,
     QueryCounters,
-    directed_walk,
     directed_walk_many,
 )
-from repro.mesh import Box3D
+from repro.mesh import Box3D, points_in_box
 
 PARITY_SEED = int(os.environ.get("REPRO_PARITY_SEED", "0"))
 
@@ -90,10 +92,10 @@ def _walk_families(mesh, seed: int) -> dict[str, tuple[list[Box3D], list]]:
 
 
 def _assert_walk_parity(mesh, boxes, starts) -> None:
-    sequential_scratch = CrawlScratch()
+    one_box_scratch = CrawlScratch()
     expected_counters = [QueryCounters() for _ in boxes]
     expected = [
-        directed_walk(mesh, box, start, counters, scratch=sequential_scratch)
+        directed_walk_many(mesh, [box], [start], [counters], scratch=one_box_scratch).outcomes[0]
         for box, start, counters in zip(boxes, starts, expected_counters)
     ]
     fused_counters = [QueryCounters() for _ in boxes]
@@ -107,6 +109,8 @@ def _assert_walk_parity(mesh, boxes, starts) -> None:
         assert (
             fused_counters[index].as_dict() == expected_counters[index].as_dict()
         ), context
+        if got.found_id is not None:
+            assert points_in_box(mesh.vertices[[got.found_id]], boxes[index])[0], context
     assert batch.n_attributed_distance_computations == sum(
         c.walk_distance_computations for c in fused_counters
     )
@@ -138,7 +142,7 @@ class TestFusedWalkParity:
             directed_walk_many(grid_mesh, [box], [0], counters_list=[])
 
     def test_batch_larger_than_64_queries(self, grid_mesh):
-        """Parity holds for >64 walks in one batch (multi-word crawl scale)."""
+        """Invariance holds for >64 walks in one batch (multi-word crawl scale)."""
         rng = np.random.default_rng(PARITY_SEED + 71)
         surface = grid_mesh.surface_vertices()
         boxes = [
@@ -166,9 +170,12 @@ class TestFusedWalkWork:
 
 class TestExecutorFusedWalks:
     def test_octopus_batched_walks_match_sequential(self, neuron_small):
-        """End-to-end: probe misses walk fused, results identical to query()."""
+        """End-to-end: probe misses walk fused, results identical to query()
+        and to the linear scan."""
         executor = OctopusExecutor()
         executor.prepare(neuron_small)
+        scan = LinearScanExecutor()
+        scan.prepare(neuron_small)
         bounding = neuron_small.bounding_box()
         diagonal = float(np.linalg.norm(bounding.extents))
         rng = np.random.default_rng(PARITY_SEED + 83)
@@ -179,8 +186,9 @@ class TestExecutorFusedWalks:
         ] + [Box3D.cube(bounding.hi + 2.0 * diagonal, 0.1 * diagonal)]
         sequential = [executor.query(box) for box in boxes]
         batched = executor.query_many(boxes)
-        for got, want in zip(batched, sequential):
+        for got, want, truth in zip(batched, sequential, scan.query_many(boxes)):
             assert got.same_vertices_as(want)
+            assert got.same_vertices_as(truth)
             assert got.counters.as_dict() == want.counters.as_dict()
         assert executor.last_fused_crawl is not None
 
@@ -204,9 +212,12 @@ class TestExecutorFusedWalks:
 
     def test_over_64_query_executor_batch_single_fused_crawl(self, grid_mesh):
         """A 70-query batch runs as one fused crawl (2 ownership words) with
-        walk+crawl counters bit-identical to the sequential path."""
+        walk+crawl counters bit-identical to one-box queries, and the linear
+        scan's answers."""
         executor = OctopusConExecutor()
         executor.prepare(grid_mesh)
+        scan = LinearScanExecutor()
+        scan.prepare(grid_mesh)
         rng = np.random.default_rng(PARITY_SEED + 101)
         boxes = [Box3D.cube(rng.uniform(0.2, 0.8, 3), 0.15) for _ in range(70)]
         sequential = [executor.query(box) for box in boxes]
@@ -214,8 +225,10 @@ class TestExecutorFusedWalks:
         batch = executor.last_fused_crawl
         assert batch is not None
         assert batch.n_words == 2
+        truths = scan.query_many(boxes)
         for index, (got, want) in enumerate(zip(batched, sequential)):
             assert got.same_vertices_as(want), f"box {index}"
+            assert got.same_vertices_as(truths[index]), f"box {index}"
             assert got.counters.as_dict() == want.counters.as_dict(), f"box {index}"
 
 
