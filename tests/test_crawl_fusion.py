@@ -11,7 +11,9 @@ The fused shared-frontier BFS must be a pure *work-sharing* optimisation:
   fused operation counted once per owning query);
 * the *unique* work the fused BFS actually performed never exceeds the
   summed work of one-box crawls, and is strictly smaller on overlapping
-  batches (that is the point of fusing).
+  batches (that is the point of fusing);
+* an executor's ``query(box)`` is a fused batch of one that does not go
+  through ``query_many``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import CrawlScratch, OctopusExecutor, QueryCounters, crawl_many
+from repro.core import CrawlScratch, OctopusConExecutor, OctopusExecutor, QueryCounters, crawl_many
 from repro.core.crawler import GROUP_SIZE, _OwnershipBits
 from repro.kernels import KERNELS
 from repro.mesh import Box3D, points_in_box
@@ -204,6 +206,40 @@ class TestExecutorFusion:
         assert batch.n_attributed_vertex_visits == sum(
             r.counters.crawl_vertices_visited for r in results
         )
+
+    def test_one_box_query_records_its_walk_and_crawl(self, grid_mesh):
+        """query(box) runs the fused path for a batch of one, so
+        last_fused_crawl accounts for that box's walk and crawl."""
+        executor = OctopusConExecutor()
+        executor.prepare(grid_mesh)
+        box = Box3D.cube((0.5, 0.5, 0.5), 0.2)
+        result = executor.query(box)
+        assert np.array_equal(result.vertex_ids, _scan(grid_mesh, box))
+        batch = executor.last_fused_crawl
+        assert batch is not None and len(batch.outcomes) == 1
+        assert np.array_equal(batch.outcomes[0].result_ids, result.vertex_ids)
+        assert batch.n_attributed_vertex_visits == result.counters.crawl_vertices_visited
+        assert (
+            batch.n_attributed_walk_distance_computations
+            == result.counters.walk_distance_computations
+            > 0
+        )
+
+    @pytest.mark.parametrize(
+        "executor_type", [OctopusExecutor, OctopusConExecutor], ids=["octopus", "octopus-con"]
+    )
+    def test_query_does_not_route_through_query_many(self, grid_mesh, executor_type, monkeypatch):
+        """The e2e tracer wraps both query() and query_many(); a one-box call
+        must open one query span, not two nested ones."""
+        executor = executor_type()
+        executor.prepare(grid_mesh)
+
+        def refuse(self, boxes):
+            raise AssertionError("query() went through query_many()")
+
+        monkeypatch.setattr(executor_type, "query_many", refuse)
+        box = Box3D.cube((0.5, 0.5, 0.5), 0.2)
+        assert np.array_equal(executor.query(box).vertex_ids, _scan(grid_mesh, box))
 
     def test_batch_arena_isolated_between_groups(self):
         scratch = CrawlScratch()
