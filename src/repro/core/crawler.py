@@ -18,9 +18,10 @@ a textbook queue-based BFS but the set of visited vertices (and hence the
 result and the work counters) is identical.
 
 Per-query memory is O(frontier + result): the visited test reads the
-epoch-stamped arena of a :class:`~repro.core.scratch.CrawlScratch` instead of
-a fresh O(n_vertices) bitmap, so repeated queries on a prepared executor
-never pay a dataset-size allocation.
+reusable arena of a :class:`~repro.core.scratch.CrawlScratch` instead of a
+fresh O(n_vertices) bitmap, and a batch clears only the rows it set, so
+repeated queries on a prepared executor never pay a dataset-size
+allocation or clear.
 
 Overlapping boxes share the work of walking the same mesh region, while the
 ownership bitmask keeps per-query counters exactly attributable: a box's
@@ -38,8 +39,9 @@ from typing import Sequence
 import numpy as np
 
 from ..kernels import KERNELS
-from ..mesh import Box3D, PolyhedralMesh, boxes_to_arrays, csr_gather
+from ..mesh import Box3D, PolyhedralMesh, box_batch_chunk, boxes_to_arrays, csr_gather
 from ..mesh.adjacency import sorted_unique
+from ..mesh.geometry import box_bounds
 from .result import QueryCounters
 from .scratch import CrawlScratch
 
@@ -48,19 +50,6 @@ __all__ = ["crawl_many", "CrawlOutcome", "BatchCrawlOutcome"]
 #: queries per ownership word (the bit width of one uint64); batches larger
 #: than this widen the per-vertex ownership row instead of being chunked
 GROUP_SIZE = 64
-
-#: cap on the (rows x queries) boolean membership transients the fused crawl
-#: materialises (the position tests of one level, the per-query visit count
-#: at the end of the batch); the row axis is chunked to stay under it, so
-#: multi-thousand-query batches on large meshes keep a bounded scratch
-#: footprint instead of allocating n_rows x n_queries at once
-_ATTRIBUTION_BUDGET = 4_000_000
-
-
-def _attribution_chunk(n_queries: int) -> int:
-    """Row-axis chunk size keeping one attribution transient under budget."""
-    return max(1, _ATTRIBUTION_BUDGET // max(n_queries, 1))
-
 
 class CrawlOutcome:
     """Vertices retrieved by a crawl plus the work it performed."""
@@ -128,20 +117,8 @@ class BatchCrawlOutcome:
         self.n_words = 0
 
 
-def _or_duplicates(ids: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Deduplicate ``ids``, OR-combining the ownership ``bits`` of duplicates.
-
-    ``bits`` is ``(n, n_words)``; returns sorted unique ids and, per unique
-    id, the union of the bitset rows of all its occurrences.
-    """
-    order = np.argsort(ids)
-    sorted_ids = ids[order]
-    sorted_bits = bits.take(order, axis=0)
-    boundaries = np.empty(sorted_ids.size, dtype=bool)
-    boundaries[0] = True
-    np.not_equal(sorted_ids[1:], sorted_ids[:-1], out=boundaries[1:])
-    starts = np.nonzero(boundaries)[0]
-    return sorted_ids[starts], np.bitwise_or.reduceat(sorted_bits, starts, axis=0)
+#: bit ``b`` of an ownership word, for ``b`` in ``0 .. GROUP_SIZE - 1``
+_WORD_BITS = np.left_shift(np.uint64(1), np.arange(GROUP_SIZE, dtype=np.uint64))
 
 
 class _OwnershipBits:
@@ -149,26 +126,23 @@ class _OwnershipBits:
 
     Query ``q`` owns bit ``q % 64`` of word ``q // 64``; a set of queries is a
     ``(n_words,)`` ``uint64`` row, and a set per vertex a ``(n, n_words)``
-    array.  All batch-wide bit plumbing (membership matrices, packing a
-    boolean membership back into rows) lives here so :func:`_crawl_fused`
-    reads like the single-word version.
+    array.  Row ``q`` of ``query_rows`` is the set holding only query ``q``,
+    and ``word_masks[w]`` holds the bits of word ``w``'s queries, so a boolean
+    membership of those queries packs into the word with one integer product
+    (the bits are distinct powers of two, so their sum is their OR).  All
+    batch-wide bit plumbing lives here so :func:`_crawl_fused` reads like the
+    single-word version.
     """
 
-    __slots__ = ("n_queries", "n_words", "word_of", "mask_of")
+    __slots__ = ("n_queries", "n_words", "word_masks", "query_rows")
 
     def __init__(self, n_queries: int) -> None:
         self.n_queries = n_queries
         self.n_words = (n_queries + GROUP_SIZE - 1) // GROUP_SIZE
-        self.word_of = np.arange(n_queries, dtype=np.int64) // GROUP_SIZE
-        self.mask_of = np.left_shift(
-            np.uint64(1), (np.arange(n_queries, dtype=np.uint64) % np.uint64(GROUP_SIZE))
-        )
-
-    def row_for_query(self, query_index: int) -> np.ndarray:
-        """The ``(n_words,)`` row with only query ``query_index``'s bit set."""
-        row = np.zeros(self.n_words, dtype=np.uint64)
-        row[self.word_of[query_index]] = self.mask_of[query_index]
-        return row
+        self.word_masks = [_WORD_BITS[: n_queries - lo] for lo in range(0, n_queries, GROUP_SIZE)]
+        self.query_rows = np.zeros((n_queries, self.n_words), dtype=np.uint64)
+        for word, masks in enumerate(self.word_masks):
+            self.query_rows[word * GROUP_SIZE : word * GROUP_SIZE + masks.size, word] = masks
 
     def owned_matrix(self, rows: np.ndarray) -> np.ndarray:
         """``(n, n_queries)`` boolean membership from ``(n, n_words)`` rows.
@@ -178,25 +152,15 @@ class _OwnershipBits:
         boolean result is what attribution needs and is 8x smaller).
         """
         out = np.empty((rows.shape[0], self.n_queries), dtype=bool)
-        for word in range(self.n_words):
+        for word, masks in enumerate(self.word_masks):
             lo = word * GROUP_SIZE
-            hi = min(lo + GROUP_SIZE, self.n_queries)
-            out[:, lo:hi] = (rows[:, word, None] & self.mask_of[None, lo:hi]) != np.uint64(0)
+            out[:, lo : lo + masks.size] = (rows[:, word, None] & masks) != np.uint64(0)
         return out
-
-    def pack(self, membership: np.ndarray) -> np.ndarray:
-        """``(n, n_words)`` rows from an ``(n, n_queries)`` boolean membership."""
-        packed = np.zeros((membership.shape[0], self.n_words), dtype=np.uint64)
-        for word in range(self.n_words):
-            lo = word * GROUP_SIZE
-            hi = min(lo + GROUP_SIZE, self.n_queries)
-            slab = membership[:, lo:hi].astype(np.uint64)
-            packed[:, word] = (slab * self.mask_of[None, lo:hi]).sum(axis=1, dtype=np.uint64)
-        return packed
 
     def query_mask(self, rows: np.ndarray, query_index: int) -> np.ndarray:
         """Boolean mask of which ``(n, n_words)`` rows contain ``query_index``."""
-        return (rows[:, self.word_of[query_index]] & self.mask_of[query_index]) != np.uint64(0)
+        word, bit = divmod(query_index, GROUP_SIZE)
+        return (rows[:, word] & _WORD_BITS[bit]) != np.uint64(0)
 
 
 def _crawl_fused(
@@ -219,81 +183,72 @@ def _crawl_fused(
     """
     n_queries = len(start_lists)
     bits = _OwnershipBits(n_queries)
-    stamps, words, epoch = scratch.acquire_batch(n_vertices, bits.n_words)
+    words, epoch = scratch.acquire_batch(n_vertices, bits.n_words)
     word_columns = words[:, : bits.n_words]
-    chunk = _attribution_chunk(n_queries)
+    chunk = box_batch_chunk(n_queries)
+    bounds = [
+        box_bounds(los[lo : lo + GROUP_SIZE], his[lo : lo + GROUP_SIZE])
+        for lo in range(0, n_queries, GROUP_SIZE)
+    ]
 
+    unique_visited = 0
     unique_edges = 0
     fresh_levels: list[np.ndarray] = []
     level_ids: list[np.ndarray] = []
     level_bits: list[np.ndarray] = []
+    level_degrees: list[np.ndarray] = []
 
-    def stamp_and_test(candidates: np.ndarray, reach_bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Stamp newly reached (vertex, query) pairs and test positions.
-
-        Returns the next union frontier (vertices inside at least one owning
-        box) and its ownership rows.  The loop itself is
-        :meth:`repro.kernels.KernelBackend.crawl_stamp_and_test`, which runs
-        the position tests in candidate-axis chunks so the expanded
-        ``(candidates, n_queries)`` boolean transients stay under
-        ``_ATTRIBUTION_BUDGET`` however large the batch is.
-        """
-        frontier, frontier_bits, fresh = KERNELS.crawl_stamp_and_test(
-            candidates, reach_bits, stamps, word_columns, epoch, positions, los, his, bits, chunk
-        )
-        fresh_levels.append(fresh)
-        if frontier.size:
+    # Level 0 reaches every query's start vertices, each tagged with its
+    # query's bit (a start listed twice, or shared by several queries, is
+    # stamped, counted, and position-tested once).  The loop body is one
+    # level: stamp the vertices newly reached by a query and test their
+    # positions (the kernel), then gather the next level's reaches.
+    starts = [np.asarray(raw, dtype=np.int64) for raw in start_lists]
+    reached = np.concatenate(starts)
+    reach_bits = bits.query_rows.repeat([ids.size for ids in starts], axis=0)
+    visited_per_query = np.zeros(n_queries, dtype=np.int64)
+    try:
+        while reached.size:
+            frontier, frontier_bits, fresh = KERNELS.crawl_stamp_and_test(
+                reached, reach_bits, word_columns, positions, bounds, bits, chunk
+            )
+            unique_visited += fresh.size
+            fresh_levels.append(fresh)
+            if frontier.size == 0:
+                break
             level_ids.append(frontier)
             level_bits.append(frontier_bits)
-        return frontier, frontier_bits
-
-    # Level 0: every query's start vertices, merged into one deduplicated,
-    # ownership-tagged union (a start listed twice, or shared by several
-    # queries, is stamped, counted, and position-tested once).
-    id_chunks: list[np.ndarray] = []
-    bit_chunks: list[np.ndarray] = []
-    for query_index, raw_starts in enumerate(start_lists):
-        starts = np.asarray(raw_starts, dtype=np.int64)
-        if starts.size:
-            id_chunks.append(starts)
-            bit_chunks.append(
-                np.broadcast_to(bits.row_for_query(query_index), (starts.size, bits.n_words))
-            )
-    if id_chunks:
-        candidates, reach_bits = _or_duplicates(
-            np.concatenate(id_chunks), np.concatenate(bit_chunks)
-        )
-        frontier, frontier_bits = stamp_and_test(candidates, reach_bits)
-
-        while frontier.size:
             scratch.check_batch_epoch(epoch)
-            neighbors, degrees = csr_gather(indptr, indices, frontier, ramp=scratch.iota)
-            unique_edges += int(neighbors.size)
-            if neighbors.size == 0:
-                break
-            neighbor_bits = np.repeat(frontier_bits, degrees, axis=0)
-            candidates, reach_bits = _or_duplicates(neighbors, neighbor_bits)
-            frontier, frontier_bits = stamp_and_test(candidates, reach_bits)
+            reached, degrees = csr_gather(indptr, indices, frontier, ramp=scratch.iota)
+            level_degrees.append(degrees)
+            unique_edges += reached.size
+            reach_bits = frontier_bits.repeat(degrees, axis=0)
 
-    # Attribution, once per batch.  A query visited a vertex iff its bit is
-    # set in the vertex's final ownership row, so its visit count is one
-    # popcount column over the rows stamped this batch (a row stamped at two
-    # levels, for different queries, is counted once).  A query follows the
-    # edges of every vertex it expands, which are exactly its result ids.
-    unique_visited = sum(int(fresh.size) for fresh in fresh_levels)
-    visited_per_query = np.zeros(n_queries, dtype=np.int64)
-    if unique_visited:
-        visited = sorted_unique(np.concatenate(fresh_levels))
-        for lo in range(0, visited.size, chunk):
-            rows = word_columns[visited[lo : lo + chunk]]
-            visited_per_query += bits.owned_matrix(rows).sum(axis=0)
+        # Attribution, once per batch.  A query visited a vertex iff its bit
+        # is set in the vertex's final row, so its visit count is one column
+        # sum over the rows stamped this batch (a row stamped at two levels,
+        # for different queries, is counted once); clearing those rows hands
+        # the next batch an all-zero arena.  A query follows the edges of
+        # every vertex it expands, which are exactly its result ids.
+        if unique_visited:
+            visited = sorted_unique(np.concatenate(fresh_levels))
+            for lo in range(0, visited.size, chunk):
+                rows = visited[lo : lo + chunk]
+                visited_per_query += bits.owned_matrix(word_columns.take(rows, axis=0)).sum(axis=0)
+                word_columns[rows] = 0
+    except BaseException:
+        # A batch stopped half-way has set the rows it stamped, and maybe
+        # any row the level in progress reached.
+        for rows in (*fresh_levels, reached):
+            word_columns[rows] = 0
+        raise
     if level_ids:
         all_ids = np.concatenate(level_ids)
         all_bits = np.concatenate(level_bits)
+        all_degrees = np.concatenate(level_degrees)
     else:
-        all_ids = np.empty(0, dtype=np.int64)
+        all_ids = all_degrees = np.empty(0, dtype=np.int64)
         all_bits = np.empty((0, bits.n_words), dtype=np.uint64)
-    all_degrees = indptr[all_ids + 1] - indptr[all_ids]
     outcomes = []
     for query_index in range(n_queries):
         mask = bits.query_mask(all_bits, query_index)

@@ -195,8 +195,9 @@ def directed_walk_many(
 
     def step(query: int, candidates: np.ndarray, distances: np.ndarray) -> None:
         """Accept a step for ``query``: the closest candidate of its segment
-        (arg-sorted), best-so-far update, path append, found bookkeeping."""
-        pick = np.argsort(distances)[0]
+        (the first, so the smallest id, among equally close ones), best-so-far
+        update, path append, found bookkeeping."""
+        pick = int(distances.argmin())
         best_distance[query] = float(distances[pick])
         best_id[query] = int(candidates[pick])
         n_steps[query] += 1

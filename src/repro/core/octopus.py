@@ -63,9 +63,9 @@ class _SeedWalkCrawl(ExecutionStrategy):
 
     def __init__(self) -> None:
         super().__init__()
-        #: per-thread crawl arenas (epoch-stamped visited + buffers); one
+        #: per-thread crawl arenas (visited words + buffers); one
         #: CrawlScratch per thread keeps concurrent queries off each other's
-        #: stamps — see the thread-safety contract in repro.core.scratch
+        #: rows — see the thread-safety contract in repro.core.scratch
         self._scratch = ThreadLocalScratch()
         #: fused-crawl accounting of the most recent query or batch
         self.last_fused_crawl: BatchCrawlOutcome | None = None

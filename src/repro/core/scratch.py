@@ -1,21 +1,18 @@
 """Reusable per-executor scratch memory for the query hot path.
 
 The crawl needs a "have I visited this vertex?" test over all mesh vertices.
-Allocating (and zeroing) a fresh boolean array per query re-introduces an
-O(n_vertices) term into every query — exactly the dataset-size dependence the
-crawl is designed to avoid (Section IV claims cost proportional to selectivity
-and mesh degree only).  :class:`CrawlScratch` removes it with the classic
-epoch-stamping trick: one persistent ``int32`` array holds, per vertex, the
-epoch of the last batch that visited it.  A vertex's row is live in the
-current batch iff its stamp equals the current epoch, so starting a new batch
-is a single integer increment — no clearing, no allocation.
-
-Per vertex, the arena also holds a row of ``uint64`` ownership words whose
-bit ``q`` of word ``q // 64`` records "visited by query ``q`` of the current
-batch" (a stale stamp means the row is garbage and is treated as all-zeros).
-The word axis widens on demand, so one fused crawl serves arbitrarily large
-batches — there is no 64-query ceiling — and a single query is a batch of
-one.
+Allocating (and zeroing) a fresh array per query re-introduces an
+O(n_vertices) term into every query — exactly the dataset-size dependence
+the crawl is designed to avoid (Section IV claims cost proportional to
+selectivity and mesh degree only).  :class:`CrawlScratch` removes it with
+one persistent arena: per vertex, a row of ``uint64`` ownership words whose
+bit ``q % 64`` of word ``q // 64`` records "visited by query ``q`` of the
+current batch".  Every row is zero between batches, because each batch
+clears the rows it set before it returns (on failure, every row it
+reached), so starting a batch costs nothing and clearing costs what the
+crawl itself cost.  The word axis widens on demand, so one fused crawl
+serves arbitrarily large batches — there is no 64-query ceiling — and a
+single query is a batch of one.
 
 The arena also keeps a growable identity ramp (``0, 1, 2, ...``) that the
 CSR neighbour gather slices instead of re-materialising ``np.arange`` per
@@ -24,8 +21,8 @@ state is a few batch-sized arrays allocated per call.
 
 A scratch instance is owned by one thread at a time and is **not**
 thread-safe; two concurrent queries must use two scratches.  That contract
-used to be documentation only — now it is enforced: the crawl round loop
-re-checks the arena epoch every round and raises
+used to be documentation only — now it is enforced: every batch takes a new
+epoch, the crawl round loop re-checks it every round and raises
 :class:`~repro.errors.ConcurrencyError` when another acquisition moved it
 mid-batch (the signature of a second thread sharing the arena), and
 executors route concurrent callers onto distinct arenas through
@@ -43,32 +40,28 @@ from ..errors import ConcurrencyError
 
 __all__ = ["CrawlScratch", "ThreadLocalScratch"]
 
-#: stamp value reserved for "never visited" (fresh arenas are zero-filled)
-_NEVER = 0
-_EPOCH_LIMIT = np.iinfo(np.int32).max - 1
-
 
 class CrawlScratch:
-    """Epoch-stamped (vertex, query-bitset) visited arena plus gather buffers.
+    """Per-vertex (query-bitset) visited arena plus gather buffers.
 
     Usage::
 
-        stamps, words, epoch = scratch.acquire_batch(mesh.n_vertices, n_words)
-        stamps[v] == epoch           # row words[v] is live in this batch
+        words, epoch = scratch.acquire_batch(mesh.n_vertices, n_words)
+        words[v]                          # queries of this batch that visited v
         scratch.check_batch_epoch(epoch)  # still this batch's arena?
+        words[visited] = 0                # before the batch returns
 
-    ``acquire_batch`` starts a new batch: it bumps the epoch (making every
-    previous row stale at zero cost) and grows the arena if the mesh gained
-    vertices since the last batch (e.g. after a restructuring step).
+    ``acquire_batch`` starts a new batch: it bumps the epoch and grows the
+    arena if the mesh gained vertices since the last batch (e.g. after a
+    restructuring step).
     """
 
-    __slots__ = ("_iota", "_batch_stamps", "_batch_words", "_batch_epoch")
+    __slots__ = ("_iota", "_batch_words", "_batch_epoch")
 
     def __init__(self) -> None:
         self._iota = np.empty(0, dtype=np.int64)
-        self._batch_stamps = np.empty(0, dtype=np.int32)
-        self._batch_words = np.empty((0, 1), dtype=np.uint64)
-        self._batch_epoch = _NEVER
+        self._batch_words = np.zeros((0, 1), dtype=np.uint64)
+        self._batch_epoch = 0
 
     # ------------------------------------------------------------------
     # the (vertex, query-bitset) batch arena
@@ -78,43 +71,31 @@ class CrawlScratch:
         """Epoch of the most recent :meth:`acquire_batch` (0 before any batch)."""
         return self._batch_epoch
 
-    def acquire_batch(
-        self, n_vertices: int, n_words: int = 1
-    ) -> tuple[np.ndarray, np.ndarray, int]:
-        """Begin a fused multi-query group; returns ``(stamps, words, epoch)``.
+    def acquire_batch(self, n_vertices: int, n_words: int = 1) -> tuple[np.ndarray, int]:
+        """Begin a fused multi-query batch; returns ``(words, epoch)``.
 
         ``words[v]`` is a row of ``n_words`` ``uint64`` bitset words whose bit
         ``q % 64`` of word ``q // 64`` means "vertex ``v`` was visited by
-        query ``q`` of the current group" — but only where
-        ``stamps[v] == epoch``; a stale stamp marks the row as garbage from an
-        earlier group, to be treated as all-zeros and overwritten.  Starting
-        a group is a single epoch increment: the words are never cleared
-        (``np.empty`` on growth), only the ``int32`` stamp array pays a bulk
-        clear on growth (geometric, so repeated restructuring amortises) or
-        on ``int32`` epoch rollover, about every two billion batches.
-
-        The word axis grows to the widest batch seen so far, so the ownership
-        bitsets have no intrinsic query-count limit; memory scales as
-        ``8 * n_vertices * ceil(n_queries / 64)`` bytes.
+        query ``q`` of the current batch".  Every row is zero when the batch
+        starts, and the batch must zero the rows it set before the next one
+        starts (:func:`repro.core.crawler.crawl_many` does, also when it
+        fails), so no batch pays an O(n_vertices) clear.  Growth allocates a
+        zeroed arena: geometric in the rows, so repeated restructuring
+        amortises, and as wide as the widest batch seen so far, so the
+        ownership bitsets have no intrinsic query-count limit; memory scales
+        as ``8 * n_vertices * ceil(n_queries / 64)`` bytes.
         """
         if n_words < 1:
             raise ValueError("acquire_batch: n_words must be at least 1")
-        if self._batch_stamps.size < n_vertices or self._batch_words.shape[1] < n_words:
-            if self._batch_stamps.size < n_vertices:
-                capacity = max(n_vertices, 2 * self._batch_stamps.size)
-            else:
-                # Widening only the word axis keeps the current row capacity —
-                # doubling rows is for vertex growth, not wider batches.
-                capacity = self._batch_stamps.size
-            word_capacity = max(n_words, self._batch_words.shape[1])
-            self._batch_stamps = np.zeros(capacity, dtype=np.int32)
-            self._batch_words = np.empty((capacity, word_capacity), dtype=np.uint64)
-            self._batch_epoch = _NEVER
-        elif self._batch_epoch >= _EPOCH_LIMIT:
-            self._batch_stamps.fill(_NEVER)
-            self._batch_epoch = _NEVER
+        capacity, word_capacity = self._batch_words.shape
+        if capacity < n_vertices or word_capacity < n_words:
+            # Widening only the word axis keeps the current row capacity —
+            # doubling rows is for vertex growth, not wider batches.
+            if capacity < n_vertices:
+                capacity = max(n_vertices, 2 * capacity)
+            self._batch_words = np.zeros((capacity, max(n_words, word_capacity)), dtype=np.uint64)
         self._batch_epoch += 1
-        return self._batch_stamps, self._batch_words, self._batch_epoch
+        return self._batch_words, self._batch_epoch
 
     # ------------------------------------------------------------------
     # single-owner enforcement
@@ -148,24 +129,25 @@ class CrawlScratch:
     # accounting
     # ------------------------------------------------------------------
     def memory_bytes(self) -> int:
-        """Current footprint of the arenas and buffers."""
-        return int(self._iota.nbytes + self._batch_stamps.nbytes + self._batch_words.nbytes)
+        """Current footprint of the arena and the gather ramp."""
+        return int(self._iota.nbytes + self._batch_words.nbytes)
 
-    #: steady-state arena bytes per vertex: 4 (epoch stamp) + 8 (one uint64
-    #: ownership word); batches beyond 64 queries widen the ownership rows by
-    #: 8 bytes per vertex per additional 64 queries, which ``memory_bytes()``
-    #: reflects once such a batch has run
-    BYTES_PER_VERTEX = 12
+    #: steady-state arena bytes per vertex: one ``uint64`` ownership word;
+    #: batches beyond 64 queries widen the ownership rows by 8 bytes per
+    #: vertex per additional 64 queries, which ``expected_bytes`` reflects
+    #: once such a batch has run
+    BYTES_PER_VERTEX = 8
 
     def expected_bytes(self, n_vertices: int) -> int:
         """Steady-state footprint for serving queries on an ``n_vertices`` mesh.
 
         Used by ``memory_overhead_bytes()`` so executors report a stable
-        scratch cost regardless of whether the lazily grown arena (stamps +
-        ownership words) has been touched yet — the
-        reported overhead must not jump depending on query history.
+        scratch cost regardless of whether the lazily grown arena has been
+        touched yet — the reported overhead must not jump depending on query
+        history.  The gather ramp is left out for the same reason: it grows
+        with the largest neighbour gather a query has made.
         """
-        return max(self.memory_bytes(), self.BYTES_PER_VERTEX * int(n_vertices))
+        return max(self._batch_words.nbytes, self.BYTES_PER_VERTEX * int(n_vertices))
 
 
 class ThreadLocalScratch:

@@ -62,7 +62,7 @@ class ConcurrencyError(ReproError):
     epoch moves mid-query — the signature of a second thread acquiring the
     same arena while a crawl is in flight.  The single-owner contract
     used to be documentation only; this error makes the violation loud instead
-    of silently corrupting visited stamps.  Executors avoid it by keeping one
+    of silently corrupting visited rows.  Executors avoid it by keeping one
     scratch per thread (see :class:`~repro.core.scratch.ThreadLocalScratch`).
     """
 

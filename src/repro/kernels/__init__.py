@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..mesh.geometry import offset_norms, points_in_boxes as _points_in_boxes
+from ..mesh.adjacency import sorted_unique
+from ..mesh.geometry import columns_in_boxes, offset_norms, points_in_boxes as _points_in_boxes
 
 __all__ = ["KERNELS", "KernelBackend"]
 
@@ -67,50 +68,51 @@ class KernelBackend:
     # ------------------------------------------------------------------
     def crawl_stamp_and_test(
         self,
-        candidates: np.ndarray,
+        reached: np.ndarray,
         reach_bits: np.ndarray,
-        stamps: np.ndarray,
         word_columns: np.ndarray,
-        epoch: int,
         positions: np.ndarray,
-        los: np.ndarray,
-        his: np.ndarray,
+        bounds: list[tuple[np.ndarray, ...]],
         bits,
         attribution_chunk: int,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One fused-crawl level: stamp fresh (vertex, query) pairs, test boxes.
 
         Parameters mirror the state of one
-        :func:`repro.core.crawler._crawl_fused` level: sorted candidate ids
-        with their reachability bitset rows, the epoch-stamped arena
-        (``stamps`` / ``word_columns`` / ``epoch``), the mesh positions, the
-        stacked box corners, the batch's ownership-bit helper (``bits``, a
-        :class:`repro.core.crawler._OwnershipBits` providing ``pack``), and
-        the candidate-axis chunk bounding the membership transients.  A
-        candidate joins a query's frontier when the query reached it fresh
-        and its position lies in the query's box.
+        :func:`repro.core.crawler._crawl_fused` level: the vertex ids the
+        level reached (a vertex reached along several edges repeats) with
+        the ownership row each reach carries, the batch's visited rows
+        (``word_columns``, see :class:`repro.core.scratch.CrawlScratch`), the
+        mesh positions, the box corners of each ownership word's queries as
+        :func:`repro.mesh.geometry.box_bounds` columns, the batch's
+        ownership-bit helper (``bits``, a
+        :class:`repro.core.crawler._OwnershipBits` providing ``word_masks``),
+        and the candidate-axis chunk bounding the membership transients.  The
+        reaches OR into the visited rows, so a vertex reached twice is
+        stamped, counted and position-tested once.  A vertex joins a query's
+        frontier when the query reached it fresh and its position lies in
+        the query's box.
 
         Returns ``(frontier, frontier_bits, fresh)``: the next union frontier
-        (candidates inside at least one owning box, in candidate order), its
-        ownership rows, and the candidates freshly stamped for at least one
-        query (their count is the level's unique visit count).
+        (ascending ids of vertices inside at least one owning box), its
+        ownership rows, and the vertices stamped fresh for at least one query
+        (their count is the level's unique visit count).
         """
-        zero = np.uint64(0)
-        previous = np.where(
-            (stamps[candidates] == epoch)[:, None], word_columns.take(candidates, axis=0), zero
-        )
-        new_bits = reach_bits & ~previous
-        fresh = (new_bits != zero).any(axis=1)
-        candidates = candidates[fresh]
-        new_bits = new_bits[fresh]
-        word_columns[candidates] = previous[fresh] | new_bits
-        stamps[candidates] = epoch
+        candidates = sorted_unique(reached)
+        previous = word_columns.take(candidates, axis=0)
+        np.bitwise_or.at(word_columns, reached, reach_bits)
+        gained = word_columns.take(candidates, axis=0)
+        gained ^= previous
+        fresh = np.logical_or.reduce(gained, axis=1).nonzero()[0]
+        candidates = candidates.take(fresh)
+        frontier_bits = gained.take(fresh, axis=0)
         for lo_index in range(0, candidates.size, attribution_chunk):
             hi_index = lo_index + attribution_chunk
-            inside = self.points_in_boxes(positions.take(candidates[lo_index:hi_index], axis=0), los, his)
-            new_bits[lo_index:hi_index] &= bits.pack(inside.T)
-        keep = (new_bits != zero).any(axis=1)
-        return candidates[keep], new_bits[keep], candidates
+            xs, ys, zs = positions.take(candidates[lo_index:hi_index], axis=0).T.copy()
+            for word, (masks, word_bounds) in enumerate(zip(bits.word_masks, bounds)):
+                frontier_bits[lo_index:hi_index, word] &= masks @ columns_in_boxes(xs, ys, zs, word_bounds)
+        keep = np.logical_or.reduce(frontier_bits, axis=1).nonzero()[0]
+        return candidates.take(keep), frontier_bits.take(keep, axis=0), candidates
 
 
 #: the kernel instance the fused crawl, the fused walk and the surface probe call

@@ -40,15 +40,19 @@ def csr_gather(
     to one (e.g. ``CrawlScratch.iota``) to avoid the ``np.arange``
     allocation.
     """
-    starts = offsets[keys]
-    counts = offsets[keys + 1] - starts
-    total = int(counts.sum())
+    stops = offsets.take(keys + 1)
+    counts = stops - offsets.take(keys)
+    ends = counts.cumsum()
+    total = int(ends[-1]) if ends.size else 0
     if total == 0:
         return np.empty(0, dtype=values.dtype), counts
-    base = np.arange(total, dtype=np.int64) if ramp is None else ramp(total)
-    owner = np.repeat(np.arange(keys.size), counts)
-    inner = base - np.repeat(np.cumsum(counts) - counts, counts)
-    return values[starts[owner] + inner], counts
+    # Key i's slice fills ramp positions ends[i] - counts[i] .. ends[i] - 1,
+    # so shifting the ramp by stops[i] - ends[i] per slice turns it into the
+    # slice's offsets.
+    stops -= ends
+    shift = stops.repeat(counts)
+    shift += np.arange(total, dtype=np.int64) if ramp is None else ramp(total)
+    return values.take(shift), counts
 
 
 # ----------------------------------------------------------------------
@@ -96,7 +100,8 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
     Sorting and comparing neighbours; NumPy's 1-D ``np.unique`` takes a hash
     path that is far slower on int64 ids.
     """
-    ordered = np.sort(values)
+    ordered = values.copy()
+    ordered.sort()
     return ordered[run_starts(ordered)]
 
 

@@ -237,9 +237,7 @@ def boxes_to_arrays(boxes: "Iterable[Box3D]") -> tuple[np.ndarray, np.ndarray]:
     if not box_list:
         empty = np.empty((0, 3), dtype=np.float64)
         return empty, empty.copy()
-    los = np.stack([b.lo for b in box_list])
-    his = np.stack([b.hi for b in box_list])
-    return los, his
+    return np.array([b.lo for b in box_list]), np.array([b.hi for b in box_list])
 
 
 def _contiguous_columns(points: np.ndarray, caller: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -252,11 +250,8 @@ def _contiguous_columns(points: np.ndarray, caller: str) -> tuple[np.ndarray, np
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise GeometryError(f"{caller} expects an (n, 3) point array")
-    return (
-        np.ascontiguousarray(pts[:, 0]),
-        np.ascontiguousarray(pts[:, 1]),
-        np.ascontiguousarray(pts[:, 2]),
-    )
+    xs, ys, zs = pts.T.copy()
+    return xs, ys, zs
 
 
 def box_batch_chunk(n_points: int) -> int:
@@ -276,10 +271,28 @@ def points_in_boxes(points: np.ndarray, los: np.ndarray, his: np.ndarray) -> np.
     elements, so callers with very large batches should chunk over the box
     axis (see :func:`box_batch_chunk`).
     """
-    xs, ys, zs = _contiguous_columns(points, "points_in_boxes")
-    inside = (xs >= los[:, 0, None]) & (xs <= his[:, 0, None])
-    inside &= (ys >= los[:, 1, None]) & (ys <= his[:, 1, None])
-    inside &= (zs >= los[:, 2, None]) & (zs <= his[:, 2, None])
+    return columns_in_boxes(*_contiguous_columns(points, "points_in_boxes"), box_bounds(los, his))
+
+
+def box_bounds(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The six ``(m, 1)`` corner columns :func:`columns_in_boxes` compares against.
+
+    A caller testing many point sets against the same boxes builds them once.
+    """
+    return los[:, 0, None], his[:, 0, None], los[:, 1, None], his[:, 1, None], los[:, 2, None], his[:, 2, None]
+
+
+def columns_in_boxes(
+    xs: np.ndarray, ys: np.ndarray, zs: np.ndarray, bounds: tuple[np.ndarray, ...]
+) -> np.ndarray:
+    """:func:`points_in_boxes` of points given as x/y/z columns, boxes as :func:`box_bounds`."""
+    x_lo, x_hi, y_lo, y_hi, z_lo, z_hi = bounds
+    inside = xs >= x_lo
+    inside &= xs <= x_hi
+    inside &= ys >= y_lo
+    inside &= ys <= y_hi
+    inside &= zs >= z_lo
+    inside &= zs <= z_hi
     return inside
 
 

@@ -25,6 +25,7 @@ from repro.core import CrawlScratch, OctopusConExecutor, OctopusExecutor, QueryC
 from repro.core.crawler import GROUP_SIZE, _OwnershipBits
 from repro.kernels import KERNELS
 from repro.mesh import Box3D, points_in_box
+from repro.mesh.geometry import box_bounds
 from repro.workloads import random_query_workload
 
 
@@ -241,59 +242,95 @@ class TestExecutorFusion:
         box = Box3D.cube((0.5, 0.5, 0.5), 0.2)
         assert np.array_equal(executor.query(box).vertex_ids, _scan(grid_mesh, box))
 
-    def test_batch_arena_isolated_between_groups(self):
+    def test_batch_arena_isolated_between_groups(self, neuron_small):
+        """A batch hands the next one the same arena, all zero, under a new epoch."""
         scratch = CrawlScratch()
-        stamps, words, epoch = scratch.acquire_batch(16)
-        words[3] = np.uint64(0xFF)
-        stamps[3] = epoch
-        stamps2, words2, epoch2 = scratch.acquire_batch(16)
-        assert stamps2 is stamps and words2 is words
+        boxes = _overlapping_boxes(neuron_small, n_boxes=5, seed=1)
+        crawl_many(neuron_small, boxes, _start_sets(neuron_small, boxes), scratch=scratch)
+        words, epoch = scratch._batch_words, scratch.batch_epoch
+        words2, epoch2 = scratch.acquire_batch(neuron_small.n_vertices)
+        assert words2 is words
         assert epoch2 == epoch + 1
-        # The old group's word is garbage now: its stamp no longer matches.
-        assert stamps2[3] != epoch2
+        assert not words2.any()
 
     def test_batch_arena_regrows_and_forgets(self):
         scratch = CrawlScratch()
-        stamps, words, epoch = scratch.acquire_batch(8)
-        stamps[:] = epoch
-        stamps2, words2, epoch2 = scratch.acquire_batch(200)
-        assert stamps2.size >= 200
-        assert not (stamps2[:200] == epoch2).any()
+        words, _ = scratch.acquire_batch(8)
+        words2, _ = scratch.acquire_batch(200)
+        assert words2.shape[0] >= 200
+        assert not words2.any()
 
     def test_batch_arena_rejects_nonpositive_word_count(self):
         with pytest.raises(ValueError):
             CrawlScratch().acquire_batch(8, n_words=0)
 
     def test_batch_arena_word_axis_grows_and_forgets(self):
-        """Widening the ownership rows (>64-query batch) invalidates old stamps."""
+        """Widening the ownership rows (>64-query batch) hands out a zeroed arena."""
         scratch = CrawlScratch()
-        stamps, words, epoch = scratch.acquire_batch(16)
+        words, _ = scratch.acquire_batch(16)
         assert words.ndim == 2 and words.shape[1] == 1
-        stamps[:16] = epoch
-        stamps2, words2, epoch2 = scratch.acquire_batch(16, n_words=3)
+        words2, _ = scratch.acquire_batch(16, n_words=3)
         assert words2.shape[1] >= 3
-        assert not (stamps2[:16] == epoch2).any()
+        assert not words2.any()
         # Same-width reacquire keeps the widened arena.
-        stamps3, words3, epoch3 = scratch.acquire_batch(16, n_words=2)
+        words3, _ = scratch.acquire_batch(16, n_words=2)
         assert words3 is words2
         # Widening only the word axis must not double the row capacity.
-        assert stamps2.size == stamps.size
+        assert words2.shape[0] == words.shape[0]
 
-    def test_batch_arena_epoch_rollover_clears_stamps(self):
+    def test_multi_word_batch_leaves_an_all_zero_arena(self, neuron_small):
+        """Every batch clears the rows it set, across all ownership words."""
         scratch = CrawlScratch()
-        stamps, epoch_words, epoch = scratch.acquire_batch(4)
-        stamps[:] = epoch
-        scratch._batch_epoch = np.iinfo(np.int32).max - 1
-        stamps2, words2, epoch2 = scratch.acquire_batch(4)
-        assert epoch2 == 1
-        assert not (stamps2 == epoch2).any()
+        boxes = _overlapping_boxes(neuron_small, n_boxes=70, seed=6)
+        batch = crawl_many(neuron_small, boxes, _start_sets(neuron_small, boxes), scratch=scratch)
+        assert batch.n_words == 2 and batch.n_unique_vertices_visited > 0
+        assert not scratch._batch_words.any()
+
+    @pytest.mark.parametrize(
+        "module_name, function_name",
+        [("repro.core.crawler", "csr_gather"), ("repro.kernels", "columns_in_boxes")],
+        ids=["between-levels", "mid-level"],
+    )
+    def test_failed_batch_leaves_an_all_zero_arena(
+        self, neuron_small, monkeypatch, module_name, function_name
+    ):
+        """A batch that raises half-way — between levels, or inside a level
+        after its reaches were ORed into the arena — clears every row it set,
+        so the arena's next batch answers as a fresh arena does."""
+        import importlib
+
+        module = importlib.import_module(module_name)
+        scratch = CrawlScratch()
+        boxes = _overlapping_boxes(neuron_small, n_boxes=6, seed=7)
+        starts = _start_sets(neuron_small, boxes)
+        real = getattr(module, function_name)
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise MemoryError("injected")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, function_name, failing)
+        with pytest.raises(MemoryError):
+            crawl_many(neuron_small, boxes, starts, scratch=scratch)
+        monkeypatch.setattr(module, function_name, real)
+        assert len(calls) == 3
+        assert not scratch._batch_words.any()
+        again = crawl_many(neuron_small, boxes, starts, scratch=scratch)
+        fresh = crawl_many(neuron_small, boxes, starts, scratch=CrawlScratch())
+        for got, want in zip(again.outcomes, fresh.outcomes):
+            assert np.array_equal(got.result_ids, want.result_ids)
+            assert got.n_vertices_visited == want.n_vertices_visited
+            assert got.n_edges_followed == want.n_edges_followed
 
 
 class TestAttributionChunking:
     """The bounded-transient attribution path never changes results or counters."""
 
     def test_parity_under_tiny_attribution_budget(self, neuron_small, monkeypatch):
-        import repro.core.crawler as crawler_module
+        import repro.mesh.geometry as geometry_module
 
         boxes = _overlapping_boxes(neuron_small, n_boxes=9, seed=5)
         starts = _start_sets(neuron_small, boxes)
@@ -301,7 +338,7 @@ class TestAttributionChunking:
         reference = crawl_many(
             neuron_small, boxes, starts, reference_counters, scratch=CrawlScratch()
         )
-        monkeypatch.setattr(crawler_module, "_ATTRIBUTION_BUDGET", 7)
+        monkeypatch.setattr(geometry_module, "_BROADCAST_ELEMENT_BUDGET", 7)
         chunked_counters = [QueryCounters() for _ in boxes]
         chunked = crawl_many(
             neuron_small, boxes, starts, chunked_counters, scratch=CrawlScratch()
@@ -321,26 +358,23 @@ class TestAttributionChunking:
         assert chunked.n_attributed_edge_follows == reference.n_attributed_edge_follows
 
     def test_chunk_never_degenerates_to_zero(self):
-        from repro.core.crawler import _attribution_chunk
+        from repro.mesh import box_batch_chunk
 
-        assert _attribution_chunk(0) >= 1
-        assert _attribution_chunk(10**9) == 1
+        assert box_batch_chunk(0) >= 1
+        assert box_batch_chunk(10**9) == 1
 
 
 class TestStampAndTestKernel:
     def test_crawl_stamp_and_test_empty_candidates(self):
         bits = _OwnershipBits(3)
         scratch = CrawlScratch()
-        stamps, words, epoch = scratch.acquire_batch(10, bits.n_words)
+        words, _ = scratch.acquire_batch(10, bits.n_words)
         frontier, frontier_bits, fresh = KERNELS.crawl_stamp_and_test(
             np.empty(0, dtype=np.int64),
             np.empty((0, 1), dtype=np.uint64),
-            stamps,
             words[:, :1],
-            epoch,
             np.zeros((10, 3)),
-            np.zeros((3, 3)),
-            np.ones((3, 3)),
+            [box_bounds(np.zeros((3, 3)), np.ones((3, 3)))],
             bits,
             1024,
         )

@@ -2,7 +2,7 @@
 
 Covers the performance layer added around the crawl:
 
-* the epoch-stamped :class:`CrawlScratch` arena (no O(n_vertices) allocation
+* the reusable :class:`CrawlScratch` arena (no O(n_vertices) allocation
   per query, identical results to fresh-allocation crawls, survival across
   mesh restructuring epochs);
 * the batched ``query_many`` API (equality with one-box ``query`` calls for
@@ -42,26 +42,13 @@ def _crawl_one(mesh, box, starts, counters=None, scratch=None):
 
 
 class TestCrawlScratch:
-    def test_epoch_rollover_boundary_is_exact(self):
-        """One epoch below the limit does not clear; at the limit it does."""
-        scratch = CrawlScratch()
-        stamps, _, epoch = scratch.acquire_batch(4)
-        stamps[0] = epoch
-        scratch._batch_epoch = np.iinfo(np.int32).max - 2
-        stamps2, _, epoch2 = scratch.acquire_batch(4)
-        assert epoch2 == np.iinfo(np.int32).max - 1  # no clear yet
-        stamps2[1] = epoch2
-        stamps3, _, epoch3 = scratch.acquire_batch(4)
-        assert epoch3 == 1  # rollover happened
-        assert not (stamps3 == epoch3).any()
-
     def test_capacity_survives_mesh_shrinkage(self):
         """A smaller mesh reuses the big arena instead of reallocating."""
         scratch = CrawlScratch()
-        big, big_words, _ = scratch.acquire_batch(1000)
-        small, small_words, epoch = scratch.acquire_batch(10)
-        assert small is big and small_words is big_words  # capacity kept
-        assert not (small[:10] == epoch).any()
+        big_words, _ = scratch.acquire_batch(1000)
+        small_words, _ = scratch.acquire_batch(10)
+        assert small_words is big_words  # capacity kept
+        assert not small_words[:10].any()
 
     def test_arena_regrows_between_executor_prepares(self, grid_mesh, neuron_small):
         """prepare() on a growing mesh regrows the same executor's arena."""
@@ -73,16 +60,16 @@ class TestCrawlScratch:
             reference = LinearScanExecutor()
             reference.prepare(mesh)
             assert octopus.query(box).same_vertices_as(reference.query(box))
-            assert octopus.scratch._batch_stamps.size >= mesh.n_vertices
+            assert octopus.scratch._batch_words.shape[0] >= mesh.n_vertices
         # Shrinking back keeps the larger capacity and stays correct.
         octopus.prepare(meshes[0])
-        capacity = octopus.scratch._batch_stamps.size
+        capacity = octopus.scratch._batch_words.shape[0]
         assert capacity >= meshes[1].n_vertices
         box = Box3D.cube(meshes[0].vertices[0], 0.3)
         reference = LinearScanExecutor()
         reference.prepare(meshes[0])
         assert octopus.query(box).same_vertices_as(reference.query(box))
-        assert octopus.scratch._batch_stamps.size == capacity
+        assert octopus.scratch._batch_words.shape[0] == capacity
 
     def test_batch_arena_regrows_between_executor_prepares(self, grid_mesh, neuron_small):
         """query_many() after re-prepare() on a bigger mesh regrows the bitset arena."""
@@ -92,7 +79,7 @@ class TestCrawlScratch:
             octopus.prepare(mesh)
             boxes = [Box3D.cube(mesh.vertices[0], 0.3), Box3D.cube(mesh.vertices[-1], 0.2)]
             _assert_batch_matches_sequential(octopus, mesh, boxes)
-            assert octopus.scratch._batch_stamps.size >= mesh.n_vertices
+            assert octopus.scratch._batch_words.shape[0] >= mesh.n_vertices
 
     def test_iota_is_reused_ramp(self):
         scratch = CrawlScratch()
@@ -104,12 +91,26 @@ class TestCrawlScratch:
     def test_memory_accounting(self):
         scratch = CrawlScratch()
         assert scratch.memory_bytes() == 0
-        # Steady state: stamps (4) + one ownership word (8).
-        assert scratch.expected_bytes(1000) == 12000
+        # Steady state: one ownership word (8 bytes) per vertex.
+        assert scratch.expected_bytes(1000) == 8000
         scratch.acquire_batch(1000)
-        assert scratch.memory_bytes() >= 12000
-        # The estimate is stable before and after the arena is touched.
-        assert scratch.expected_bytes(1000) == 12000
+        assert scratch.memory_bytes() >= 8000
+        # The estimate is stable before and after the arena is touched, and
+        # the gather ramp, which grows with the largest gather, stays out.
+        scratch.iota(100_000)
+        assert scratch.memory_bytes() > 800_000
+        assert scratch.expected_bytes(1000) == 8000
+
+    @pytest.mark.parametrize("executor_type", [OctopusExecutor, OctopusConExecutor])
+    def test_reported_overhead_does_not_depend_on_query_history(self, neuron_small, executor_type):
+        executor = executor_type()
+        executor.prepare(neuron_small)
+        before = executor.memory_overhead_bytes()
+        workload = random_query_workload(neuron_small, selectivity=0.05, n_queries=4, seed=3)
+        for box in workload.boxes:
+            executor.query(box)
+        executor.query(neuron_small.bounding_box())
+        assert executor.memory_overhead_bytes() == before
 
 
 class TestScratchCrawlEquivalence:
@@ -166,10 +167,10 @@ class TestScratchCrawlEquivalence:
         octopus.prepare(neuron_small)
         box = Box3D.cube(neuron_small.vertices[0], 0.3)
         octopus.query(box)
-        arena = octopus.scratch._batch_stamps
+        arena = octopus.scratch._batch_words
         epoch = octopus.scratch.batch_epoch
         octopus.query(box)
-        assert octopus.scratch._batch_stamps is arena
+        assert octopus.scratch._batch_words is arena
         assert octopus.scratch.batch_epoch > epoch
 
     def test_bare_crawl_still_correct_without_scratch(self, grid_mesh):

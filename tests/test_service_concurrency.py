@@ -189,7 +189,7 @@ class TestThreadLocalScratch:
 class TestConcurrencyErrorGuard:
     def test_batch_epoch_check_raises_on_foreign_epoch(self):
         scratch = CrawlScratch()
-        _, _, epoch = scratch.acquire_batch(64)
+        _, epoch = scratch.acquire_batch(64)
         scratch.check_batch_epoch(epoch)  # own round: fine
         with pytest.raises(ConcurrencyError, match="ThreadLocalScratch"):
             scratch.check_batch_epoch(epoch - 1)

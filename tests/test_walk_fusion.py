@@ -7,6 +7,8 @@ optimisation:
 * batch invariance: each box's seed vertex, step count, path and counters
   equal those of a one-box ``directed_walk_many`` call with the same start,
   whatever else rides in its batch;
+* a one-box call walks as :func:`_reference_walk`, a plain-Python greedy
+  walk, does: same vertex found, same path, same distance computations;
 * a walk that finds a vertex found one the linear scan puts in the box;
 * the per-query distance counters sum exactly to the batch's *attributed*
   walk work;
@@ -36,7 +38,7 @@ from repro.core import (
     QueryCounters,
     directed_walk_many,
 )
-from repro.mesh import Box3D, points_in_box
+from repro.mesh import Box3D, point_box_distance, points_in_box
 
 PARITY_SEED = int(os.environ.get("REPRO_PARITY_SEED", "0"))
 
@@ -91,6 +93,41 @@ def _walk_families(mesh, seed: int) -> dict[str, tuple[list[Box3D], list]]:
     }
 
 
+def _reference_walk(mesh, box, start) -> tuple[int | None, list[int], int]:
+    """Algorithm 1's directed walk for one box, in plain Python.
+
+    Starts at the closest of the distinct start vertices, then steps to the
+    closest neighbour that is strictly closer to the box than the current
+    vertex, until a vertex lies in the box (distance 0) or no neighbour is
+    closer; among equally close vertices the smallest id wins.  Returns the
+    vertex found (None when the walk got stuck), the path, and the distance
+    computations: one per distinct start plus one per distinct neighbour of
+    every vertex the walk expanded.
+    """
+    indptr, indices = mesh.adjacency.indptr, mesh.adjacency.indices
+
+    def distance(vertex: int) -> float:
+        return point_box_distance(mesh.vertices[vertex], box)
+
+    def closest(vertices: list[int]) -> int:
+        return min(vertices, key=lambda vertex: (distance(vertex), vertex))
+
+    candidates = sorted(set(np.atleast_1d(start).tolist()))
+    if not candidates:
+        return None, [], 0
+    computations = len(candidates)
+    path = [closest(candidates)]
+    while distance(path[-1]) > 0.0:
+        current = path[-1]
+        neighbours = sorted(set(indices[indptr[current] : indptr[current + 1]].tolist()))
+        computations += len(neighbours)
+        closer = [vertex for vertex in neighbours if distance(vertex) < distance(current)]
+        if not closer:
+            return None, path, computations
+        path.append(closest(closer))
+    return path[-1], path, computations
+
+
 def _assert_walk_parity(mesh, boxes, starts) -> None:
     one_box_scratch = CrawlScratch()
     expected_counters = [QueryCounters() for _ in boxes]
@@ -98,6 +135,14 @@ def _assert_walk_parity(mesh, boxes, starts) -> None:
         directed_walk_many(mesh, [box], [start], [counters], scratch=one_box_scratch).outcomes[0]
         for box, start, counters in zip(boxes, starts, expected_counters)
     ]
+    for index, (box, start, want, counters) in enumerate(
+        zip(boxes, starts, expected, expected_counters)
+    ):
+        found, path, computations = _reference_walk(mesh, box, start)
+        context = f"box {index}"
+        assert (want.found_id, want.path, want.n_steps) == (found, path, len(path)), context
+        assert counters.walk_vertices_visited == len(path), context
+        assert counters.walk_distance_computations == computations, context
     fused_counters = [QueryCounters() for _ in boxes]
     batch = directed_walk_many(mesh, boxes, starts, fused_counters, scratch=CrawlScratch())
     assert len(batch.outcomes) == len(boxes)
