@@ -12,7 +12,7 @@ The public API is organised in layers:
 * :mod:`repro.cache` — the delta-invalidated query-result cache;
 * :mod:`repro.standing` — standing continuous queries over the delta stream;
 * :mod:`repro.service` — mesh partitioning and the sharded query service;
-* :mod:`repro.workloads` — query workloads and selectivity estimation;
+* :mod:`repro.workloads` — query workloads sized by selectivity;
 * :mod:`repro.experiments` — per-figure experiment drivers and reporting.
 
 The most common entry points are re-exported here::
@@ -47,8 +47,6 @@ from .baselines import (
     LinearScanExecutor,
     LURTreeExecutor,
     QUTradeExecutor,
-    ThrowawayGridExecutor,
-    ThrowawayKDTreeExecutor,
     ThrowawayOctreeExecutor,
 )
 from .cache import CacheStats, CachingStrategy, QueryResultCache
@@ -81,7 +79,7 @@ from .errors import (
     WorkloadError,
 )
 from .factory import build_strategy, make_strategy
-from .mesh import Box3D, HexahedralMesh, PolyhedralMesh, TetrahedralMesh, TriangleMesh
+from .mesh import Box3D, PolyhedralMesh, TetrahedralMesh
 from .service import MeshShard, ShardedQueryService, partition_mesh
 from .standing import (
     MembershipUpdate,
@@ -112,10 +110,8 @@ __all__ = [
     "workloads",
     # mesh substrate
     "Box3D",
-    "HexahedralMesh",
     "PolyhedralMesh",
     "TetrahedralMesh",
-    "TriangleMesh",
     # core engine: deltas, results, executors, cost model
     "CostModel",
     "DeformationDelta",
@@ -130,8 +126,6 @@ __all__ = [
     "LURTreeExecutor",
     "LinearScanExecutor",
     "QUTradeExecutor",
-    "ThrowawayGridExecutor",
-    "ThrowawayKDTreeExecutor",
     "ThrowawayOctreeExecutor",
     # composition surface: wrappers, factory
     "CacheStats",

@@ -1,7 +1,5 @@
 """Baseline range-query execution strategies the paper compares against."""
 
-from .grid_index import ThrowawayGridExecutor
-from .kdtree import KDTree, ThrowawayKDTreeExecutor
 from .linear_scan import LinearScanExecutor
 from .lur_tree import LURTreeExecutor
 from .octree import Octree, ThrowawayOctreeExecutor
@@ -10,7 +8,6 @@ from .rtree import RTree, RTreeNode
 from .rum_tree import RUMTreeExecutor
 
 __all__ = [
-    "KDTree",
     "LURTreeExecutor",
     "LinearScanExecutor",
     "Octree",
@@ -18,7 +15,5 @@ __all__ = [
     "RTree",
     "RTreeNode",
     "RUMTreeExecutor",
-    "ThrowawayGridExecutor",
-    "ThrowawayKDTreeExecutor",
     "ThrowawayOctreeExecutor",
 ]

@@ -1,10 +1,9 @@
-"""The query path and lifecycles the index baselines share.
+"""The query path and the R-tree upkeep the index baselines share.
 
-Every index baseline answers a box with one search of its index, so
-:class:`_IndexExecutor` implements ``query`` and ``query_many`` once over a
-search each executor supplies.  :class:`_ThrowawayIndexExecutor` adds the
-rebuild lifecycle of the octree, kd-tree and grid baselines, and
-:class:`_RTreeExecutor` the in-place upkeep the LUR-Tree and QU-Trade share.
+Every index baseline answers a batch of boxes with one shared search of its
+index, so :class:`_IndexExecutor` implements ``query`` and ``query_many``
+once over the search each executor supplies, and :class:`_RTreeExecutor`
+the in-place upkeep the LUR-Tree and QU-Trade share.
 """
 
 from __future__ import annotations
@@ -24,43 +23,36 @@ from .rtree import RTree
 
 
 class _IndexExecutor(ExecutionStrategy):
-    """Answers each box with one search of the strategy's index.
+    """Answers boxes with one shared search of the strategy's index.
 
-    A subclass supplies :meth:`_search` for one box and :meth:`_search_many`
-    for a batch.  This class checks the boxes, answers an empty mesh with
-    empty results, and reports the search's seconds as both ``index_time``
-    and ``total_time``.  A batch of two or more boxes runs one shared search
-    whose time is split evenly across its boxes; its results and counters
-    equal those of sequential :meth:`query` calls.
+    A subclass supplies :meth:`_search_many`.  This class checks the boxes,
+    answers an empty mesh with empty results, and splits the search's
+    seconds evenly across its boxes as both ``index_time`` and
+    ``total_time``.  A one-box :meth:`query` is a batch of one, and a box's
+    result and counters do not depend on the rest of its batch.
     """
-
-    @abstractmethod
-    def _search(self, box: Box3D, counters: QueryCounters) -> np.ndarray:
-        """Sorted ids of the vertices in ``box``, with the work counted."""
 
     @abstractmethod
     def _search_many(
         self, boxes: list[Box3D], counters_list: list[QueryCounters]
     ) -> list[np.ndarray]:
-        """:meth:`_search` for every box, by one shared search of the index."""
+        """Sorted ids of the vertices in each box, by one shared search of
+        the index, with each box's work counted in its counters."""
 
     def query(self, box: Box3D) -> QueryResult:
         check_query_box(box)
-        counters = QueryCounters()
-        if self.mesh.n_vertices == 0:
-            return QueryResult(vertex_ids=np.empty(0, dtype=np.int64), counters=counters)
-        start = time.perf_counter()
-        ids = self._search(box, counters)
-        elapsed = time.perf_counter() - start
-        return QueryResult(
-            vertex_ids=ids, counters=counters, index_time=elapsed, total_time=elapsed
-        )
+        return self._answer([box])[0]
 
     def query_many(self, boxes: Sequence[Box3D]) -> list[QueryResult]:
-        box_list = check_query_boxes(boxes)
-        if len(box_list) <= 1 or self.mesh.n_vertices == 0:
-            return [self.query(box) for box in box_list]
+        return self._answer(check_query_boxes(boxes))
+
+    def _answer(self, box_list: list[Box3D]) -> list[QueryResult]:
         counters_list = [QueryCounters() for _ in box_list]
+        if not box_list or self.mesh.n_vertices == 0:
+            return [
+                QueryResult(vertex_ids=np.empty(0, dtype=np.int64), counters=counters)
+                for counters in counters_list
+            ]
         start = time.perf_counter()
         ids_list = self._search_many(box_list, counters_list)
         elapsed = (time.perf_counter() - start) / len(box_list)
@@ -68,67 +60,6 @@ class _IndexExecutor(ExecutionStrategy):
             QueryResult(vertex_ids=ids, counters=counters, index_time=elapsed, total_time=elapsed)
             for ids, counters in zip(ids_list, counters_list)
         ]
-
-
-class _ThrowawayIndexExecutor(_IndexExecutor):
-    """An index over the positions, rebuilt from scratch when they change.
-
-    The octree, kd-tree and grid baselines.  The index is built at
-    ``prepare`` (nothing is built on an empty mesh).  ``on_step`` rebuilds
-    it unless nothing moved; ``on_restructure`` rebuilds it unless the delta
-    is sparse and appended no vertex, since cell removal keeps every id and
-    position.  Either skip also needs the built size to equal
-    ``mesh.n_vertices``, so a changed vertex set always forces a rebuild.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._index = None
-
-    @abstractmethod
-    def _new_index(self):
-        """An unbuilt index with this executor's parameters."""
-
-    @property
-    def index(self):
-        """The index (raises before prepare())."""
-        if self._index is None:
-            raise RuntimeError(f"{self.name}: prepare() has not been called")
-        return self._index
-
-    def _build(self) -> float:
-        self._index = self._new_index()
-        if self.mesh.n_vertices == 0:
-            return 0.0
-        return self._index.build(self.mesh.vertices)
-
-    def on_step(self, delta: DeformationDelta) -> float:
-        return self._rebuild_unless(delta.n_moved == 0)
-
-    def on_restructure(self, delta: TopologyDelta) -> float:
-        return self._rebuild_unless(not delta.is_full and delta.n_vertices_added == 0)
-
-    def _rebuild_unless(self, unchanged: bool) -> float:
-        """Rebuild over the live positions unless ``unchanged`` holds and the
-        built size still matches; returns the seconds charged."""
-        n = self.mesh.n_vertices
-        if n == 0 or (unchanged and self.index.n_points == n):
-            return 0.0
-        elapsed = self.index.build(self.mesh.vertices)
-        self.maintenance_time += elapsed
-        self.maintenance_entries += n
-        return elapsed
-
-    def _search(self, box: Box3D, counters: QueryCounters) -> np.ndarray:
-        return self.index.query(box, self.mesh.vertices, counters)
-
-    def _search_many(
-        self, boxes: list[Box3D], counters_list: list[QueryCounters]
-    ) -> list[np.ndarray]:
-        return self.index.query_many(boxes, self.mesh.vertices, counters_list)
-
-    def memory_overhead_bytes(self) -> int:
-        return self._index.memory_bytes() if self._index is not None else 0
 
 
 class _RTreeExecutor(_IndexExecutor):

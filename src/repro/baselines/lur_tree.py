@@ -155,9 +155,6 @@ class LURTreeExecutor(_RTreeExecutor):
                 extended += len(rows)
         return moved_ids[escaped & ~near], extended
 
-    def _search(self, box: Box3D, counters: QueryCounters) -> np.ndarray:
-        return self.tree.query(box, self.mesh.vertices, counters)
-
     def _search_many(
         self, boxes: list[Box3D], counters_list: list[QueryCounters]
     ) -> list[np.ndarray]:

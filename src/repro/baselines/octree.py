@@ -15,10 +15,11 @@ from typing import Sequence
 
 import numpy as np
 
+from ..core.delta import DeformationDelta, TopologyDelta
 from ..core.result import QueryCounters
 from ..errors import SpatialIndexError
-from ..mesh import Box3D, boxes_to_arrays, points_in_box, points_in_boxes
-from .index_executor import _ThrowawayIndexExecutor
+from ..mesh import Box3D, boxes_to_arrays, points_in_boxes
+from .index_executor import _IndexExecutor
 
 __all__ = ["Octree", "ThrowawayOctreeExecutor"]
 
@@ -88,45 +89,18 @@ class Octree:
             node.children.append(self._build_node(pts, members, child_lo, child_hi, depth + 1))
         return node
 
-    def query(
-        self, box: Box3D, positions: np.ndarray, counters: QueryCounters | None = None
-    ) -> np.ndarray:
-        if self.root is None:
-            raise SpatialIndexError("octree has not been built")
-        pts = np.asarray(positions)
-        stack = [self.root]
-        found: list[np.ndarray] = []
-        nodes_visited = 0
-        scanned = 0
-        while stack:
-            node = stack.pop()
-            nodes_visited += 1
-            if not (np.all(node.lo <= box.hi) and np.all(box.lo <= node.hi)):
-                continue
-            if node.entry_ids is not None:
-                scanned += node.entry_ids.size
-                inside = points_in_box(pts[node.entry_ids], box)
-                if inside.any():
-                    found.append(node.entry_ids[inside])
-            else:
-                stack.extend(node.children)
-        if counters is not None:
-            counters.index_nodes_visited += nodes_visited
-            counters.vertices_scanned += scanned
-        return np.sort(np.concatenate(found)) if found else np.empty(0, dtype=np.int64)
-
     def query_many(
         self,
         boxes: Sequence[Box3D],
         positions: np.ndarray,
         counters_list: Sequence[QueryCounters | None] | None = None,
     ) -> list[np.ndarray]:
-        """Batch of range queries via one shared traversal (see ``RTree.query_many``).
+        """Range queries by one shared traversal (see ``RTree.query_many``).
 
         Nodes carry the set of still-active queries, node extents are tested
         against all active boxes in one pass, and each bucket's positions are
         gathered once and broadcast-tested against every intersecting box.
-        Results and per-query counters match sequential :meth:`query` exactly.
+        A box's result and counters do not depend on the rest of the batch.
         """
         box_list = list(boxes)
         if not box_list:
@@ -183,14 +157,58 @@ class Octree:
         return self.n_nodes * per_node + stored_entries * 8
 
 
-class ThrowawayOctreeExecutor(_ThrowawayIndexExecutor):
-    """Octree rebuilt from scratch after every simulation step."""
+class ThrowawayOctreeExecutor(_IndexExecutor):
+    """Octree rebuilt from scratch when the positions change.
+
+    The octree is built at ``prepare`` (nothing is built on an empty mesh).
+    ``on_step`` rebuilds it unless nothing moved; ``on_restructure`` rebuilds
+    it unless the delta is sparse and appended no vertex, since cell removal
+    keeps every id and position.  Either skip also needs the built size to
+    equal ``mesh.n_vertices``, so a changed vertex set always forces a
+    rebuild.
+    """
 
     name = "octree"
 
     def __init__(self, bucket_size: int = 256) -> None:
         super().__init__()
         self.bucket_size = bucket_size
+        self._index: Octree | None = None
 
-    def _new_index(self) -> Octree:
-        return Octree(bucket_size=self.bucket_size)
+    @property
+    def index(self) -> Octree:
+        """The octree (raises before prepare())."""
+        if self._index is None:
+            raise RuntimeError(f"{self.name}: prepare() has not been called")
+        return self._index
+
+    def _build(self) -> float:
+        self._index = Octree(bucket_size=self.bucket_size)
+        if self.mesh.n_vertices == 0:
+            return 0.0
+        return self._index.build(self.mesh.vertices)
+
+    def on_step(self, delta: DeformationDelta) -> float:
+        return self._rebuild_unless(delta.n_moved == 0)
+
+    def on_restructure(self, delta: TopologyDelta) -> float:
+        return self._rebuild_unless(not delta.is_full and delta.n_vertices_added == 0)
+
+    def _rebuild_unless(self, unchanged: bool) -> float:
+        """Rebuild over the live positions unless ``unchanged`` holds and the
+        built size still matches; returns the seconds charged."""
+        n = self.mesh.n_vertices
+        if n == 0 or (unchanged and self.index.n_points == n):
+            return 0.0
+        elapsed = self.index.build(self.mesh.vertices)
+        self.maintenance_time += elapsed
+        self.maintenance_entries += n
+        return elapsed
+
+    def _search_many(
+        self, boxes: list[Box3D], counters_list: list[QueryCounters]
+    ) -> list[np.ndarray]:
+        return self.index.query_many(boxes, self.mesh.vertices, counters_list)
+
+    def memory_overhead_bytes(self) -> int:
+        return self._index.memory_bytes() if self._index is not None else 0

@@ -102,9 +102,6 @@ class QUTradeExecutor(_RTreeExecutor):
                 pieces.append(ids[~inside])
         return (np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int64)), 0
 
-    def _search(self, box: Box3D, counters: QueryCounters) -> np.ndarray:
-        return self.tree.query(box, self.mesh.vertices, counters, mbr_expansion=self._window)
-
     def _search_many(
         self, boxes: list[Box3D], counters_list: list[QueryCounters]
     ) -> list[np.ndarray]:

@@ -21,7 +21,7 @@ import numpy as np
 
 from ..core.result import QueryCounters
 from ..errors import SpatialIndexError
-from ..mesh import Box3D, boxes_to_arrays, points_in_box, points_in_boxes
+from ..mesh import Box3D, boxes_to_arrays, points_in_boxes
 
 __all__ = ["RTree", "RTreeNode"]
 
@@ -334,45 +334,6 @@ class RTree:
     # ------------------------------------------------------------------
     # querying
     # ------------------------------------------------------------------
-    def query(
-        self,
-        box: Box3D,
-        positions: np.ndarray | None = None,
-        counters: QueryCounters | None = None,
-        mbr_expansion: float = 0.0,
-    ) -> np.ndarray:
-        """Range query: ids of entries whose position in ``positions`` lies in ``box``.
-
-        ``mbr_expansion`` expands every node MBR during traversal; QU-Trade
-        uses this to account for its grace windows.
-        """
-        root = self._require_built()
-        pts = np.asarray(positions if positions is not None else self._positions)
-        found: list[np.ndarray] = []
-        stack = [root]
-        nodes_visited = 0
-        scanned = 0
-        while stack:
-            node = stack.pop()
-            nodes_visited += 1
-            node_box = Box3D(node.lo - mbr_expansion, node.hi + mbr_expansion) \
-                if np.all(np.isfinite(node.lo)) else None
-            if node_box is None or not node_box.intersects(box):
-                continue
-            if node.is_leaf:
-                if node.entries:
-                    ids = np.asarray(node.entries, dtype=np.int64)
-                    scanned += ids.size
-                    inside = points_in_box(pts[ids], box)
-                    if inside.any():
-                        found.append(ids[inside])
-            else:
-                stack.extend(node.children)
-        if counters is not None:
-            counters.index_nodes_visited += nodes_visited
-            counters.vertices_scanned += scanned
-        return np.sort(np.concatenate(found)) if found else np.empty(0, dtype=np.int64)
-
     def query_many(
         self,
         boxes: Sequence[Box3D],
@@ -380,15 +341,18 @@ class RTree:
         counters_list: Sequence[QueryCounters | None] | None = None,
         mbr_expansion: float = 0.0,
     ) -> list[np.ndarray]:
-        """Answer a batch of range queries with one shared tree traversal.
+        """Range queries: per box, the sorted ids of the entries whose position
+        in ``positions`` lies in it, by one shared tree traversal.
 
         The tree is walked once per batch: every node carries the set of
         queries still *active* at it (the queries whose traversal would have
         reached it), node MBRs are tested against all active boxes in one
         vectorised pass, and each leaf's entry positions are gathered once and
-        tested against every intersecting box with a single broadcast.
-        Results and per-query counters are bit-identical to calling
-        :meth:`query` once per box.
+        tested against every intersecting box with a single broadcast.  A
+        box's result and counters (nodes visited, entries scanned) do not
+        depend on the rest of the batch.  ``mbr_expansion`` expands every
+        node MBR during traversal; QU-Trade uses this to account for its
+        grace windows.
         """
         box_list = list(boxes)
         if not box_list:

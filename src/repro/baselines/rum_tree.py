@@ -197,9 +197,6 @@ class RUMTreeExecutor(_IndexExecutor):
     # ------------------------------------------------------------------
     # querying
     # ------------------------------------------------------------------
-    def _search(self, box: Box3D, counters: QueryCounters) -> np.ndarray:
-        return self._filter_obsolete(self.tree.query(box, self._stored_positions, counters))
-
     def _search_many(
         self, boxes: list[Box3D], counters_list: list[QueryCounters]
     ) -> list[np.ndarray]:

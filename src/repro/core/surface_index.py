@@ -7,8 +7,8 @@ when the mesh is *restructured* — cells are split or merged.
 
 The mesh already keeps that set as a cached, sorted ``int64`` array
 (:meth:`~repro.mesh.base.PolyhedralMesh.surface_vertices`), spliced from each
-restructuring operation's dirty ids or rebuilt after an unannounced
-``replace_cells``.  :class:`SurfaceIndex` therefore holds no copy of it: the
+restructuring operation's dirty ids or rebuilt after a ``restructure``
+without them.  :class:`SurfaceIndex` therefore holds no copy of it: the
 probe reads the mesh's array when it runs, so it is never stale, and
 :meth:`SurfaceIndex.refresh_from_mesh` only counts how many ids joined or left
 the surface per event (the paper's maintenance entries).

@@ -25,8 +25,6 @@ from .baselines import (
     LURTreeExecutor,
     QUTradeExecutor,
     RUMTreeExecutor,
-    ThrowawayGridExecutor,
-    ThrowawayKDTreeExecutor,
     ThrowawayOctreeExecutor,
 )
 from .cache import CachingStrategy, QueryResultCache
@@ -44,8 +42,6 @@ STRATEGY_FACTORIES: dict[str, Callable[..., ExecutionStrategy]] = {
     "octopus-con": OctopusConExecutor,
     "linear-scan": LinearScanExecutor,
     "octree": ThrowawayOctreeExecutor,
-    "kd-tree": ThrowawayKDTreeExecutor,
-    "grid": ThrowawayGridExecutor,
     "lur-tree": LURTreeExecutor,
     "qu-trade": QUTradeExecutor,
     "rum-tree": RUMTreeExecutor,

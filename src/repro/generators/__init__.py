@@ -10,7 +10,7 @@ from .animation import (
 from .carve import carve_tetrahedral_mesh, compact_mesh, largest_component_cells
 from .delaunay import delaunay_mesh_from_points, random_delaunay_mesh
 from .earthquake import earthquake_dataset_pair, earthquake_mesh
-from .grid import lattice_points, structured_hexahedral_mesh, structured_tetrahedral_mesh
+from .grid import lattice_points, structured_tetrahedral_mesh
 from .neuron import (
     NeuronParameters,
     neuron_dataset_series,
@@ -45,6 +45,5 @@ __all__ = [
     "neuron_shape",
     "neuron_skeleton",
     "random_delaunay_mesh",
-    "structured_hexahedral_mesh",
     "structured_tetrahedral_mesh",
 ]

@@ -1,11 +1,11 @@
 """Structured grid meshes (the building block of every synthetic dataset).
 
-A uniform ``nx x ny x nz`` lattice of cubes is either kept as hexahedra or
-split into six tetrahedra per cube with the Kuhn (Freudenthal) subdivision.
-The Kuhn subdivision is *conforming*: adjacent cubes agree on the diagonal of
-their shared face, so the resulting tetrahedral mesh is watertight and every
-interior vertex has the ~14 neighbours the paper reports for tetrahedral
-meshes (Section VIII-B, M ~= 14).
+A uniform ``nx x ny x nz`` lattice of cubes is split into six tetrahedra per
+cube with the Kuhn (Freudenthal) subdivision.  The Kuhn subdivision is
+*conforming*: adjacent cubes agree on the diagonal of their shared face, so
+the resulting tetrahedral mesh is watertight and every interior vertex has
+the ~14 neighbours the paper reports for tetrahedral meshes (Section VIII-B,
+M ~= 14).
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from itertools import permutations
 import numpy as np
 
 from ..errors import GeometryError
-from ..mesh import Box3D, HexahedralMesh, TetrahedralMesh
+from ..mesh import Box3D, TetrahedralMesh
 
-__all__ = ["structured_tetrahedral_mesh", "structured_hexahedral_mesh", "lattice_points"]
+__all__ = ["structured_tetrahedral_mesh", "lattice_points"]
 
 # The six Kuhn simplices of the unit cube: each permutation of the axes yields
 # a path from corner (0,0,0) to corner (1,1,1); the four path nodes form a tet.
@@ -53,41 +53,6 @@ def _vertex_ids(shape: tuple[int, int, int]) -> np.ndarray:
     return np.arange((nx + 1) * (ny + 1) * (nz + 1), dtype=np.int64).reshape(
         nz + 1, ny + 1, nx + 1
     )
-
-
-def _cube_corner_ids(shape: tuple[int, int, int]) -> np.ndarray:
-    """For every cube in the lattice, the ids of its 8 corners.
-
-    Corner order follows the finite-element hexahedron convention used by
-    :class:`~repro.mesh.hexahedral.HexahedralMesh`: 0-3 bottom quad
-    (counter-clockwise), 4-7 top quad.
-    """
-    nx, ny, nz = shape
-    ids = _vertex_ids(shape)
-    c000 = ids[:-1, :-1, :-1]
-    c100 = ids[:-1, :-1, 1:]
-    c110 = ids[:-1, 1:, 1:]
-    c010 = ids[:-1, 1:, :-1]
-    c001 = ids[1:, :-1, :-1]
-    c101 = ids[1:, :-1, 1:]
-    c111 = ids[1:, 1:, 1:]
-    c011 = ids[1:, 1:, :-1]
-    corners = np.stack(
-        [c000, c100, c110, c010, c001, c101, c111, c011], axis=-1
-    )
-    return corners.reshape(-1, 8)
-
-
-def structured_hexahedral_mesh(
-    shape: tuple[int, int, int],
-    bounds: Box3D | None = None,
-    name: str = "hex-grid",
-) -> HexahedralMesh:
-    """Uniform hexahedral mesh with ``shape`` cubes inside ``bounds``."""
-    box = bounds if bounds is not None else Box3D((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
-    vertices = lattice_points(shape, box)
-    cells = _cube_corner_ids(shape)
-    return HexahedralMesh(vertices, cells, name=name)
 
 
 def structured_tetrahedral_mesh(

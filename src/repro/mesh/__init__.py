@@ -15,13 +15,11 @@ from .geometry import (
     points_in_box,
     points_in_boxes,
 )
-from .hexahedral import HexahedralMesh
 from .hilbert import hilbert_distances, hilbert_sort_order
 from .io import load_mesh, save_mesh
 from .layout import hilbert_layout, layout_locality_score, random_layout
 from .surface import SurfaceExtraction, cell_faces, extract_surface
 from .tetrahedral import TetrahedralMesh
-from .triangle import TriangleMesh
 from .validation import (
     MeshValidationReport,
     density_statistics,
@@ -32,12 +30,10 @@ from .validation import (
 __all__ = [
     "AdjacencyList",
     "Box3D",
-    "HexahedralMesh",
     "MeshValidationReport",
     "PolyhedralMesh",
     "SurfaceExtraction",
     "TetrahedralMesh",
-    "TriangleMesh",
     "bounding_box",
     "box_batch_chunk",
     "boxes_overlap_volume",

@@ -32,10 +32,10 @@ def csr_gather(
     """Concatenate the CSR slices ``values[offsets[k]:offsets[k + 1]]`` per key.
 
     One vectorised flat-gather instead of a Python loop over ``keys``: the
-    inner loop of the crawl's frontier expansion and of the grid's batched
-    candidate gathering.  Returns ``(gathered, counts)`` where ``counts[i]``
-    is the slice length of ``keys[i]`` (so ``gathered`` splits back per key
-    with ``np.cumsum(counts)``).  ``ramp`` may supply a reusable identity
+    inner loop of the crawl's frontier expansion and of the walk's neighbour
+    gathers.  Returns ``(gathered, counts)`` where ``counts[i]`` is the slice
+    length of ``keys[i]`` (so ``gathered`` splits back per key with
+    ``np.cumsum(counts)``).  ``ramp`` may supply a reusable identity
     ramp (``0, 1, ..., total - 1``) as a callable mapping the needed length
     to one (e.g. ``CrawlScratch.iota``) to avoid the ``np.arange``
     allocation.
@@ -69,8 +69,8 @@ def row_keys(rows: np.ndarray) -> tuple[np.ndarray, int] | None:
     largest entry), so sorting the keys sorts the rows lexicographically and
     equal keys mean equal rows.  Returns None when a key could pass the int64
     range (``n ** w > 2**63``: edges past about 3e9 vertices, triangle faces
-    past ``2**21``, quad faces from 55,109) or an entry is negative; the
-    callers then take the row-wise path.
+    past ``2**21``) or an entry is negative; the callers then take the
+    row-wise path.
     """
     if rows.shape[0] == 0:
         return np.empty(0, dtype=np.int64), 1
@@ -147,23 +147,8 @@ def row_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first, np.diff(np.append(starts, keys.size))
 
 
-# Vertex-pair index offsets that enumerate the edges of the supported
-# polyhedral primitives, expressed against the cell's vertex tuple.
-_TETRAHEDRON_EDGES = (
-    (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
-)
-_HEXAHEDRON_EDGES = (
-    (0, 1), (1, 2), (2, 3), (3, 0),          # bottom face
-    (4, 5), (5, 6), (6, 7), (7, 4),          # top face
-    (0, 4), (1, 5), (2, 6), (3, 7),          # vertical edges
-)
-_TRIANGLE_EDGES = ((0, 1), (1, 2), (2, 0))
-
-_EDGE_PATTERNS = {
-    3: _TRIANGLE_EDGES,
-    4: _TETRAHEDRON_EDGES,
-    8: _HEXAHEDRON_EDGES,
-}
+#: local vertex indices of the six edges of a tetrahedron
+_TETRAHEDRON_EDGES = np.array([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], dtype=np.int64)
 
 
 class AdjacencyList:
@@ -218,11 +203,7 @@ class AdjacencyList:
 
     @classmethod
     def from_cells(cls, n_vertices: int, cells: np.ndarray) -> "AdjacencyList":
-        """Build the adjacency implied by the edges of polyhedral cells.
-
-        ``cells`` is an ``(m, k)`` array where ``k`` is 3 (triangles),
-        4 (tetrahedra) or 8 (hexahedra).
-        """
+        """Build the adjacency implied by the edges of ``(m, 4)`` tetrahedral cells."""
         edges = edges_from_cells(cells)
         if edges.size and (edges.min() < 0 or edges.max() >= n_vertices):
             raise MeshConnectivityError("edge endpoints out of range")
@@ -319,20 +300,17 @@ class AdjacencyList:
 
 
 def edges_from_cells(cells: np.ndarray) -> np.ndarray:
-    """Expand polyhedral cells into their unique undirected edges.
-
-    Supports triangles (3 vertices), tetrahedra (4) and hexahedra (8).
-    """
+    """Expand ``(m, 4)`` tetrahedral cells into their unique undirected edges."""
     cell_arr = np.asarray(cells, dtype=np.int64)
     if cell_arr.size == 0:
         return np.empty((0, 2), dtype=np.int64)
     if cell_arr.ndim != 2:
         raise MeshConnectivityError("cells must be a 2-D array")
-    k = cell_arr.shape[1]
-    if k not in _EDGE_PATTERNS:
-        raise MeshConnectivityError(f"unsupported cell arity {k}; expected 3, 4 or 8")
-    pattern = np.asarray(_EDGE_PATTERNS[k], dtype=np.int64)
-    edges = cell_arr[:, pattern]          # (m, n_edges_per_cell, 2)
+    if cell_arr.shape[1] != 4:
+        raise MeshConnectivityError(
+            f"unsupported cell arity {cell_arr.shape[1]}; expected 4 (tetrahedra)"
+        )
+    edges = cell_arr[:, _TETRAHEDRON_EDGES]          # (m, 6, 2)
     return sort_rows(_lo_hi(edges.reshape(-1, 2)))
 
 

@@ -1,4 +1,5 @@
-"""Base polyhedral mesh type shared by tetrahedral, hexahedral and triangle meshes.
+"""Base polyhedral mesh type; :class:`~repro.mesh.tetrahedral.TetrahedralMesh`
+is its one concrete primitive.
 
 A mesh couples three things:
 
@@ -12,8 +13,7 @@ Connectivity only depends on the cell array, so deforming the mesh (changing
 positions) never invalidates it; restructuring the mesh (changing cells) does.
 :meth:`PolyhedralMesh.restructure` splices the built caches around the dirty
 vertex ids the restructuring operation names, and drops them when it is given
-none (or the ids miss a changed cell); :meth:`PolyhedralMesh.replace_cells`
-always drops them.
+none (or the ids miss a changed cell).
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ class PolyhedralMesh:
         Optional human readable dataset name used in reports.
     """
 
-    #: number of vertices each cell references (3, 4 or 8); set by subclasses
+    #: number of vertices each cell references (4 for tetrahedra); set by subclasses
     cell_arity: int = 0
     #: human readable primitive name ("tetrahedron", ...); set by subclasses
     primitive: str = "polyhedron"
@@ -200,36 +200,21 @@ class PolyhedralMesh:
     # ------------------------------------------------------------------
     # connectivity updates (restructuring)
     # ------------------------------------------------------------------
-    def replace_cells(self, cells: np.ndarray) -> None:
-        """Replace the cell array (mesh restructuring) and invalidate caches.
-
-        Restructuring is the rare transformation that changes the surface;
-        OCTOPUS's surface index listens for it via :attr:`connectivity_version`.
-        """
-        cell_arr = np.ascontiguousarray(cells, dtype=np.int64)
-        if cell_arr.ndim != 2 or (self.cell_arity and cell_arr.shape[1] != self.cell_arity):
-            raise MeshError("replacement cells have the wrong shape")
-        if cell_arr.size and (cell_arr.min() < 0 or cell_arr.max() >= self.n_vertices):
-            raise MeshConnectivityError("replacement cell vertex ids out of range")
-        self._cells = cell_arr
-        self._adjacency = None
-        self._surface = None
-        self.connectivity_version += 1
-
     def restructure(
         self,
         vertices: np.ndarray,
         cells: np.ndarray,
         dirty_ids: np.ndarray | None = None,
     ) -> None:
-        """Replace vertices *and* cells in place (restructuring that adds vertices).
+        """Replace vertices *and* cells in place (mesh restructuring).
 
-        Cell splits insert new vertices, which :meth:`replace_cells` alone
-        cannot express (its cells may not reference ids beyond the current
-        vertex count).  This method swaps in both arrays at once, preserving
-        the two contracts the delta pipeline relies on: pre-existing vertex
-        ids keep their meaning (the new position array must extend the old
-        numbering) and new vertices occupy the appended tail.
+        Restructuring is the rare transformation that changes the surface;
+        OCTOPUS's surface index listens for it via
+        :attr:`connectivity_version`.  Both arrays are swapped in at once,
+        preserving the two contracts the delta pipeline relies on:
+        pre-existing vertex ids keep their meaning (the new position array
+        must extend the old numbering) and new vertices, as cell splits
+        insert them, occupy the appended tail.
 
         When the vertex count is unchanged (cell removal) the positions are
         written *into the existing array*, so holders of a direct reference

@@ -9,23 +9,14 @@ beyond NumPy is required.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Type
 
 import numpy as np
 
 from ..errors import MeshError
 from .base import PolyhedralMesh
-from .hexahedral import HexahedralMesh
 from .tetrahedral import TetrahedralMesh
-from .triangle import TriangleMesh
 
 __all__ = ["save_mesh", "load_mesh"]
-
-_MESH_CLASSES: dict[str, Type[PolyhedralMesh]] = {
-    "tetrahedron": TetrahedralMesh,
-    "hexahedron": HexahedralMesh,
-    "triangle": TriangleMesh,
-}
 
 
 def save_mesh(mesh: PolyhedralMesh, path: str | Path) -> Path:
@@ -43,13 +34,12 @@ def save_mesh(mesh: PolyhedralMesh, path: str | Path) -> Path:
     return target if target.suffix == ".npz" else target.with_suffix(target.suffix + ".npz")
 
 
-def load_mesh(path: str | Path) -> PolyhedralMesh:
-    """Load a mesh previously written by :func:`save_mesh`."""
+def load_mesh(path: str | Path) -> TetrahedralMesh:
+    """Load a tetrahedral mesh previously written by :func:`save_mesh`."""
     with np.load(Path(path), allow_pickle=False) as archive:
         primitive = str(archive["primitive"])
-        if primitive not in _MESH_CLASSES:
+        if primitive != TetrahedralMesh.primitive:
             raise MeshError(f"unknown mesh primitive {primitive!r} in {path}")
-        mesh_cls = _MESH_CLASSES[primitive]
-        return mesh_cls(
+        return TetrahedralMesh(
             archive["vertices"].copy(), archive["cells"].copy(), name=str(archive["name"])
         )

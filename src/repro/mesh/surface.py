@@ -1,4 +1,4 @@
-"""Surface extraction from polyhedral cell lists.
+"""Surface extraction from tetrahedral cell lists.
 
 Section IV-E of the paper identifies surface vertices by building the *global
 face list*: every cell contributes its faces, a face shared by two adjacent
@@ -24,26 +24,28 @@ from .adjacency import row_groups, row_keys, sorted_unique
 
 __all__ = ["SurfaceExtraction", "extract_surface", "cell_faces"]
 
-# Local vertex indices of each face for the supported primitives.
-_TETRAHEDRON_FACES = (
-    (0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3),
-)
-_HEXAHEDRON_FACES = (
-    (0, 1, 2, 3),  # bottom
-    (4, 5, 6, 7),  # top
-    (0, 1, 5, 4),
-    (1, 2, 6, 5),
-    (2, 3, 7, 6),
-    (3, 0, 4, 7),
-)
-# A triangle (surface-only mesh) is its own single "face".
-_TRIANGLE_FACES = ((0, 1, 2),)
+#: local vertex indices of the four triangular faces of a tetrahedron
+_TETRAHEDRON_FACES = np.array([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)], dtype=np.int64)
 
-_FACE_PATTERNS = {
-    3: _TRIANGLE_FACES,
-    4: _TETRAHEDRON_FACES,
-    8: _HEXAHEDRON_FACES,
-}
+
+def sorted_faces(faces: np.ndarray) -> np.ndarray:
+    """Each ``(m, 3)`` face with its vertex ids in ascending order.
+
+    Equals ``np.sort(faces, axis=1)``, by a three-comparator min/max network
+    over the columns: about twice as fast as NumPy's per-row sort on rows
+    this narrow.  The result is a column-major view.
+    """
+    a, b, c = faces[:, 0], faces[:, 1], faces[:, 2]
+    # Rows 1-3 end as the low, middle and high columns; row 0 is scratch
+    # for min(a, b).
+    rows = np.empty((4, faces.shape[0]), dtype=faces.dtype)
+    np.minimum(a, b, out=rows[0])
+    np.maximum(a, b, out=rows[2])
+    np.minimum(rows[2], c, out=rows[1])
+    np.maximum(rows[2], c, out=rows[3])
+    np.maximum(rows[0], rows[1], out=rows[2])
+    np.minimum(rows[0], rows[1], out=rows[1])
+    return rows[1:].T
 
 
 @dataclass(frozen=True)
@@ -55,11 +57,10 @@ class SurfaceExtraction:
     surface_vertices:
         Sorted int array of vertex ids that lie on the mesh surface.
     surface_faces:
-        ``(f, k)`` array of boundary faces (``k`` = 3 for tetrahedral and
-        triangle meshes, 4 for hexahedral meshes).
+        ``(f, 3)`` array of boundary faces.
     n_faces_total:
         Number of entries in the global face list (with duplicates), i.e.
-        ``cells * faces_per_cell``.
+        four per cell.
     """
 
     surface_vertices: np.ndarray
@@ -79,23 +80,22 @@ class SurfaceExtraction:
         when a recounted face is shared by more than two cells, so the caller
         drops the cache and the next extraction raises as a rebuild would.
         """
-        pattern = np.asarray(_FACE_PATTERNS[cells.shape[1]], dtype=np.int64)
-        faces = cells[:, pattern].reshape(-1, pattern.shape[1])
+        faces = cell_faces(cells)
         faces = faces[region[faces].all(axis=1)]
-        first, counts = row_groups(np.sort(faces, axis=1))
+        first, counts = row_groups(sorted_faces(faces))
         if np.any(counts > 2):
             return None
         kept = self.surface_faces[~region[self.surface_faces].all(axis=1)]
         merged = np.concatenate([kept, faces[first[counts == 1]]])
         # Boundary faces are distinct, so key order is one well-defined order.
-        canonical = np.sort(merged, axis=1)
+        canonical = sorted_faces(merged)
         keyed = row_keys(canonical)
         order = np.lexsort(canonical.T[::-1]) if keyed is None else np.argsort(keyed[0])
         merged = merged[order]
         return SurfaceExtraction(
             surface_vertices=sorted_unique(merged.ravel()),
             surface_faces=merged,
-            n_faces_total=n_cells * pattern.shape[0],
+            n_faces_total=4 * n_cells,
         )
 
     @property
@@ -112,23 +112,24 @@ class SurfaceExtraction:
 def cell_faces(cells: np.ndarray) -> np.ndarray:
     """Return the global face list of a cell array (duplicates included).
 
-    The output has shape ``(n_cells * faces_per_cell, face_arity)`` and each
-    face keeps the original vertex order of the cell definition.
+    ``cells`` is an ``(m, 4)`` array of tetrahedra.  The output has shape
+    ``(4 * m, 3)`` and each face keeps the original vertex order of the cell
+    definition.
     """
     cell_arr = np.asarray(cells, dtype=np.int64)
     if cell_arr.size == 0:
         return np.empty((0, 3), dtype=np.int64)
     if cell_arr.ndim != 2:
         raise MeshConnectivityError("cells must be a 2-D array")
-    k = cell_arr.shape[1]
-    if k not in _FACE_PATTERNS:
-        raise MeshConnectivityError(f"unsupported cell arity {k}; expected 3, 4 or 8")
-    pattern = np.asarray(_FACE_PATTERNS[k], dtype=np.int64)
-    return cell_arr[:, pattern].reshape(-1, pattern.shape[1])
+    if cell_arr.shape[1] != 4:
+        raise MeshConnectivityError(
+            f"unsupported cell arity {cell_arr.shape[1]}; expected 4 (tetrahedra)"
+        )
+    return cell_arr[:, _TETRAHEDRON_FACES].reshape(-1, 3)
 
 
 def extract_surface(cells: np.ndarray) -> SurfaceExtraction:
-    """Identify surface faces and vertices from a polyhedral cell array.
+    """Identify surface faces and vertices from a tetrahedral cell array.
 
     A face is on the surface when it occurs exactly once in the global face
     list; faces occurring twice are interior faces shared by two cells.  A
@@ -144,7 +145,7 @@ def extract_surface(cells: np.ndarray) -> SurfaceExtraction:
         )
     # Canonicalise each face by sorting its vertex ids so that the two copies
     # of a shared face compare equal regardless of orientation.
-    canonical = np.sort(faces, axis=1)
+    canonical = sorted_faces(faces)
     first_index, counts = row_groups(canonical)
     if np.any(counts > 2):
         bad = canonical[first_index[counts > 2][0]]

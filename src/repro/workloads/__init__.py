@@ -1,4 +1,4 @@
-"""Query workload generation and selectivity estimation."""
+"""Query workload generation, boxes sized by selectivity."""
 
 from .microbenchmarks import (
     NEUROSCIENCE_BENCHMARKS,
@@ -7,12 +7,10 @@ from .microbenchmarks import (
     workload_for_step,
 )
 from .queries import QueryWorkload, box_for_selectivity, measure_selectivity, random_query_workload
-from .selectivity import HistogramSelectivityEstimator
 from .sessions import repeated_query_provider, zoomed_session_provider
 from .steering import SteeringEvent, SteeringSchedule, subscription_steering
 
 __all__ = [
-    "HistogramSelectivityEstimator",
     "Microbenchmark",
     "NEUROSCIENCE_BENCHMARKS",
     "QueryWorkload",

@@ -22,7 +22,6 @@ from repro.generators import (  # noqa: E402  (import after sys.path tweak)
     earthquake_mesh,
     neuron_mesh,
     random_delaunay_mesh,
-    structured_hexahedral_mesh,
     structured_tetrahedral_mesh,
 )
 from repro.mesh import Box3D  # noqa: E402
@@ -38,12 +37,6 @@ def unit_box() -> Box3D:
 def grid_mesh():
     """A 5x5x5-cube structured tetrahedral mesh in the unit cube (convex)."""
     return structured_tetrahedral_mesh((5, 5, 5))
-
-
-@pytest.fixture(scope="session")
-def hex_mesh():
-    """A 4x4x4-cube structured hexahedral mesh in the unit cube."""
-    return structured_hexahedral_mesh((4, 4, 4))
 
 
 @pytest.fixture(scope="session")

@@ -28,20 +28,14 @@ class TestEdgesFromCells:
         # 6 + 6 edges with 3 shared (the shared face 1-2-3) -> 9 unique.
         assert edges.shape[0] == 9
 
-    def test_triangle_cells(self):
-        edges = edges_from_cells(np.array([[0, 1, 2]]))
-        assert {tuple(e) for e in edges.tolist()} == {(0, 1), (0, 2), (1, 2)}
-
-    def test_hexahedron_has_twelve_edges(self):
-        edges = edges_from_cells(np.arange(8).reshape(1, 8))
-        assert edges.shape[0] == 12
-
     def test_empty_cells(self):
         assert edges_from_cells(np.empty((0, 4))).shape == (0, 2)
 
     def test_unsupported_arity_raises(self):
-        with pytest.raises(MeshConnectivityError):
-            edges_from_cells(np.array([[0, 1, 2, 3, 4]]))
+        # Only tetrahedra: triangles, hexahedra and any other width are refused.
+        for width in (3, 5, 8):
+            with pytest.raises(MeshConnectivityError):
+                edges_from_cells(np.arange(width).reshape(1, width))
 
 
 class TestAdjacencyConstruction:
@@ -108,18 +102,13 @@ class TestAdjacencyAccess:
 # ----------------------------------------------------------------------
 # key builds against the row-wise reference
 # ----------------------------------------------------------------------
-_PATTERNS = {
-    3: ((0, 1), (1, 2), (2, 0)),
-    4: ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)),
-    8: ((0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4),
-        (0, 4), (1, 5), (2, 6), (3, 7)),
-}
+_TET_EDGES = np.array([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 
 
 def reference_edges(cells):
     """The row-wise build the key build replaced: ``np.unique(axis=0)``."""
     cells = np.asarray(cells, dtype=np.int64)
-    pairs = cells[:, np.asarray(_PATTERNS[cells.shape[1]])].reshape(-1, 2)
+    pairs = cells[:, _TET_EDGES].reshape(-1, 2)
     lo = np.minimum(pairs[:, 0], pairs[:, 1])
     hi = np.maximum(pairs[:, 0], pairs[:, 1])
     return np.unique(np.stack([lo, hi], axis=1), axis=0)
@@ -139,9 +128,9 @@ def reference_csr(n_vertices, edges):
     return np.concatenate([[0], np.cumsum(counts)]), dst[order]
 
 
-def random_cells(rng, arity, n_vertices, n_cells):
-    """Random cells with repeated cells, reordered repeats and self-loop pairs."""
-    cells = rng.integers(0, n_vertices, size=(n_cells, arity))
+def random_cells(rng, n_vertices, n_cells):
+    """Random tetrahedra with repeated cells, reordered repeats and self-loop pairs."""
+    cells = rng.integers(0, n_vertices, size=(n_cells, 4))
     repeats = cells[rng.integers(0, n_cells, size=n_cells // 4)]
     reordered = rng.permuted(cells[rng.integers(0, n_cells, size=n_cells // 4)], axis=1)
     degenerate = cells[: n_cells // 8].copy()
@@ -159,11 +148,10 @@ def assert_same_csr(adjacency, reference):
 
 class TestKeyBuildsMatchRowReference:
     @pytest.mark.parametrize("seed", PARITY_SEEDS)
-    @pytest.mark.parametrize("arity", [3, 4, 8])
-    def test_random_cells(self, seed, arity):
-        rng = np.random.default_rng([seed, arity])
+    def test_random_cells(self, seed):
+        rng = np.random.default_rng([seed, 4])
         for n_vertices in (2, 9, 60, 5000):
-            cells = random_cells(rng, arity, n_vertices, 200)
+            cells = random_cells(rng, n_vertices, 200)
             edges = edges_from_cells(cells)
             assert edges.dtype == np.int64
             assert np.array_equal(edges, reference_edges(cells))
@@ -186,7 +174,7 @@ class TestKeyBuildsMatchRowReference:
         assert_same_csr(AdjacencyList.from_edges(4, np.empty((0, 2))), reference_csr(4, []))
 
     @pytest.mark.parametrize(
-        "fixture", ["grid_mesh", "hex_mesh", "neuron_small", "earthquake_small", "delaunay_small"]
+        "fixture", ["grid_mesh", "neuron_small", "earthquake_small", "delaunay_small"]
     )
     def test_generator_meshes(self, fixture, request):
         mesh = request.getfixturevalue(fixture)

@@ -1,16 +1,9 @@
-"""Tests for the throwaway (rebuild-per-step) baselines and the linear scan."""
+"""Tests for the throwaway (rebuild-per-step) octree baseline and the linear scan."""
 
 import numpy as np
 import pytest
 
-from repro.baselines import (
-    KDTree,
-    LinearScanExecutor,
-    Octree,
-    ThrowawayGridExecutor,
-    ThrowawayKDTreeExecutor,
-    ThrowawayOctreeExecutor,
-)
+from repro.baselines import LinearScanExecutor, Octree, ThrowawayOctreeExecutor
 from repro.core import QueryCounters
 from repro.errors import SpatialIndexError
 from repro.mesh import Box3D, points_in_box
@@ -53,7 +46,7 @@ class TestOctreeStructure:
         for _ in range(15):
             corners = rng.uniform(size=(2, 3))
             box = Box3D(corners.min(axis=0), corners.max(axis=0))
-            assert np.array_equal(octree.query(box, positions), brute_force(positions, box))
+            assert np.array_equal(octree.query_many([box], positions)[0], brute_force(positions, box))
 
     def test_bucket_splitting(self, rng):
         positions = rng.uniform(size=(1000, 3))
@@ -69,7 +62,7 @@ class TestOctreeStructure:
         octree = Octree(bucket_size=32)
         octree.build(positions)
         counters = QueryCounters()
-        octree.query(Box3D.cube((0.5, 0.5, 0.5), 0.4), positions, counters)
+        octree.query_many([Box3D.cube((0.5, 0.5, 0.5), 0.4)], positions, [counters])
         assert counters.index_nodes_visited > 0
         assert counters.vertices_scanned > 0
 
@@ -78,50 +71,15 @@ class TestOctreeStructure:
             Octree(bucket_size=0)
         octree = Octree()
         with pytest.raises(SpatialIndexError):
-            octree.query(Box3D.cube((0, 0, 0), 1), np.zeros((1, 3)))
+            octree.query_many([Box3D.cube((0, 0, 0), 1)], np.zeros((1, 3)))
         with pytest.raises(SpatialIndexError):
             octree.build(np.zeros((0, 3)))
 
 
-class TestKDTreeStructure:
-    def test_query_matches_brute_force(self, rng):
-        positions = rng.uniform(size=(2500, 3))
-        tree = KDTree(bucket_size=32)
-        tree.build(positions)
-        for _ in range(15):
-            corners = rng.uniform(size=(2, 3))
-            box = Box3D(corners.min(axis=0), corners.max(axis=0))
-            assert np.array_equal(tree.query(box, positions), brute_force(positions, box))
-
-    def test_handles_duplicate_coordinates(self):
-        positions = np.zeros((100, 3))
-        positions[:, 0] = 0.5
-        tree = KDTree(bucket_size=8)
-        tree.build(positions)
-        result = tree.query(Box3D.cube((0.5, 0, 0), 0.2), positions)
-        assert result.size == 100
-
-    def test_errors(self):
-        with pytest.raises(SpatialIndexError):
-            KDTree(bucket_size=0)
-        tree = KDTree()
-        with pytest.raises(SpatialIndexError):
-            tree.query(Box3D.cube((0, 0, 0), 1), np.zeros((1, 3)))
-
-
-@pytest.mark.parametrize(
-    "executor_factory",
-    [
-        lambda: ThrowawayOctreeExecutor(bucket_size=64),
-        lambda: ThrowawayKDTreeExecutor(bucket_size=64),
-        lambda: ThrowawayGridExecutor(resolution=8),
-    ],
-    ids=["octree", "kd-tree", "grid"],
-)
-class TestThrowawayExecutors:
-    def test_matches_linear_scan_and_rebuilds(self, executor_factory, neuron_small):
+class TestThrowawayOctreeExecutor:
+    def test_matches_linear_scan_and_rebuilds(self, neuron_small):
         mesh = neuron_small.copy()
-        strategy = executor_factory()
+        strategy = ThrowawayOctreeExecutor(bucket_size=64)
         strategy.prepare(mesh)
         linear = LinearScanExecutor()
         linear.prepare(mesh)
@@ -137,7 +95,7 @@ class TestThrowawayExecutors:
         # Rebuilds touch every vertex at every step.
         assert strategy.maintenance_entries == 2 * mesh.n_vertices
 
-    def test_memory_overhead_positive(self, executor_factory, neuron_small):
-        strategy = executor_factory()
+    def test_memory_overhead_positive(self, neuron_small):
+        strategy = ThrowawayOctreeExecutor(bucket_size=64)
         strategy.prepare(neuron_small)
         assert strategy.memory_overhead_bytes() > 0

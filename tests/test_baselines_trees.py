@@ -24,14 +24,14 @@ class TestRTree:
         for _ in range(20):
             corners = rng.uniform(size=(2, 3))
             box = Box3D(corners.min(axis=0), corners.max(axis=0))
-            assert np.array_equal(tree.query(box, positions), brute_force(positions, box))
+            assert np.array_equal(tree.query_many([box], positions)[0], brute_force(positions, box))
 
     def test_counters_record_node_visits(self, rng):
         positions = rng.uniform(size=(500, 3))
         tree = RTree(fanout=16)
         tree.bulk_load(positions)
         counters = QueryCounters()
-        tree.query(Box3D.cube((0.5, 0.5, 0.5), 0.2), positions, counters)
+        tree.query_many([Box3D.cube((0.5, 0.5, 0.5), 0.2)], positions, [counters])
         assert counters.index_nodes_visited >= 1
         assert counters.vertices_scanned >= 0
 
@@ -84,7 +84,7 @@ class TestRTree:
         for _ in range(10):
             corners = rng.uniform(-0.5, 3.0, size=(2, 3))
             box = Box3D(corners.min(axis=0), corners.max(axis=0))
-            assert np.array_equal(tree.query(box, positions), brute_force(positions, box))
+            assert np.array_equal(tree.query_many([box], positions)[0], brute_force(positions, box))
 
     def test_insert_splits_overflowing_leaf(self, rng):
         positions = rng.uniform(size=(50, 3)).copy()
@@ -99,15 +99,15 @@ class TestRTree:
             tree.insert(50 + i, all_positions[50 + i])
         assert tree.n_nodes > n_nodes_before
         box = Box3D((0, 0, 0), (1, 1, 1))
-        assert np.array_equal(tree.query(box, all_positions), brute_force(all_positions, box))
+        assert np.array_equal(tree.query_many([box], all_positions)[0], brute_force(all_positions, box))
 
     def test_query_with_expansion_returns_superset(self, rng):
         positions = rng.uniform(size=(500, 3))
         tree = RTree(fanout=16)
         tree.bulk_load(positions)
         box = Box3D.cube((0.5, 0.5, 0.5), 0.3)
-        exact = tree.query(box, positions)
-        expanded = tree.query(box, positions, mbr_expansion=0.2)
+        exact = tree.query_many([box], positions)[0]
+        expanded = tree.query_many([box], positions, mbr_expansion=0.2)[0]
         assert set(exact.tolist()) <= set(expanded.tolist())
 
     def test_errors(self):
@@ -115,7 +115,7 @@ class TestRTree:
             RTree(fanout=2)
         tree = RTree(fanout=8)
         with pytest.raises(SpatialIndexError):
-            tree.query(Box3D.cube((0, 0, 0), 1.0), np.zeros((1, 3)))
+            tree.query_many([Box3D.cube((0, 0, 0), 1.0)], np.zeros((1, 3)))
         with pytest.raises(SpatialIndexError):
             tree.bulk_load(np.zeros((0, 3)))
 

@@ -36,8 +36,6 @@ ALL_STRATEGIES = (
     "octopus-con",
     "linear-scan",
     "octree",
-    "kd-tree",
-    "grid",
     "lur-tree",
     "qu-trade",
     "rum-tree",

@@ -576,7 +576,7 @@ class TestSessionProviders:
             zoomed_session_provider(0.01, 0)
 
 
-class TestNineStrategyParity:
+class TestEveryStrategyParity:
     """Cached answers must be bit-identical to fresh execution, per strategy.
 
     Each registered strategy runs side by side with its ``caching=True``

@@ -20,6 +20,8 @@ from repro.experiments import (
     run_comparison,
     strategy_suite,
 )
+from repro.experiments.harness import MAINTENANCE_COMPARISON, PAPER_COMPARISON
+from repro.factory import STRATEGY_FACTORIES
 from repro.simulation import RandomWalkDeformation
 from repro.workloads import random_query_workload
 
@@ -97,6 +99,11 @@ class TestHarness:
     def test_strategy_suite_default_matches_paper(self):
         names = [s.name for s in strategy_suite()]
         assert names == ["octopus", "linear-scan", "octree", "lur-tree", "qu-trade"]
+
+    def test_every_registered_strategy_is_compared(self):
+        # A strategy no comparison runs reaches no record: register none.
+        compared = set(PAPER_COMPARISON) | set(MAINTENANCE_COMPARISON)
+        assert set(STRATEGY_FACTORIES) <= compared
 
     def test_run_comparison_and_rows(self):
         mesh = neuron_series("tiny")[0].copy()

@@ -16,7 +16,6 @@ from repro.generators import (
     neuron_shape,
     neuron_skeleton,
     random_delaunay_mesh,
-    structured_hexahedral_mesh,
     structured_tetrahedral_mesh,
 )
 from repro.generators.shapes import Sphere
@@ -50,11 +49,6 @@ class TestStructuredGrids:
         assert report.is_valid
         # Volume equals the bounding box volume (conforming, no gaps).
         assert mesh.total_volume() == pytest.approx(mesh.bounding_box().volume)
-
-    def test_hex_grid_counts(self):
-        mesh = structured_hexahedral_mesh((3, 2, 4))
-        assert mesh.n_cells == 3 * 2 * 4
-        assert mesh.n_vertices == 4 * 3 * 5
 
     def test_custom_bounds(self):
         box = Box3D((-1, -2, -3), (1, 2, 3))

@@ -1,9 +1,9 @@
-"""The query path and the lifecycles the index baselines share.
+"""The query path the index baselines share, and their lifecycles.
 
-Every index baseline answers a box with one timed search of its index; the
-octree, kd-tree and grid rebuild from scratch unless a step or a
-restructuring left their index valid; the updatable R-trees insert a
-restructuring's appended tail instead of reloading.  The parity suites
+Every index baseline answers a batch of boxes, a single box included, with
+one timed search of its index; the throwaway octree rebuilds from scratch
+unless a step or a restructuring left it valid; the updatable R-trees insert
+a restructuring's appended tail instead of reloading.  The parity suites
 compare each incremental path with its full-recompute twin and bound its
 cost; these tests pin what each skip and each rebuild charges.
 """
@@ -18,8 +18,6 @@ from repro.baselines import (
     LURTreeExecutor,
     QUTradeExecutor,
     RUMTreeExecutor,
-    ThrowawayGridExecutor,
-    ThrowawayKDTreeExecutor,
     ThrowawayOctreeExecutor,
 )
 from repro.core import DeformationDelta, TopologyDelta
@@ -28,19 +26,13 @@ from repro.mesh import points_in_box
 from repro.simulation import remove_cells_inplace, split_cells_inplace
 from repro.workloads import random_query_workload
 
-THROWAWAY = {
-    "octree": lambda: ThrowawayOctreeExecutor(bucket_size=16),
-    "kd-tree": lambda: ThrowawayKDTreeExecutor(bucket_size=16),
-    "grid": lambda: ThrowawayGridExecutor(resolution=4),
-}
-
 UPDATABLE = {
     "lur-tree": lambda: LURTreeExecutor(fanout=16),
     "qu-trade": lambda: QUTradeExecutor(fanout=16, window_fraction=0.01),
     "rum-tree": lambda: RUMTreeExecutor(fanout=16),
 }
 
-INDEX_EXECUTORS = {**THROWAWAY, **UPDATABLE}
+INDEX_EXECUTORS = {"octree": lambda: ThrowawayOctreeExecutor(bucket_size=16), **UPDATABLE}
 
 #: the cells every restructuring test splits or removes
 CELLS = np.arange(3, dtype=np.int64)
@@ -75,19 +67,14 @@ def unit_clock(monkeypatch):
 
 
 def _spy_searches(strategy, monkeypatch):
-    """Record the box count of every ``_search`` and ``_search_many`` call."""
-    calls = {"search": [], "search_many": []}
-    search, search_many = strategy._search, strategy._search_many
-
-    def spy_search(box, counters):
-        calls["search"].append(1)
-        return search(box, counters)
+    """Record the box count of every ``_search_many`` call."""
+    calls = []
+    search_many = strategy._search_many
 
     def spy_search_many(boxes, counters_list):
-        calls["search_many"].append(len(boxes))
+        calls.append(len(boxes))
         return search_many(boxes, counters_list)
 
-    monkeypatch.setattr(strategy, "_search", spy_search)
     monkeypatch.setattr(strategy, "_search_many", spy_search_many)
     return calls
 
@@ -107,24 +94,27 @@ class TestSharedQueryPath:
         boxes = _boxes(mesh)
         calls = _spy_searches(strategy, monkeypatch)
         batch = strategy.query_many(boxes)
-        assert calls == {"search": [], "search_many": [len(boxes)]}
+        assert calls == [len(boxes)]
         for box, result in zip(boxes, batch):
             expected = np.nonzero(points_in_box(mesh.vertices, box))[0]
             assert np.array_equal(result.vertex_ids, expected)
             assert result.index_time == result.total_time == 1.0 / len(boxes)
 
-    def test_single_box_batch_is_a_query(self, name, unit_clock, monkeypatch):
+    def test_query_is_one_search_many_call(self, name, unit_clock, monkeypatch):
         strategy, mesh = _prepared(INDEX_EXECUTORS[name])
+        (box,) = _boxes(mesh, n_queries=1)
         calls = _spy_searches(strategy, monkeypatch)
-        (result,) = strategy.query_many(_boxes(mesh, n_queries=1))
-        assert calls == {"search": [1], "search_many": []}
-        assert result.index_time == result.total_time == 1.0
+        result = strategy.query(box)
+        (batched,) = strategy.query_many([box])
+        assert calls == [1, 1]
+        assert np.array_equal(result.vertex_ids, batched.vertex_ids)
+        assert result.counters == batched.counters
+        assert result.index_time == result.total_time == batched.index_time == batched.total_time == 1.0
 
 
-@pytest.mark.parametrize("name", sorted(THROWAWAY))
 class TestThrowawayLifecycle:
-    def test_index_is_built_at_prepare(self, name):
-        strategy = THROWAWAY[name]()
+    def test_index_is_built_at_prepare(self):
+        strategy = INDEX_EXECUTORS["octree"]()
         with pytest.raises(RuntimeError, match="prepare"):
             strategy.index
         assert strategy.memory_overhead_bytes() == 0
@@ -133,23 +123,23 @@ class TestThrowawayLifecycle:
         assert strategy.index.n_points == mesh.n_vertices
         assert strategy.memory_overhead_bytes() == strategy.index.memory_bytes() > 0
 
-    def test_rest_step_keeps_the_index(self, name):
-        strategy, mesh = _prepared(THROWAWAY[name])
+    def test_rest_step_keeps_the_index(self):
+        strategy, mesh = _prepared(INDEX_EXECUTORS["octree"])
         assert strategy.on_step(DeformationDelta.empty(mesh.n_vertices)) == 0.0
         assert strategy.maintenance_entries == 0
         assert strategy.maintenance_time == 0.0
         _assert_exact(strategy, mesh)
 
-    def test_removal_only_restructure_keeps_the_index(self, name):
-        strategy, mesh = _prepared(THROWAWAY[name])
+    def test_removal_only_restructure_keeps_the_index(self):
+        strategy, mesh = _prepared(INDEX_EXECUTORS["octree"])
         delta = remove_cells_inplace(mesh, CELLS).delta
         assert delta.n_vertices_added == 0 and not delta.is_full
         assert strategy.on_restructure(delta) == 0.0
         assert strategy.maintenance_entries == 0
         _assert_exact(strategy, mesh)
 
-    def test_appending_restructure_rebuilds(self, name):
-        strategy, mesh = _prepared(THROWAWAY[name])
+    def test_appending_restructure_rebuilds(self):
+        strategy, mesh = _prepared(INDEX_EXECUTORS["octree"])
         n_before = mesh.n_vertices
         delta = split_cells_inplace(mesh, CELLS).delta
         assert delta.n_vertices_added > 0
@@ -158,8 +148,8 @@ class TestThrowawayLifecycle:
         assert strategy.index.n_points == mesh.n_vertices
         _assert_exact(strategy, mesh)
 
-    def test_full_restructure_delta_rebuilds(self, name):
-        strategy, mesh = _prepared(THROWAWAY[name])
+    def test_full_restructure_delta_rebuilds(self):
+        strategy, mesh = _prepared(INDEX_EXECUTORS["octree"])
         assert strategy.on_restructure(TopologyDelta.full(mesh.n_vertices)) > 0.0
         assert strategy.maintenance_entries == mesh.n_vertices
         _assert_exact(strategy, mesh)

@@ -19,9 +19,7 @@ class TestAllStrategiesAgree:
         at every step of a deforming-neuron simulation."""
         mesh = neuron_mesh(resolution=13, name="integration-neuron")
         workload = random_query_workload(mesh, selectivity=0.02, n_queries=3, seed=0)
-        strategies = strategy_suite(
-            ("linear-scan", "octopus", "octree", "kd-tree", "grid", "lur-tree", "qu-trade")
-        )
+        strategies = strategy_suite(("linear-scan", "octopus", "octree", "lur-tree", "qu-trade"))
         report = run_comparison(
             mesh=mesh,
             strategies=strategies,

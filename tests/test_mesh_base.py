@@ -52,22 +52,22 @@ class TestConnectivityCaches:
         assert mesh.mesh_degree() == pytest.approx(2 * 9 / 5)
         assert mesh.surface_to_volume_ratio() == pytest.approx(1.0)
 
-    def test_replace_cells_invalidates_caches_and_bumps_version(self):
+    def test_restructure_invalidates_caches_and_bumps_version(self):
         mesh = two_tet_mesh()
         _ = mesh.adjacency
         _ = mesh.surface
         version = mesh.connectivity_version
-        mesh.replace_cells(np.array([[0, 1, 2, 3]]))
+        mesh.restructure(mesh.vertices, np.array([[0, 1, 2, 3]]))
         assert mesh.connectivity_version == version + 1
         assert mesh.n_cells == 1
         assert set(mesh.surface_vertices().tolist()) == {0, 1, 2, 3}
 
-    def test_replace_cells_validates(self):
+    def test_restructure_validates(self):
         mesh = two_tet_mesh()
         with pytest.raises(MeshConnectivityError):
-            mesh.replace_cells(np.array([[0, 1, 2, 9]]))
+            mesh.restructure(mesh.vertices, np.array([[0, 1, 2, 9]]))
         with pytest.raises(MeshError):
-            mesh.replace_cells(np.array([[0, 1, 2]]))
+            mesh.restructure(mesh.vertices, np.array([[0, 1, 2]]))
 
 
 class TestGeometryUpdates:

@@ -1,11 +1,11 @@
-"""Tests for the concrete mesh types: tetrahedral, hexahedral, triangle."""
+"""Tests for the concrete mesh type: tetrahedral."""
 
 import numpy as np
 import pytest
 
 from repro.errors import MeshError
-from repro.generators import structured_hexahedral_mesh, structured_tetrahedral_mesh
-from repro.mesh import HexahedralMesh, TetrahedralMesh, TriangleMesh
+from repro.generators import structured_tetrahedral_mesh
+from repro.mesh import TetrahedralMesh
 
 
 def unit_tetrahedron():
@@ -57,54 +57,6 @@ class TestTetrahedralMesh:
         assert mesh.aspect_ratios().size == 0
 
 
-class TestHexahedralMesh:
-    def test_unit_cube_volume(self):
-        vertices = np.array(
-            [
-                [0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0],
-                [0, 0, 1], [1, 0, 1], [1, 1, 1], [0, 1, 1],
-            ],
-            dtype=float,
-        )
-        mesh = HexahedralMesh(vertices, np.arange(8).reshape(1, 8))
-        assert mesh.cell_volumes()[0] == pytest.approx(1.0)
-        assert mesh.total_volume() == pytest.approx(1.0)
-
-    def test_grid_volume_matches_unit_cube(self, hex_mesh):
-        assert hex_mesh.total_volume() == pytest.approx(1.0, rel=1e-9)
-
-    def test_hex_mesh_degree_interior_is_six(self, hex_mesh):
-        surface = set(hex_mesh.surface_vertices().tolist())
-        interior = [v for v in range(hex_mesh.n_vertices) if v not in surface]
-        assert interior, "4x4x4 grid must have interior vertices"
-        degrees = hex_mesh.adjacency.degrees()
-        assert all(degrees[v] == 6 for v in interior)
-
-    def test_characterize(self, hex_mesh):
-        row = hex_mesh.characterize()
-        assert row["n_hexahedra"] == hex_mesh.n_cells
-
-
-class TestTriangleMesh:
-    def test_areas(self):
-        vertices = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=float)
-        mesh = TriangleMesh(vertices, np.array([[0, 1, 2], [1, 3, 2]]))
-        assert np.allclose(mesh.cell_areas(), [0.5, 0.5])
-        assert mesh.total_area() == pytest.approx(1.0)
-
-    def test_all_vertices_are_surface(self):
-        vertices = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=float)
-        mesh = TriangleMesh(vertices, np.array([[0, 1, 2], [1, 3, 2]]))
-        assert mesh.surface_to_volume_ratio() == pytest.approx(1.0)
-
-    def test_characterize(self):
-        vertices = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float)
-        mesh = TriangleMesh(vertices, np.array([[0, 1, 2]]), name="tri")
-        row = mesh.characterize()
-        assert row["name"] == "tri"
-        assert row["n_triangles"] == 1
-
-
 class TestStructuredGridDegrees:
     def test_tet_grid_interior_degree_is_fourteen(self):
         mesh = structured_tetrahedral_mesh((4, 4, 4))
@@ -113,9 +65,3 @@ class TestStructuredGridDegrees:
         degrees = mesh.adjacency.degrees()
         assert interior
         assert all(degrees[v] == 14 for v in interior)
-
-    def test_tet_and_hex_grids_share_vertex_lattice(self):
-        tet = structured_tetrahedral_mesh((3, 3, 3))
-        hexa = structured_hexahedral_mesh((3, 3, 3))
-        assert tet.n_vertices == hexa.n_vertices
-        assert np.allclose(tet.vertices, hexa.vertices)

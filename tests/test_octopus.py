@@ -107,7 +107,7 @@ class TestCorrectness:
         linear = LinearScanExecutor()
         linear.prepare(mesh)
         new_mesh, _ = remove_cells(mesh, np.arange(0, 120))
-        mesh.replace_cells(new_mesh.cells)
+        mesh.restructure(mesh.vertices, new_mesh.cells)
         maintenance = octopus.on_step(DeformationDelta.empty(mesh.n_vertices))
         assert maintenance >= 0.0
         assert octopus.maintenance_entries >= 0

@@ -12,17 +12,27 @@ from repro.workloads import random_query_workload
 
 
 class TestUniformGrid:
-    def test_build_and_query_match_brute_force(self, grid_mesh, rng):
-        grid = UniformGrid(resolution=4)
-        grid.build(grid_mesh.vertices)
-        for _ in range(10):
-            corners = rng.uniform(0, 1, size=(2, 3))
-            box = Box3D(corners.min(axis=0), corners.max(axis=0))
-            expected = np.nonzero(
-                np.all((grid_mesh.vertices >= box.lo) & (grid_mesh.vertices <= box.hi), axis=1)
-            )[0]
-            got = grid.query(box, grid_mesh.vertices)
-            assert np.array_equal(got, expected)
+    @pytest.mark.parametrize("resolution", [1, 4, 7])
+    def test_build_bins_like_brute_force(self, neuron_small, rng, resolution):
+        positions = neuron_small.vertices
+        grid = UniformGrid(resolution=resolution)
+        grid.build(positions)
+        lo, hi = positions.min(axis=0), positions.max(axis=0)
+
+        def cell_of(point):
+            index = np.floor((point - lo) / ((hi - lo) / resolution)).astype(int)
+            return tuple(np.clip(index, 0, resolution - 1))
+
+        # A cell's lookups return the smallest id binned there, -1 if none.
+        first = {}
+        for vertex_id, point in enumerate(positions):
+            first.setdefault(cell_of(point), vertex_id)
+        points = np.vstack([positions[::5], rng.uniform(lo, hi, size=(200, 3))])
+        expected = np.array([first.get(cell_of(point), -1) for point in points])
+        assert np.array_equal(grid.locate_batch(points), expected)
+        for point, vertex_id in zip(points, expected):
+            if vertex_id >= 0:
+                assert grid.any_vertex_near(point) == vertex_id
 
     def test_any_vertex_near_returns_nearby_vertex(self, grid_mesh):
         grid = UniformGrid(resolution=5)
@@ -45,7 +55,9 @@ class TestUniformGrid:
     def test_query_before_build_raises(self):
         grid = UniformGrid(resolution=4)
         with pytest.raises(SpatialIndexError):
-            grid.query(Box3D.cube((0, 0, 0), 1.0), np.zeros((1, 3)))
+            grid.locate_batch(np.zeros((1, 3)))
+        with pytest.raises(SpatialIndexError):
+            grid.any_vertex_near(np.zeros(3))
 
     def test_invalid_resolution(self):
         with pytest.raises(SpatialIndexError):

@@ -150,7 +150,7 @@ class TestIndexProperties:
         tree = RTree(fanout=8)
         tree.bulk_load(points)
         expected = np.nonzero(points_in_box(points, box))[0]
-        assert np.array_equal(tree.query(box, points), expected)
+        assert np.array_equal(tree.query_many([box], points)[0], expected)
 
     @given(point_sets(max_points=80), boxes())
     @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -158,4 +158,4 @@ class TestIndexProperties:
         octree = Octree(bucket_size=8)
         octree.build(points)
         expected = np.nonzero(points_in_box(points, box))[0]
-        assert np.array_equal(octree.query(box, points), expected)
+        assert np.array_equal(octree.query_many([box], points)[0], expected)

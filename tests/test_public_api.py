@@ -29,10 +29,8 @@ EXPECTED_EXPORTS = {
     "workloads",
     # mesh substrate
     "Box3D",
-    "HexahedralMesh",
     "PolyhedralMesh",
     "TetrahedralMesh",
-    "TriangleMesh",
     # core engine
     "CostModel",
     "DeformationDelta",
@@ -47,8 +45,6 @@ EXPECTED_EXPORTS = {
     "LURTreeExecutor",
     "LinearScanExecutor",
     "QUTradeExecutor",
-    "ThrowawayGridExecutor",
-    "ThrowawayKDTreeExecutor",
     "ThrowawayOctreeExecutor",
     # composition surface
     "CacheStats",
@@ -99,7 +95,7 @@ LAYER_GROUPS = [
         "standing",
         "workloads",
     },
-    {"Box3D", "HexahedralMesh", "PolyhedralMesh", "TetrahedralMesh", "TriangleMesh"},
+    {"Box3D", "PolyhedralMesh", "TetrahedralMesh"},
     {
         "CostModel",
         "DeformationDelta",
@@ -115,8 +111,6 @@ LAYER_GROUPS = [
         "LURTreeExecutor",
         "LinearScanExecutor",
         "QUTradeExecutor",
-        "ThrowawayGridExecutor",
-        "ThrowawayKDTreeExecutor",
         "ThrowawayOctreeExecutor",
     },
     {

@@ -20,7 +20,6 @@ import repro.core.crawler as crawler_module
 from repro.baselines import (
     LinearScanExecutor,
     LURTreeExecutor,
-    ThrowawayGridExecutor,
     ThrowawayOctreeExecutor,
 )
 from repro.core import (
@@ -138,7 +137,7 @@ class TestScratchCrawlEquivalence:
             shared = _crawl_one(mesh, box, starts, scratch=scratch)
             assert np.array_equal(fresh.result_ids, shared.result_ids)
             smaller, _ = remove_cells(mesh, np.arange(10 * (round_index + 1)))
-            mesh.replace_cells(smaller.cells)
+            mesh.restructure(mesh.vertices, smaller.cells)
 
     def test_crawl_performs_no_per_query_dataset_size_allocation(self, neuron_small, monkeypatch):
         """Acceptance: repeated queries on a prepared executor never np.zeros(n)."""
@@ -239,23 +238,13 @@ class TestQueryMany:
         octopus = OctopusExecutor()
         octopus.prepare(mesh)
         smaller, _ = remove_cells(mesh, np.arange(40))
-        mesh.replace_cells(smaller.cells)
+        mesh.restructure(mesh.vertices, smaller.cells)
         octopus.on_step(DeformationDelta.empty(mesh.n_vertices))
         boxes = [
             Box3D((0.0, 0.0, 0.0), (0.6, 0.6, 0.6)),
             Box3D((0.3, 0.3, 0.3), (0.9, 0.9, 0.9)),
         ]
         _assert_batch_matches_sequential(octopus, mesh, boxes)
-
-    def test_grid_batch_parity_holds_under_tiny_gather_budget(self, neuron_small, monkeypatch):
-        """The grid's box-group chunking never changes results or counters."""
-        import repro.core.uniform_grid as uniform_grid_module
-
-        monkeypatch.setattr(uniform_grid_module, "_CANDIDATE_GATHER_BUDGET", 64)
-        executor = ThrowawayGridExecutor()
-        executor.prepare(neuron_small)
-        workload = random_query_workload(neuron_small, selectivity=0.05, n_queries=8, seed=13)
-        _assert_batch_matches_sequential(executor, neuron_small, workload.boxes)
 
     def test_empty_and_single_batches(self, neuron_small):
         octopus = OctopusExecutor()

@@ -71,7 +71,7 @@ class TestRemoveCells:
             octopus.prepare(mesh)
             new_mesh, _ = operation(mesh, cells)
             if new_mesh.n_vertices == mesh.n_vertices:
-                mesh.replace_cells(new_mesh.cells)
+                mesh.restructure(mesh.vertices, new_mesh.cells)
                 octopus.on_step(DeformationDelta.empty(mesh.n_vertices))
                 linear = LinearScanExecutor()
                 linear.prepare(mesh)

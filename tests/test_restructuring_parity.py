@@ -45,8 +45,10 @@ import repro.simulation.restructuring as restructuring
 from repro.core import OctopusConExecutor, TopologyDelta
 from repro.errors import MeshConnectivityError, SimulationError
 from repro.experiments.harness import make_strategy, per_step_workload_provider
-from repro.generators import neuron_mesh, structured_hexahedral_mesh, structured_tetrahedral_mesh
-from repro.mesh import AdjacencyList, HexahedralMesh, TriangleMesh, extract_surface
+from repro.generators import neuron_mesh, structured_tetrahedral_mesh
+from repro.mesh import AdjacencyList, extract_surface
+from repro.mesh.adjacency import row_keys
+from repro.mesh.surface import cell_faces, sorted_faces
 from repro.simulation import (
     LocalizedPulseDeformation,
     MeshSimulation,
@@ -106,8 +108,6 @@ STRATEGIES = {
     "octopus-con-stale": (lambda: OctopusConExecutor(), True),
     "linear-scan": (lambda: make_strategy("linear-scan"), True),
     "octree": (lambda: make_strategy("octree"), True),
-    "kd-tree": (lambda: make_strategy("kd-tree"), True),
-    "grid": (lambda: make_strategy("grid"), True),
     "lur-tree": (lambda: make_strategy("lur-tree", fanout=16), False),
     "qu-trade": (lambda: make_strategy("qu-trade", fanout=16, window_fraction=0.01), False),
     "rum-tree": (lambda: make_strategy("rum-tree", fanout=16), False),
@@ -282,7 +282,7 @@ class TestStalePositionRegressions:
         before = mesh.surface_vertices()
         # An unannounced connectivity change (no event reaches the strategy)…
         smaller, _ = remove_cells(mesh, np.arange(20, 26))
-        mesh.replace_cells(smaller.cells)
+        mesh.restructure(mesh.vertices, smaller.cells)
         # …followed by an announced event: counting over its dirty ids would
         # miss the unannounced change's membership flips, so the gap (now 2)
         # must force the whole-array count.
@@ -303,7 +303,7 @@ class TestStalePositionRegressions:
         # Foreign connectivity change, then an *empty* event delta: there are
         # no dirty ids to count over, so the whole arrays are diffed.
         smaller, _ = remove_cells(mesh, np.arange(8))
-        mesh.replace_cells(smaller.cells)
+        mesh.restructure(mesh.vertices, smaller.cells)
         octopus.on_restructure(TopologyDelta.empty(mesh.n_vertices))
         after = mesh.surface_vertices()
         assert octopus.surface_index.surface_ids() is after
@@ -356,7 +356,7 @@ class TestSimulatorIntegration:
         # reference instead).
         report = self._run(
             periodic_restructuring(every=2, kind="mixed", n_cells=3, seed=0),
-            [make_strategy("linear-scan"), make_strategy("octree"), make_strategy("grid")],
+            [make_strategy("linear-scan"), make_strategy("octree"), make_strategy("lur-tree")],
             validate=True,
         )
         assert report["octree"].counts["simulation.restructurings"] == 3
@@ -457,30 +457,16 @@ class TestConnectivitySplice:
             )
         assert {event.kind for event in events} == {"split", "remove"}
 
-    # An offset of 55,109 unused leading vertices pushes every quad face
-    # past its int64 key bound, so the splice takes the row-wise path.  The
-    # triangle mesh is the closed surface of a tetrahedral grid.
-    @pytest.mark.parametrize(
-        "kind, offset", [("hexahedral", 0), ("hexahedral", 55_109), ("triangle", 0)]
-    )
-    def test_direct_restructure_splices(self, kind, offset, monkeypatch):
-        if kind == "hexahedral":
-            grid = structured_hexahedral_mesh((4, 3, 3))
-            mesh = HexahedralMesh(
-                np.vstack([np.zeros((offset, 3)), grid.vertices]), grid.cells + offset
-            )
-        else:
-            grid = structured_tetrahedral_mesh((3, 3, 3))
-            mesh = TriangleMesh(grid.vertices, extract_surface(grid.cells).surface_faces)
+    def test_direct_restructure_splices(self, monkeypatch):
+        mesh = structured_tetrahedral_mesh((4, 3, 3)).copy()
         _ = mesh.adjacency, mesh.surface
         cells = mesh.cells.copy()
         removed = np.array([4, 5, 17])
         keep = np.ones(len(cells), dtype=bool)
         keep[removed] = False
         # A detached copy of cell 0 on appended vertices.
-        n, arity = mesh.n_vertices, cells.shape[1]
         copy = mesh.vertices[cells[0]] + 2.0
-        appended = n + np.arange(arity)
+        appended = mesh.n_vertices + np.arange(4)
         steps = [
             (mesh.vertices, cells[keep], cells[removed].ravel()),
             (mesh.vertices, cells, cells[removed].ravel()),
@@ -492,6 +478,28 @@ class TestConnectivitySplice:
                 mesh.restructure(vertices.copy(), new_cells, dirty_ids=dirty)
                 assert spy.calls == []
             assert_caches_equal_rebuild(mesh)
+
+    def test_surface_splice_past_the_face_key_bound(self):
+        # Vertex ids from 2**21 put every triangle face past its int64 key
+        # bound, so the splice takes the row-wise path.
+        cells = structured_tetrahedral_mesh((4, 3, 3)).cells + 2**21
+        assert row_keys(sorted_faces(cell_faces(cells))) is None
+        n_vertices = int(cells.max()) + 1
+        keep = np.ones(len(cells), dtype=bool)
+        keep[[4, 5, 17]] = False
+        appended = n_vertices + np.arange(4)
+        steps = [  # old cells, new cells, dirty ids, new vertex count
+            (cells, cells[keep], cells[~keep].ravel(), n_vertices),
+            (cells[keep], cells, cells[~keep].ravel(), n_vertices),
+            (cells, np.vstack([cells, appended[None, :]]), appended, n_vertices + 4),
+        ]
+        for old, new, dirty, n in steps:
+            region, touching = repro.mesh.base._splice_region(old, new, dirty, n)
+            spliced = extract_surface(old).spliced(region, touching, len(new))
+            rebuilt = extract_surface(new)
+            assert np.array_equal(spliced.surface_vertices, rebuilt.surface_vertices)
+            assert np.array_equal(spliced.surface_faces, rebuilt.surface_faces)
+            assert spliced.n_faces_total == rebuilt.n_faces_total
 
     def test_dirty_set_missing_a_changed_cell_falls_back(self, monkeypatch):
         mesh = structured_tetrahedral_mesh((4, 4, 4)).copy()

@@ -311,7 +311,7 @@ class TestDeliveryOrder:
         # was taken from, and no valid restructure is quarantined.
         strategies = [
             build_strategy(name, resilience="paranoid")
-            for name in ("octopus", "octopus-con", "lur-tree", "grid")
+            for name in ("octopus", "octopus-con", "lur-tree", "octree")
         ]
         report = run_comparison(
             neuron_mesh(14),

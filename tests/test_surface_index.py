@@ -81,7 +81,7 @@ class TestMaintenance:
         # Drop a batch of cells behind the executors' backs: no on_step, no
         # on_restructure.  The probe reads the mesh's surface when it runs.
         new_mesh, event = remove_cells(mesh, np.arange(0, 30))
-        mesh.replace_cells(new_mesh.cells)
+        mesh.restructure(mesh.vertices, new_mesh.cells)
         assert event.inserted_surface_vertices.size > 0
         boxes = [
             Box3D((0.0, 0.0, 0.0), (0.9, 0.9, 0.9)),
@@ -104,7 +104,7 @@ class TestMaintenance:
         index = SurfaceIndex(mesh)
         # Remove a batch of cells touching the boundary: interior vertices get exposed.
         new_mesh, event = remove_cells(mesh, np.arange(0, 60))
-        mesh.replace_cells(new_mesh.cells)
+        mesh.restructure(mesh.vertices, new_mesh.cells)
         inserted, removed = index.refresh_from_mesh()
         assert inserted == event.inserted_surface_vertices.size
         assert removed == event.removed_surface_vertices.size
@@ -116,8 +116,8 @@ class TestMaintenance:
         narrowed = SurfaceIndex(mesh_a)
         full = SurfaceIndex(mesh_b)
         new_mesh, event = remove_cells(mesh_a, np.arange(0, 60))
-        mesh_a.replace_cells(new_mesh.cells)
-        mesh_b.replace_cells(new_mesh.cells)
+        mesh_a.restructure(mesh_a.vertices, new_mesh.cells)
+        mesh_b.restructure(mesh_b.vertices, new_mesh.cells)
         # The membership changes are confined to the removed cells' vertices.
         dirty = np.unique(grid_mesh.cells[np.arange(0, 60)])
         inserted, removed = narrowed.refresh_from_mesh(dirty_ids=dirty)
@@ -131,7 +131,7 @@ class TestMaintenance:
         narrowed = SurfaceIndex(mesh)
         full = SurfaceIndex(mesh)
         before = narrowed.surface_ids().copy()
-        mesh.replace_cells(mesh.cells.copy())     # version bump, same surface
+        mesh.restructure(mesh.vertices, mesh.cells.copy())  # version bump, same surface
         assert narrowed.refresh_from_mesh(dirty_ids=np.arange(8)) == (0, 0)
         assert full.refresh_from_mesh() == (0, 0)
         assert np.array_equal(narrowed.surface_ids(), before)

@@ -1,4 +1,4 @@
-"""Tests for query workload generation, microbenchmarks and selectivity estimation."""
+"""Tests for query workload generation and microbenchmarks."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from repro.errors import WorkloadError
 from repro.mesh import Box3D
 from repro.workloads import (
-    HistogramSelectivityEstimator,
     NEUROSCIENCE_BENCHMARKS,
     benchmark_by_id,
     box_for_selectivity,
@@ -93,41 +92,3 @@ class TestMicrobenchmarks:
         assert benchmark.queries_per_step_min <= len(workload) <= benchmark.queries_per_step_max
         repeat = workload_for_step(neuron_small, benchmark, step=3, seed=0)
         assert len(repeat) == len(workload)
-
-
-class TestHistogramEstimator:
-    def test_estimates_close_to_truth_on_uniform_data(self, rng):
-        positions = rng.uniform(size=(20000, 3))
-        estimator = HistogramSelectivityEstimator(positions, resolution=8)
-        box = Box3D((0.2, 0.2, 0.2), (0.6, 0.7, 0.8))
-        true_fraction = float(
-            np.all((positions >= box.lo) & (positions <= box.hi), axis=1).mean()
-        )
-        assert estimator.estimate_selectivity(box) == pytest.approx(true_fraction, abs=0.02)
-
-    def test_estimates_on_mesh_data(self, neuron_small):
-        estimator = HistogramSelectivityEstimator(neuron_small.vertices, resolution=12)
-        box = box_for_selectivity(neuron_small, neuron_small.vertices[0], 0.05)
-        true_fraction = measure_selectivity(neuron_small, box)
-        assert estimator.estimate_selectivity(box) == pytest.approx(true_fraction, abs=0.05)
-
-    def test_whole_domain_estimates_everything(self, rng):
-        positions = rng.uniform(size=(1000, 3))
-        estimator = HistogramSelectivityEstimator(positions, resolution=4)
-        box = Box3D((-0.1, -0.1, -0.1), (1.1, 1.1, 1.1))
-        assert estimator.estimate_count(box) == pytest.approx(1000, rel=0.01)
-
-    def test_disjoint_box_estimates_zero(self, rng):
-        positions = rng.uniform(size=(1000, 3))
-        estimator = HistogramSelectivityEstimator(positions, resolution=4)
-        assert estimator.estimate_count(Box3D((5, 5, 5), (6, 6, 6))) == 0.0
-
-    def test_invalid_inputs(self):
-        with pytest.raises(WorkloadError):
-            HistogramSelectivityEstimator(np.zeros((0, 3)))
-        with pytest.raises(WorkloadError):
-            HistogramSelectivityEstimator(np.zeros((10, 3)), resolution=0)
-
-    def test_memory_accounting(self, rng):
-        estimator = HistogramSelectivityEstimator(rng.uniform(size=(100, 3)), resolution=4)
-        assert estimator.memory_bytes() == 4**3 * 8
