@@ -31,11 +31,15 @@ class TestEdgesFromCells:
     def test_empty_cells(self):
         assert edges_from_cells(np.empty((0, 4))).shape == (0, 2)
 
-    def test_unsupported_arity_raises(self):
-        # Only tetrahedra: triangles, hexahedra and any other width are refused.
-        for width in (3, 5, 8):
-            with pytest.raises(MeshConnectivityError):
-                edges_from_cells(np.arange(width).reshape(1, width))
+    # Only tetrahedra: triangles, hexahedra and any other width are refused.
+    @pytest.mark.parametrize("width", [1, 2, 3, 5, 6, 8])
+    def test_unsupported_arity_raises(self, width):
+        with pytest.raises(MeshConnectivityError, match=f"unsupported cell arity {width}"):
+            edges_from_cells(np.arange(width).reshape(1, width))
+
+    def test_cells_must_be_two_dimensional(self):
+        with pytest.raises(MeshConnectivityError, match="2-D"):
+            edges_from_cells(np.arange(4))
 
 
 class TestAdjacencyConstruction:

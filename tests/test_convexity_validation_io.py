@@ -133,3 +133,38 @@ class TestMeshIO:
         assert np.allclose(loaded.vertices, neuron_small.vertices)
         assert np.array_equal(loaded.cells, neuron_small.cells)
         assert loaded.name == neuron_small.name
+
+    @pytest.mark.parametrize("fixture", ["grid_mesh", "earthquake_small", "delaunay_small"])
+    def test_roundtrip_keeps_positions_and_connectivity(self, tmp_path, fixture, request):
+        mesh = request.getfixturevalue(fixture)
+        loaded = load_mesh(save_mesh(mesh, tmp_path / f"{fixture}.npz"))
+        assert loaded.primitive == "tetrahedron"
+        assert np.array_equal(loaded.vertices, mesh.vertices)
+        assert np.array_equal(loaded.cells, mesh.cells)
+        assert np.array_equal(loaded.surface_vertices(), mesh.surface_vertices())
+        assert np.array_equal(loaded.adjacency.indices, mesh.adjacency.indices)
+
+    def test_empty_mesh_roundtrip(self, tmp_path):
+        empty = TetrahedralMesh(np.empty((0, 3)), np.empty((0, 4), dtype=np.int64), name="empty")
+        loaded = load_mesh(save_mesh(empty, tmp_path / "empty.npz"))
+        assert loaded.n_vertices == loaded.n_cells == 0
+        assert loaded.name == "empty"
+
+    def test_suffix_is_appended_and_reported(self, tmp_path, grid_mesh):
+        path = save_mesh(grid_mesh, tmp_path / "nested" / "mesh")
+        assert path == tmp_path / "nested" / "mesh.npz" and path.is_file()
+        assert np.array_equal(load_mesh(path).cells, grid_mesh.cells)
+
+    @pytest.mark.parametrize("primitive", ["hexahedron", "triangle", "quad", "tetra", ""])
+    def test_load_rejects_other_primitives(self, tmp_path, grid_mesh, primitive):
+        # The format still records the primitive; only tetrahedra load.
+        path = tmp_path / "other.npz"
+        np.savez_compressed(
+            path,
+            vertices=grid_mesh.vertices,
+            cells=grid_mesh.cells,
+            primitive=np.asarray(primitive),
+            name=np.asarray("other"),
+        )
+        with pytest.raises(MeshError, match=f"unknown mesh primitive {primitive!r}"):
+            load_mesh(path)

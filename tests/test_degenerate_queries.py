@@ -78,6 +78,46 @@ class TestZeroVolumeBox:
         strategy.prepare(mesh)
         assert np.array_equal(strategy.query(plane).vertex_ids, expected)
 
+    def test_line_query_agrees_with_linear_scan(self, strategy_name, grid_mesh):
+        column = _lattice_ids(grid_mesh, x=0.4, y=0.6)
+        # The line runs through the column's stored coordinates exactly.
+        x, y, _ = grid_mesh.vertices[column[0]]
+        line = Box3D((x, y, 0.0), (x, y, 1.0))
+        _assert_answers(strategy_name, grid_mesh, line, column)
+
+    def test_point_query_finds_exactly_that_vertex(self, strategy_name, grid_mesh):
+        (vertex,) = _lattice_ids(grid_mesh, x=0.6, y=0.2, z=0.4)
+        point = Box3D(grid_mesh.vertices[vertex], grid_mesh.vertices[vertex])
+        _assert_answers(strategy_name, grid_mesh, point, np.array([vertex]))
+
+    def test_box_touching_a_mesh_corner_finds_the_corner(self, strategy_name, grid_mesh):
+        # Closed boxes: a box meeting the mesh at one corner holds that vertex.
+        touching = Box3D((-1.0, -1.0, -1.0), (0.0, 0.0, 0.0))
+        _assert_answers(strategy_name, grid_mesh, touching, _lattice_ids(grid_mesh, x=0, y=0, z=0))
+
+    def test_box_beyond_the_mesh_is_empty(self, strategy_name, grid_mesh):
+        beyond = Box3D((1.0 + 1e-9, 0.0, 0.0), (2.0, 1.0, 1.0))
+        _assert_answers(strategy_name, grid_mesh, beyond, np.empty(0, dtype=np.int64))
+
+
+def _lattice_ids(mesh, **coordinates):
+    """Ids of the vertices at the given x, y and/or z coordinates (some)."""
+    mask = np.ones(mesh.n_vertices, dtype=bool)
+    for axis, value in coordinates.items():
+        mask &= np.isclose(mesh.vertices[:, "xyz".index(axis)], value)
+    ids = np.nonzero(mask)[0].astype(np.int64)
+    assert ids.size  # the lattice has vertices there
+    return ids
+
+
+def _assert_answers(strategy_name, mesh, box, expected):
+    """A single query and a batch of one both answer ``box`` with ``expected``."""
+    strategy = make_strategy(strategy_name)
+    strategy.prepare(mesh.copy())
+    assert np.array_equal(strategy.query(box).vertex_ids, expected)
+    (batched,) = strategy.query_many([box])
+    assert np.array_equal(batched.vertex_ids, expected)
+
 
 class TestMalformedBoxes:
     @pytest.mark.parametrize("make_box", [inverted_box, nan_box])

@@ -11,28 +11,108 @@ from repro.simulation import AffineDeformation
 from repro.workloads import random_query_workload
 
 
+class _BruteForceBins:
+    """The grid's binning, one point at a time: cell ``floor((p - lo) / size)``
+    clamped to the grid, with a flat axis given a span of 1."""
+
+    def __init__(self, positions, resolution):
+        self.resolution = resolution
+        self.lo = positions.min(axis=0)
+        hi = positions.max(axis=0)
+        self.size = np.where(hi > self.lo, hi - self.lo, 1.0) / resolution
+        # A cell's lookups return the smallest id binned there.
+        self.first = {}
+        for vertex_id, point in enumerate(positions):
+            self.first.setdefault(self.cell_of(point), vertex_id)
+
+    def cell_of(self, point):
+        index = np.floor((point - self.lo) / self.size).astype(int)
+        return tuple(int(i) for i in np.clip(index, 0, self.resolution - 1))
+
+    def locate(self, points):
+        return np.array([self.first.get(self.cell_of(point), -1) for point in points])
+
+    def nearest_ring(self, point):
+        """The id ``any_vertex_near`` returns and the cells it inspects: the
+        first non-empty cell, in (x, y, z) order, of the nearest ring of
+        cells around ``point``'s cell that holds one."""
+        target = np.array(self.cell_of(point))
+        ring = min(int(np.abs(np.array(cell) - target).max()) for cell in self.first)
+        on_ring = [cell for cell in self.first if np.abs(np.array(cell) - target).max() == ring]
+        span = np.minimum(target + ring, self.resolution - 1) - np.maximum(target - ring, 0) + 1
+        return self.first[min(on_ring)], int(np.prod(span))
+
+
 class TestUniformGrid:
     @pytest.mark.parametrize("resolution", [1, 4, 7])
     def test_build_bins_like_brute_force(self, neuron_small, rng, resolution):
         positions = neuron_small.vertices
         grid = UniformGrid(resolution=resolution)
         grid.build(positions)
-        lo, hi = positions.min(axis=0), positions.max(axis=0)
-
-        def cell_of(point):
-            index = np.floor((point - lo) / ((hi - lo) / resolution)).astype(int)
-            return tuple(np.clip(index, 0, resolution - 1))
-
-        # A cell's lookups return the smallest id binned there, -1 if none.
-        first = {}
-        for vertex_id, point in enumerate(positions):
-            first.setdefault(cell_of(point), vertex_id)
-        points = np.vstack([positions[::5], rng.uniform(lo, hi, size=(200, 3))])
-        expected = np.array([first.get(cell_of(point), -1) for point in points])
+        bins = _BruteForceBins(positions, resolution)
+        points = np.vstack([positions[::5], rng.uniform(bins.lo, positions.max(axis=0), (200, 3))])
+        expected = bins.locate(points)
         assert np.array_equal(grid.locate_batch(points), expected)
         for point, vertex_id in zip(points, expected):
             if vertex_id >= 0:
                 assert grid.any_vertex_near(point) == vertex_id
+
+    @pytest.mark.parametrize("resolution", [3, 8, 12])
+    def test_any_vertex_near_takes_the_nearest_non_empty_ring(self, neuron_small, rng, resolution):
+        # The bounding box of the non-convex neuron has many empty cells.
+        positions = neuron_small.vertices
+        grid = UniformGrid(resolution=resolution)
+        grid.build(positions)
+        bins = _BruteForceBins(positions, resolution)
+        box = neuron_small.bounding_box()
+        points = np.vstack([box.corners(), rng.uniform(box.lo, box.hi, size=(40, 3))])
+        assert np.any(bins.locate(points) == -1)
+        for point in points:
+            counters = QueryCounters()
+            expected_id, expected_cells = bins.nearest_ring(point)
+            assert grid.any_vertex_near(point, counters) == expected_id
+            assert counters.index_nodes_visited == expected_cells
+
+    def test_points_outside_clamp_to_the_border_cells(self, neuron_small):
+        grid = UniformGrid(resolution=6)
+        grid.build(neuron_small.vertices)
+        box = neuron_small.bounding_box()
+        corners = box.corners()
+        # Beyond every corner, and beyond each face straight out from the centre.
+        outside = np.vstack(
+            [
+                corners + np.sign(corners - box.center) * 5.0,
+                box.center + 100.0 * np.eye(3),
+                box.center - 100.0 * np.eye(3),
+            ]
+        )
+        inside = np.clip(outside, box.lo, box.hi)
+        assert np.array_equal(grid.locate_batch(outside), grid.locate_batch(inside))
+        for far, near in zip(outside, inside):
+            assert grid.any_vertex_near(far) == grid.any_vertex_near(near)
+
+    @pytest.mark.parametrize("flat_axis", [0, 1, 2])
+    def test_flat_point_set_bins_along_its_spread_axes(self, rng, flat_axis):
+        positions = rng.uniform(size=(300, 3))
+        positions[:, flat_axis] = 0.5
+        grid = UniformGrid(resolution=4)
+        grid.build(positions)
+        bins = _BruteForceBins(positions, 4)
+        assert len({cell[flat_axis] for cell in bins.first}) == 1
+        located = grid.locate_batch(positions)
+        assert np.all(located >= 0)
+        assert np.array_equal(located, bins.locate(positions))
+
+    def test_rebuild_replaces_the_binning(self, rng):
+        first = rng.uniform(size=(200, 3))
+        second = rng.uniform(2.0, 3.0, size=(150, 3))
+        grid = UniformGrid(resolution=5)
+        assert grid.memory_bytes() == 0
+        grid.build(first)
+        grid.build(second)
+        assert grid.n_points == 150
+        assert np.array_equal(grid.locate_batch(second), _BruteForceBins(second, 5).locate(second))
+        assert grid.memory_bytes() == (5**3 + 1) * 8 + 150 * 8
 
     def test_any_vertex_near_returns_nearby_vertex(self, grid_mesh):
         grid = UniformGrid(resolution=5)

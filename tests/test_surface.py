@@ -1,5 +1,6 @@
 """Tests for repro.mesh.surface (global face list and surface extraction)."""
 
+import itertools
 import re
 
 import numpy as np
@@ -13,6 +14,12 @@ from repro.mesh.surface import cell_faces, extract_surface, sorted_faces
 PARITY_SEEDS = parity_seed_family()
 
 
+#: every order type of three values, ties included (one row per weak
+#: ordering): by the 0-1 principle, a comparator network that sorts these
+#: sorts every row
+ORDER_TYPES = sorted(row for row in itertools.product(range(3), repeat=3) if set(row) == set(range(max(row) + 1)))
+
+
 class TestCellFaces:
     def test_tetrahedron_has_four_faces(self):
         faces = cell_faces(np.array([[0, 1, 2, 3]]))
@@ -21,14 +28,38 @@ class TestCellFaces:
     def test_empty_cells(self):
         assert cell_faces(np.empty((0, 4))).shape[0] == 0
 
-    def test_unsupported_arity(self):
-        # Only tetrahedra: triangles, hexahedra and any other width are refused.
-        for width in (3, 6, 8):
-            with pytest.raises(MeshConnectivityError):
-                cell_faces(np.arange(width).reshape(1, width))
+    # Only tetrahedra: triangles, hexahedra and any other width are refused.
+    @pytest.mark.parametrize("width", [1, 2, 3, 5, 6, 8])
+    def test_unsupported_arity(self, width):
+        with pytest.raises(MeshConnectivityError, match=f"unsupported cell arity {width}"):
+            cell_faces(np.arange(width).reshape(1, width))
+
+    def test_cells_must_be_two_dimensional(self):
+        with pytest.raises(MeshConnectivityError, match="2-D"):
+            cell_faces(np.arange(4))
 
 
 class TestSortedFaces:
+    @pytest.mark.parametrize("order", ORDER_TYPES, ids=lambda row: "".join(map(str, row)))
+    def test_sorts_every_order_type(self, order):
+        # Spread the ranks far apart, past what 32 bits hold.
+        row = np.array(order, dtype=np.int64) * 2**40 + 7
+        got = sorted_faces(row[None, :])
+        assert got.tolist() == [sorted(row.tolist())]
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint32])
+    def test_keeps_the_dtype(self, dtype):
+        faces = np.array([[5, 1, 3], [2, 2, 0], [9, 8, 9]], dtype=dtype)
+        got = sorted_faces(faces)
+        assert got.dtype == dtype
+        assert np.array_equal(got, np.sort(faces, axis=1))
+
+    def test_leaves_its_input_unchanged(self):
+        faces = np.array([[3, 1, 2], [0, 5, 4]])
+        before = faces.copy()
+        sorted_faces(faces)
+        assert np.array_equal(faces, before)
+
     @pytest.mark.parametrize("seed", PARITY_SEEDS)
     def test_matches_row_sort(self, seed):
         rng = np.random.default_rng([seed, 3])
